@@ -191,27 +191,10 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK if outcome.report.passed else EXIT_CHECK_FAILED
 
 
-def _first_power_residual(family: WeightedSubspaceFamily) -> float:
-    d = family.ambient_dim
-    total = np.zeros((d, d))
-    for sub, w, mu in zip(family.subspaces, family.weights, family.masses):
-        total = total + (w * mu) * sub.projector()
-    return float(np.abs(total - np.eye(d)).max())
-
-
-def _orthogonality_defect(family: WeightedSubspaceFamily) -> float:
-    worst = 0.0
-    for i in range(family.natoms):
-        for j in range(i + 1, family.natoms):
-            gram = family.subspaces[i].basis.T @ family.subspaces[j].basis
-            worst = max(worst, float(np.linalg.norm(gram, 2)))
-    return worst
-
-
 def _projector_checks(family: WeightedSubspaceFamily, tol: float) -> list:
     """Gated checks on projector sums, as ("run", report) or ("skip", line)."""
     entries = []
-    resid = _first_power_residual(family)
+    resid = theorems.first_power_residual(family)
     if resid <= tol:
         entries.append(
             ("run", theorems.verify_frame_from_projection_identity(family, tol))
@@ -224,7 +207,7 @@ def _projector_checks(family: WeightedSubspaceFamily, tol: float) -> list:
                 f" misses the identity by {resid:.3e})",
             )
         )
-    defect = _orthogonality_defect(family)
+    defect = theorems.orthogonality_defect(family)
     if defect <= 1e-10:
         entries.append(("run", theorems.verify_orthogonal_decomposition(family, tol)))
     else:
@@ -274,7 +257,7 @@ def _resolution_checks(family: OperatorFamily, tol: float) -> list:
     raw = family.with_sum_mode(SumMode.RAW)
     _, _, r_resid = resolution.identity_sum_residual(raw)
     if r_resid <= tol:
-        basis_seq = tuple(np.eye(d)[:, k] for k in range(d))
+        basis_seq = tuple(np.eye(d))
         entries.append(
             ("run", theorems.verify_induced_vector_frame(raw, basis_seq, tol))
         )
@@ -501,6 +484,10 @@ def main(argv=None) -> int:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:
+        # a subclass of ValueError, but a singular sum is not malformed input
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except FrameLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

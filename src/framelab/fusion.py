@@ -12,7 +12,8 @@ direct sum of the W_i with the mass weighted inner product
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,49 +24,66 @@ from .errors import (
     DimensionMismatchError,
     NotAFrameError,
 )
-from .hilbert import Subspace, adjoint, as_vector
+from .hilbert import adjoint, as_vector, hermitian_part, require_finite
 from .reports import VerificationReport
 
 
 @dataclass(frozen=True)
 class WeightedSubspaceFamily:
-    """Finitely many weighted subspaces over an atomic measure."""
+    """Finitely many weighted subspaces over an atomic measure.
+
+    ``subspaces`` is the constructor input and the per-atom view. Every
+    computation reads the stacked form built here instead: ``basis`` is the
+    d x sum(ranks) concatenation of the orthonormal bases, and
+    ``column_atom[k]`` is the atom that column k of ``basis`` belongs to.
+    """
 
     subspaces: tuple
     weights: np.ndarray
     masses: np.ndarray
     points: tuple = ()
+    basis: np.ndarray = field(init=False, repr=False, compare=False)
+    column_atom: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         subs = tuple(self.subspaces)
-        w = np.asarray(self.weights, dtype=float)
-        m = np.asarray(self.masses, dtype=float)
+        w = require_finite(np.asarray(self.weights, dtype=float), "weights")
+        m = require_finite(np.asarray(self.masses, dtype=float), "masses")
         if not subs:
             raise ValueError("a family needs at least one atom")
         if w.shape != (len(subs),) or m.shape != (len(subs),):
             raise AtomMismatchError(
                 f"{len(subs)} subspaces vs weights {w.shape} and masses {m.shape}"
             )
-        dims = {s.ambient_dim for s in subs}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"mixed ambient dimensions {sorted(dims)}")
+        # the one pass over the per-atom input: (ambient_dim, rank) per atom
+        shapes = np.array([s.basis.shape for s in subs])
+        if np.any(shapes[:, 0] != shapes[0, 0]):
+            raise DimensionMismatchError(
+                f"mixed ambient dimensions {sorted(set(shapes[:, 0].tolist()))}"
+            )
         if not np.all(w > 0):
             raise ValueError("weights must be strictly positive (zero-weight atoms are excluded upstream)")
         if not np.all(m > 0):
             raise ValueError("masses must be strictly positive")
-        if max(s.rank for s in subs) < 1:
+        if shapes[:, 1].max() < 1:
             raise ValueError("at least one subspace must have rank >= 1")
         pts = tuple(self.points) if self.points else tuple(range(len(subs)))
         if len(pts) != len(subs):
             raise AtomMismatchError(f"{len(pts)} points for {len(subs)} atoms")
+        basis = np.concatenate([s.basis for s in subs], axis=1)
+        basis.flags.writeable = False
+        column_atom = np.repeat(np.arange(len(subs)), shapes[:, 1])
+        column_atom.flags.writeable = False
         object.__setattr__(self, "subspaces", subs)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "column_atom", column_atom)
 
     @property
     def ambient_dim(self) -> int:
-        return self.subspaces[0].ambient_dim
+        return self.basis.shape[0]
 
     @property
     def natoms(self) -> int:
@@ -73,7 +91,17 @@ class WeightedSubspaceFamily:
 
     @property
     def ranks(self) -> tuple:
-        return tuple(s.rank for s in self.subspaces)
+        return tuple(np.bincount(self.column_atom, minlength=self.natoms).tolist())
+
+    def projector_sum(self, coef) -> np.ndarray:
+        """sum_i coef_i P_i, assembled as (U * coef[atom]) U* from the stacked basis."""
+        u = self.basis
+        return hermitian_part((u * np.asarray(coef)[self.column_atom]) @ adjoint(u))
+
+    def projectors(self) -> np.ndarray:
+        """The per-atom projectors P_i as one (natoms, d, d) stack."""
+        member = self.column_atom == np.arange(self.natoms)[:, None]
+        return np.einsum("ik,jk,ak->aij", self.basis, self.basis.conj(), member)
 
     @classmethod
     def from_atoms(cls, subspaces, weights, masses, points=None):
@@ -82,10 +110,10 @@ class WeightedSubspaceFamily:
         masses = np.asarray(masses, dtype=float)
         subspaces = tuple(subspaces)
         points = tuple(points) if points is not None else tuple(range(len(subspaces)))
-        keep = [i for i, w in enumerate(weights) if w != 0.0]
-        if len(keep) != len(subspaces):
-            subspaces = tuple(subspaces[i] for i in keep)
-            points = tuple(points[i] for i in keep)
+        keep = weights != 0.0
+        if not keep.all():
+            subspaces = tuple(itertools.compress(subspaces, keep))
+            points = tuple(itertools.compress(points, keep))
             weights = weights[keep]
             masses = masses[keep]
         return cls(subspaces=subspaces, weights=weights, masses=masses, points=points)
@@ -107,17 +135,13 @@ class Coefficients:
         object.__setattr__(self, "masses", m)
 
     def norm2(self) -> float:
-        return float(
-            sum(mu * float(np.vdot(b, b).real) for b, mu in zip(self.blocks, self.masses))
-        )
+        return float(self.inner(self).real)
 
     def inner(self, other: "Coefficients"):
         if len(self.blocks) != len(other.blocks):
             raise AtomMismatchError("coefficient families have different atom counts")
-        return sum(
-            mu * np.vdot(g, f)
-            for f, g, mu in zip(self.blocks, other.blocks, self.masses)
-        )
+        f, g = np.stack(self.blocks), np.stack(other.blocks)
+        return self.masses @ np.sum(g.conj() * f, axis=1)
 
 
 @dataclass(frozen=True)
@@ -134,6 +158,16 @@ class FrameBounds:
         return self.upper / self.lower
 
 
+def _frame_coef(family: WeightedSubspaceFamily) -> np.ndarray:
+    return family.weights**2 * family.masses
+
+
+def _block_sums(family: WeightedSubspaceFamily, columns: np.ndarray) -> np.ndarray:
+    """d x natoms matrix whose column i is U_i c_i, for per-column coordinates c."""
+    member = family.column_atom[:, None] == np.arange(family.natoms)
+    return (family.basis * columns) @ member
+
+
 def analysis(family: WeightedSubspaceFamily, f) -> Coefficients:
     """Analysis map: f -> (omega_i * P_i f)_i."""
     f = as_vector(f)
@@ -141,10 +175,8 @@ def analysis(family: WeightedSubspaceFamily, f) -> Coefficients:
         raise DimensionMismatchError(
             f"vector of dim {f.shape[0]} vs ambient dim {family.ambient_dim}"
         )
-    blocks = tuple(
-        w * s.project(f) for s, w in zip(family.subspaces, family.weights)
-    )
-    return Coefficients(blocks=blocks, masses=family.masses)
+    projections = _block_sums(family, adjoint(family.basis) @ f) * family.weights
+    return Coefficients(blocks=tuple(projections.T), masses=family.masses)
 
 
 def synthesis(
@@ -159,53 +191,45 @@ def synthesis(
         raise AtomMismatchError(
             f"{len(coeffs.blocks)} blocks for {family.natoms} atoms"
         )
-    out = np.zeros(family.ambient_dim, dtype=np.result_type(
-        float, *(b.dtype for b in coeffs.blocks)
-    ))
-    for i, (s, w, mu, b) in enumerate(
-        zip(family.subspaces, family.weights, family.masses, coeffs.blocks)
-    ):
-        b = as_vector(b)
-        if b.shape[0] != family.ambient_dim:
-            raise DimensionMismatchError(
-                f"block {i} has dim {b.shape[0]} vs ambient {family.ambient_dim}"
-            )
-        stickout = float(np.linalg.norm(b - s.project(b)))
-        if stickout > membership_tol * max(1.0, float(np.linalg.norm(b))):
-            raise CoefficientError(
-                f"block {i} lies outside its subspace (deviation {stickout:.3e})"
-            )
-        out = out + w * mu * b
-    return out
+    try:
+        blocks = np.stack(coeffs.blocks, axis=1)
+    except ValueError:
+        blocks = None
+    if blocks is None or blocks.ndim != 2 or blocks.shape[0] != family.ambient_dim:
+        raise DimensionMismatchError(
+            f"blocks must be vectors of ambient dim {family.ambient_dim}"
+        )
+    u = family.basis
+    # column k of the basis against the block of its own atom
+    own = np.einsum("jk,jk->k", u.conj(), blocks[:, family.column_atom])
+    stickout = np.linalg.norm(blocks - _block_sums(family, own), axis=0)
+    limit = membership_tol * np.maximum(1.0, np.linalg.norm(blocks, axis=0))
+    bad = np.flatnonzero(stickout > limit)
+    if bad.size:
+        i = int(bad[0])
+        raise CoefficientError(
+            f"block {i} lies outside its subspace (deviation {stickout[i]:.3e})"
+        )
+    return blocks @ (family.weights * family.masses)
 
 
 def frame_operator(family: WeightedSubspaceFamily) -> np.ndarray:
     """Assembled operator S = sum omega_i^2 mu_i P_i."""
-    d = family.ambient_dim
-    s_mat = np.zeros((d, d))
-    for s, w, mu in zip(family.subspaces, family.weights, family.masses):
-        if s.rank:
-            s_mat = s_mat + (w * w * mu) * s.projector()
-    return s_mat
+    return family.projector_sum(_frame_coef(family))
 
 
 def apply_frame_operator(family: WeightedSubspaceFamily, f) -> np.ndarray:
-    """S f computed by block summation, without assembling S."""
+    """S f computed from the stacked basis, without assembling S."""
     f = as_vector(f)
-    out = np.zeros_like(f, dtype=np.result_type(float, f.dtype))
-    for s, w, mu in zip(family.subspaces, family.weights, family.masses):
-        out = out + (w * w * mu) * s.project(f)
-    return out
+    u = family.basis
+    return u @ (_frame_coef(family)[family.column_atom] * (adjoint(u) @ f))
 
 
 def frame_sum(family: WeightedSubspaceFamily, f) -> float:
     """Direct quadratic form sum omega_i^2 mu_i ||P_i f||^2."""
     f = as_vector(f)
-    total = 0.0
-    for s, w, mu in zip(family.subspaces, family.weights, family.masses):
-        p = s.project(f)
-        total += (w * w * mu) * float(np.vdot(p, p).real)
-    return total
+    coords = adjoint(family.basis) @ f
+    return float(_frame_coef(family)[family.column_atom] @ np.abs(coords) ** 2)
 
 
 def frame_bounds(family: WeightedSubspaceFamily) -> FrameBounds:
@@ -221,13 +245,8 @@ def synthesis_matrix(family: WeightedSubspaceFamily) -> np.ndarray:
     coefficient space isometric to plain euclidean coordinates, so the
     largest singular value of this matrix is the synthesis operator norm.
     """
-    cols = []
-    for s, w, mu in zip(family.subspaces, family.weights, family.masses):
-        if s.rank:
-            cols.append(w * np.sqrt(mu) * s.basis)
-    if not cols:
-        raise ValueError("family has no nonzero subspace")
-    return np.concatenate(cols, axis=1)
+    scale = family.weights * np.sqrt(family.masses)
+    return family.basis * scale[family.column_atom]
 
 
 def verify_characterization(
@@ -236,7 +255,10 @@ def verify_characterization(
     """Check the operator characterization of the frame property.
 
     The synthesis norm must equal sqrt(B); analysis is injective and
-    synthesis surjective exactly when the lower bound A is positive.
+    synthesis surjective exactly when the lower bound A is positive. Both
+    maps are judged by the SVD rank of T (T* has a trivial kernel and T is
+    onto exactly when rank = d), the bound A by the eigenvalues of S, so the
+    two hypotheses compare the SVD path against the eigh path.
     """
     report = VerificationReport(check_id="synthesis_characterization")
     report.tolerances = {"norm_match": tol}
@@ -253,13 +275,11 @@ def verify_characterization(
     )
 
     lower_positive = bounds.is_frame()
-    surjective = rank == d
-    # injectivity of analysis is equivalent to positivity of the frame operator
-    injective = lower_positive
+    surjective = injective = rank == d
     report.add_hypothesis(
         "analysis_injective_iff_lower_positive",
         injective == lower_positive,
-        detail=f"injective={injective}, lower_positive={lower_positive}",
+        detail=f"rank={rank}, injective={injective}, lower_positive={lower_positive}",
     )
     report.add_hypothesis(
         "synthesis_surjective_iff_lower_positive",
@@ -290,19 +310,21 @@ def reconstruct(family: WeightedSubspaceFamily, f, rel_tol: float = 1e-10) -> Re
 
     The square weight omega^2 mu comes from folding the measure into the
     normalization of each subspace atom. Raises NotAFrameError when the
-    lower bound is zero within rel_tol of the upper bound.
+    lower bound is zero within rel_tol of the upper bound. S is assembled
+    once; one eigendecomposition gives both the bounds and the solve.
     """
     f = as_vector(f)
-    bounds = frame_bounds(family)
+    s_mat = frame_operator(family)
+    eigh = hilbert.self_adjoint_eigh(s_mat)
+    spectrum = eigh[0]
+    bounds = FrameBounds(lower=float(spectrum[0]), upper=float(spectrum[-1]))
     if not bounds.is_frame(rel_tol):
         raise NotAFrameError(
             f"family is not a frame (bounds {bounds.lower:.3e}, {bounds.upper:.3e})",
             lower=bounds.lower,
             upper=bounds.upper,
         )
-    s_mat = frame_operator(family)
-    y = apply_frame_operator(family, f)
-    fhat = hilbert.solve_positive(s_mat, y)
+    fhat = hilbert.solve_positive_eigh(s_mat, eigh, s_mat @ f)
     residual = float(np.linalg.norm(fhat - f)) / max(float(np.linalg.norm(f)), 1e-300)
     if float(np.linalg.norm(f)) == 0.0:
         residual = float(np.linalg.norm(fhat))

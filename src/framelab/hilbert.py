@@ -49,6 +49,33 @@ def operator_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a), 2))
 
 
+def hermitian_part(a: np.ndarray) -> np.ndarray:
+    """(A + A*) / 2: strips float noise so eigh sees an exactly hermitian matrix."""
+    return (a + adjoint(a)) / 2.0
+
+
+def require_finite(a, what: str) -> np.ndarray:
+    """Return ``a`` as an array, or raise ValueError naming its first non-finite entry."""
+    a = np.asarray(a)
+    bad = np.argwhere(~np.isfinite(a))
+    if bad.size:
+        index = tuple(int(i) for i in bad[0])
+        where = index[0] if len(index) == 1 else index
+        raise ValueError(f"{what} entry {where} is not finite ({a[index]})")
+    return a
+
+
+def stacked_gram(stack: np.ndarray, coef) -> np.ndarray:
+    """Hermitian sum of coef_i A_i* A_i over a stack of matrices of shape (n, k, d)."""
+    coef = np.asarray(coef)[:, None, None]
+    return hermitian_part(np.tensordot(stack.conj() * coef, stack, axes=([0, 1], [0, 1])))
+
+
+def quadratic_forms(a: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Real parts of <A p, p> for every column p of ``vectors``."""
+    return np.einsum("ij,ij->j", vectors.conj(), a @ vectors).real
+
+
 def is_self_adjoint(a: np.ndarray, rtol: float = 1e-12) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -71,6 +98,7 @@ class Subspace:
         b = np.asarray(self.basis)
         if b.ndim != 2:
             raise DimensionMismatchError(f"basis must be 2-d, got shape {b.shape}")
+        require_finite(b, "basis")
         object.__setattr__(self, "basis", b)
         r = b.shape[1]
         if r:
@@ -141,11 +169,6 @@ def column_space(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
     return orthonormal_basis(list(a.T), tol=tol, ambient_dim=a.shape[0])
 
 
-def project(w: Subspace, f) -> np.ndarray:
-    """Orthogonal projection of f onto the subspace w."""
-    return w.project(f)
-
-
 def self_adjoint_eigh(a: np.ndarray, rtol: float = 1e-12):
     """Eigendecomposition of a self-adjoint matrix, eigenvalues ascending.
 
@@ -182,7 +205,13 @@ def solve_positive(a: np.ndarray, f, tol: float = RANK_TOL) -> np.ndarray:
     when the smallest eigenvalue does not clear ``tol`` times the largest.
     """
     f = as_vector(f)
-    w, v = self_adjoint_eigh(a)
+    return solve_positive_eigh(a, self_adjoint_eigh(a), f, tol)
+
+
+def solve_positive_eigh(a: np.ndarray, eigh, f, tol: float = RANK_TOL) -> np.ndarray:
+    """solve_positive with the eigendecomposition ``eigh = (w, v)`` of A already at hand."""
+    f = as_vector(f)
+    w, v = eigh
     if f.shape[0] != w.shape[0]:
         raise DimensionMismatchError(
             f"matrix of size {w.shape[0]} vs vector of dim {f.shape[0]}"

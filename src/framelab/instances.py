@@ -217,42 +217,29 @@ class Scenario:
     limit_bounds: tuple | None = None
 
     def build(self, dim=None, atoms=None, seed=None, n=None):
-        seed = 0 if seed is None else int(seed)
-        if self.name == "axes":
-            return axes_family(3 if dim is None else int(dim))
-        if self.name == "mercedes":
-            return mercedes_family()
-        if self.name == "equiangular":
-            return equiangular_family(5 if atoms is None else int(atoms))
-        if self.name == "orthogonal_blocks":
-            return orthogonal_blocks_family(
-                4 if dim is None else int(dim),
-                2 if atoms is None else int(atoms),
-                seed,
-            )
-        if self.name == "random_fusion":
-            return random_fusion_family(
-                4 if dim is None else int(dim),
-                6 if atoms is None else int(atoms),
-                seed,
-            )
-        if self.name == "rotating_line":
-            return rotating_line_family(64 if n is None else int(n))
-        if self.name == "basis_resolution":
-            return resolution.from_orthonormal_basis(4 if dim is None else int(dim))
-        if self.name == "random_resolution":
-            return random_resolution_family(
-                4 if dim is None else int(dim),
-                6 if atoms is None else int(atoms),
-                seed,
-            )
-        if self.name == "block_resolution":
-            return block_resolution_family(
-                4 if dim is None else int(dim),
-                3 if atoms is None else int(atoms),
-                seed,
-            )
-        raise ValueError(f"scenario {self.name!r} has no builder")
+        if self.name not in _BUILDERS:
+            raise ValueError(f"scenario {self.name!r} has no builder")
+        builder, defaults = _BUILDERS[self.name]
+        given = {"dim": dim, "atoms": atoms, "seed": seed, "n": n}
+        return builder(**{
+            key: default if given[key] is None else int(given[key])
+            for key, default in defaults.items()
+        })
+
+
+# Builder of each scenario and the keyword arguments it takes, with their
+# defaults; an argument a scenario does not take is ignored.
+_BUILDERS = {
+    "axes": (axes_family, {"dim": 3}),
+    "mercedes": (mercedes_family, {}),
+    "equiangular": (equiangular_family, {"atoms": 5}),
+    "orthogonal_blocks": (orthogonal_blocks_family, {"dim": 4, "atoms": 2, "seed": 0}),
+    "random_fusion": (random_fusion_family, {"dim": 4, "atoms": 6, "seed": 0}),
+    "rotating_line": (rotating_line_family, {"n": 64}),
+    "basis_resolution": (resolution.from_orthonormal_basis, {"dim": 4}),
+    "random_resolution": (random_resolution_family, {"dim": 4, "atoms": 6, "seed": 0}),
+    "block_resolution": (block_resolution_family, {"dim": 4, "atoms": 3, "seed": 0}),
+}
 
 
 SCENARIOS = {
@@ -521,6 +508,7 @@ def perturbed_sum_instance(
 
 def _exact_subset_lam(base_ops, deviations) -> float:
     """Largest norm of D_I applied against A_I over all nonempty subsets."""
+    base_ops, deviations = np.asarray(base_ops), np.asarray(deviations)
     n = len(base_ops)
     if n > 14:
         raise ValueError(f"exhaustive subset scan limited to 14 atoms, got {n}")
@@ -528,8 +516,8 @@ def _exact_subset_lam(base_ops, deviations) -> float:
     for mask in itertools.product((False, True), repeat=n):
         if not any(mask):
             continue
-        a = sum(base_ops[i] for i in range(n) if mask[i])
-        dev = sum(deviations[i] for i in range(n) if mask[i])
+        a = base_ops[list(mask)].sum(axis=0)
+        dev = deviations[list(mask)].sum(axis=0)
         svals = np.linalg.svd(a, compute_uv=False)
         if svals[-1] <= 1e-10 * max(svals[0], 1.0):
             return float("inf")

@@ -34,10 +34,10 @@ class PerturbationParams:
             raise ValueError(f"lambda1 must be nonnegative, got {self.lambda1}")
         if not 0.0 <= self.lambda2 < 1.0:
             raise ValueError(f"lambda2 must lie in [0, 1), got {self.lambda2}")
-        phi = tuple(float(p) for p in self.phi)
-        if any(p < 0.0 for p in phi):
+        phi = np.asarray(self.phi, dtype=float)
+        if np.any(phi < 0.0):
             raise ValueError("phi entries must be nonnegative")
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "phi", tuple(phi.tolist()))
 
     @classmethod
     def uniform(cls, lambda1: float, lambda2: float, phi: float, natoms: int):
@@ -114,31 +114,24 @@ def check_perturbation(
         [np.eye(base.ambient_dim), hilbert.unit_probes(base.ambient_dim, nprobes, rng)]
     )
 
-    probe_margin = -np.inf
-    certificate_margin = -np.inf
-    for t, s, w, phi in zip(
-        base.operators, perturbed.operators, base.weights, params.phi
-    ):
-        dt = w * (t @ probes)
-        ds = w * (s @ probes)
-        lhs = np.linalg.norm(dt - ds, axis=0)
-        rhs = (
-            params.lambda1 * np.linalg.norm(dt, axis=0)
-            + params.lambda2 * np.linalg.norm(ds, axis=0)
-            + phi
-        )
-        probe_margin = max(probe_margin, float((lhs - rhs).max()))
-        sv_t = np.linalg.svd(w * t, compute_uv=False)
-        sv_s = np.linalg.svd(w * s, compute_uv=False)
-        certificate_margin = max(
-            certificate_margin,
-            float(
-                np.linalg.norm(w * (t - s), 2)
-                - params.lambda1 * sv_t[-1]
-                - params.lambda2 * sv_s[-1]
-                - phi
-            ),
-        )
+    w = base.weights[:, None, None]
+    phi = np.asarray(params.phi)
+    t, s = base.operators, perturbed.operators
+    lhs = _probe_norms(w * (t - s), probes)
+    rhs = (
+        params.lambda1 * _probe_norms(w * t, probes)
+        + params.lambda2 * _probe_norms(w * s, probes)
+        + phi[:, None]
+    )
+    probe_margin = float((lhs - rhs).max())
+    certificate_margin = float(
+        (
+            np.linalg.norm(w * (t - s), 2, axis=(1, 2))
+            - params.lambda1 * _sigma_min(w * t)
+            - params.lambda2 * _sigma_min(w * s)
+            - phi
+        ).max()
+    )
     report.add_hypothesis("atoms_aligned", True)
     report.constants = {
         "probe_margin": probe_margin,
@@ -153,6 +146,30 @@ def check_perturbation(
         report.notes.append("probe-certified only; singular-value certificate inconclusive")
     report.conclude(probe_margin <= tol)
     return report
+
+
+# Probe columns imaged at once by _probe_norms; bounds its temporary stack
+# of images to natoms x d x _PROBE_CHUNK entries.
+_PROBE_CHUNK = 256
+
+
+def _probe_norms(stack: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """||A_i p|| for every matrix A_i of a stack and every probe column p.
+
+    Returns shape (natoms, nprobes).
+    """
+    out = np.empty((stack.shape[0], probes.shape[1]))
+    for lo in range(0, probes.shape[1], _PROBE_CHUNK):
+        images = stack @ probes[:, lo : lo + _PROBE_CHUNK]
+        out[:, lo : lo + _PROBE_CHUNK] = np.sqrt(
+            np.einsum("ijk,ijk->ik", images.conj(), images).real
+        )
+    return out
+
+
+def _sigma_min(stack: np.ndarray) -> np.ndarray:
+    """Smallest singular value of every matrix in a stack."""
+    return np.linalg.svd(stack, compute_uv=False)[:, -1]
 
 
 def _subset_masks(natoms: int, limit: int, nrandom: int, rng=None):
@@ -220,24 +237,21 @@ def verify_perturbed_sum(
         "base_identity_sum", max(basis_res, probe_res) <= tol, residual=basis_res
     )
 
-    deviations = [t - s for t, s in zip(base.operators, perturbed.operators)]
+    deviations = base.operators - perturbed.operators
     worst = np.inf
     worst_subset = ()
     checked = 0
     for mask in _subset_masks(base.natoms, subset_limit, nrandom, rng):
         idx = np.nonzero(mask)[0]
-        a = np.zeros((d, d))
-        dev = np.zeros((d, d))
-        for i in idx:
-            a = a + base.operators[i]
-            dev = dev + deviations[i]
+        a = base.operators[idx].sum(axis=0)
+        dev = deviations[idx].sum(axis=0)
         cert = lam * lam * (adjoint(a) @ a) - adjoint(dev) @ dev
-        cert = (cert + adjoint(cert)) / 2.0
+        cert = hilbert.hermitian_part(cert)
         scale = max(1.0, lam * lam * float(np.linalg.norm(a, 2)) ** 2)
         margin = float(hilbert.self_adjoint_spectrum(cert)[0]) / scale
         if margin < worst:
             worst = margin
-            worst_subset = tuple(int(i) for i in idx)
+            worst_subset = tuple(idx.tolist())
         checked += 1
     exhaustive = base.natoms <= subset_limit
     report.notes.append(
@@ -252,17 +266,13 @@ def verify_perturbed_sum(
         detail=f"worst_subset={worst_subset}",
     )
 
-    total = np.zeros((d, d))
-    for s in perturbed.operators:
-        total = total + s
+    total = perturbed.operators.sum(axis=0)
     deviation_norm = float(np.linalg.norm(np.eye(d) - total, 2))
     sigma_min = float(np.linalg.svd(total, compute_uv=False)[-1])
     reconstruction_residual = float("inf")
     if sigma_min > 0.0:
         inverse_images = np.linalg.solve(total, np.eye(d))
-        acc = np.zeros((d, d))
-        for s in perturbed.operators:
-            acc = acc + s @ inverse_images
+        acc = (perturbed.operators @ inverse_images).sum(axis=0)
         reconstruction_residual = float(
             np.linalg.norm(acc - np.eye(d), axis=0).max()
         )
@@ -444,39 +454,28 @@ def verify_composite_perturbation(
 
     e_const = base.sup_norm()
     probes = hilbert.unit_probes(base.ambient_dim, nprobes, rng)
-    probe_margin = -np.inf
-    composition_margin = -np.inf
-    certificate_margin = -np.inf
-    eye = np.eye(base.ambient_dim)
-    for t, s, w, phi in zip(
-        base.operators, composed_with.operators, base.weights, params.phi
-    ):
-        ts = t @ s
-        lhs = np.linalg.norm(w * probes - w * w * (ts @ probes), axis=0)
-        rhs = (
-            params.lambda1 * np.linalg.norm(w * (t @ probes), axis=0)
-            + params.lambda2 * np.linalg.norm(w * w * (ts @ probes), axis=0)
-            + phi
-        )
-        probe_margin = max(probe_margin, float((lhs - rhs).max()))
-        composition_margin = max(
-            composition_margin,
-            float(
-                (
-                    np.linalg.norm(ts @ probes, axis=0)
-                    - e_const * np.linalg.norm(s @ probes, axis=0)
-                ).max()
-            ),
-        )
-        certificate_margin = max(
-            certificate_margin,
-            float(
-                np.linalg.norm(w * eye - w * w * ts, 2)
-                - params.lambda1 * np.linalg.svd(w * t, compute_uv=False)[-1]
-                - params.lambda2 * np.linalg.svd(w * w * ts, compute_uv=False)[-1]
-                - phi
-            ),
-        )
+    w = base.weights[:, None, None]
+    phi = np.asarray(params.phi)
+    t, s = base.operators, composed_with.operators
+    ts = t @ s
+    defect = w * np.eye(base.ambient_dim) - w * w * ts
+    ts_norms = _probe_norms(ts, probes)
+    lhs = _probe_norms(defect, probes)
+    rhs = (
+        params.lambda1 * _probe_norms(w * t, probes)
+        + params.lambda2 * base.weights[:, None] ** 2 * ts_norms
+        + phi[:, None]
+    )
+    probe_margin = float((lhs - rhs).max())
+    composition_margin = float((ts_norms - e_const * _probe_norms(s, probes)).max())
+    certificate_margin = float(
+        (
+            np.linalg.norm(defect, 2, axis=(1, 2))
+            - params.lambda1 * _sigma_min(w * t)
+            - params.lambda2 * _sigma_min(w * w * ts)
+            - phi
+        ).max()
+    )
     report.add_hypothesis(
         "pointwise_composite", probe_margin <= tol, residual=probe_margin
     )
@@ -502,13 +501,8 @@ def verify_composite_perturbation(
     pred_ratio_sharp = side / denom_sharp if denom_sharp > 0 else float("inf")
 
     bound_probes = hilbert.unit_probes(base.ambient_dim, nbound_probes, rng)
-    probe_low = np.inf
-    for k in range(bound_probes.shape[1]):
-        probe_low = min(
-            probe_low,
-            np.sqrt(resolution.gram_sum(composed_with, bound_probes[:, k])),
-        )
-    probe_low = float(probe_low)
+    gram_forms = hilbert.quadratic_forms(resolution.resolution_gram(composed_with), bound_probes)
+    probe_low = float(np.sqrt(max(np.min(gram_forms, initial=np.inf), 0.0)))
 
     sharp_holds = gram_s.lower >= pred_ratio_sharp**2 - tol
     report.constants = {

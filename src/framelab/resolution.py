@@ -17,7 +17,7 @@ import numpy as np
 
 from . import hilbert
 from .errors import AtomMismatchError, DimensionMismatchError
-from .hilbert import adjoint, as_vector
+from .hilbert import as_vector, require_finite
 from .reports import VerificationReport
 
 
@@ -28,26 +28,34 @@ class SumMode(enum.Enum):
 
 @dataclass(frozen=True)
 class OperatorFamily:
-    """Finitely many operators with weights, masses and a summation mode."""
+    """Finitely many operators with weights, masses and a summation mode.
 
-    operators: tuple
+    ``operators`` accepts any sequence of d x d matrices and is stored as
+    one read-only (natoms, d, d) array; indexing, len and iteration see the
+    individual operators.
+    """
+
+    operators: np.ndarray
     weights: np.ndarray
     masses: np.ndarray
     sum_mode: SumMode = SumMode.RAW
     points: tuple = ()
 
     def __post_init__(self):
-        ops = tuple(np.asarray(t) for t in self.operators)
-        w = np.asarray(self.weights, dtype=float)
-        m = np.asarray(self.masses, dtype=float)
-        if not ops:
+        if len(self.operators) == 0:
             raise ValueError("a family needs at least one operator")
-        d = ops[0].shape[0]
-        for i, t in enumerate(ops):
-            if t.ndim != 2 or t.shape != (d, d):
-                raise DimensionMismatchError(
-                    f"operator {i} has shape {t.shape}, expected ({d}, {d})"
-                )
+        try:
+            ops = np.array(self.operators)
+        except ValueError:
+            raise DimensionMismatchError("operators have different shapes") from None
+        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+            raise DimensionMismatchError(
+                f"operators must be square matrices of one size, got stacked shape {ops.shape}"
+            )
+        ops = require_finite(ops.astype(np.result_type(float, ops.dtype), copy=False), "operators")
+        ops.flags.writeable = False
+        w = require_finite(np.asarray(self.weights, dtype=float), "weights")
+        m = require_finite(np.asarray(self.masses, dtype=float), "masses")
         if w.shape != (len(ops),) or m.shape != (len(ops),):
             raise AtomMismatchError(
                 f"{len(ops)} operators vs weights {w.shape} and masses {m.shape}"
@@ -68,29 +76,27 @@ class OperatorFamily:
 
     @property
     def ambient_dim(self) -> int:
-        return self.operators[0].shape[0]
+        return self.operators.shape[1]
 
     @property
     def natoms(self) -> int:
-        return len(self.operators)
+        return self.operators.shape[0]
+
+    def gram_coefficients(self) -> np.ndarray:
+        """Per-atom coefficient omega_i^2 mu_i of the Gram form."""
+        return self.weights**2 * self.masses
 
     def sum_coefficients(self) -> np.ndarray:
         """Per-atom coefficient in the identity sum for the active mode."""
         if self.sum_mode is SumMode.RAW:
             return np.ones(self.natoms)
-        return self.weights**2 * self.masses
+        return self.gram_coefficients()
 
     def identity_sum_matrix(self) -> np.ndarray:
-        coef = self.sum_coefficients()
-        total = np.zeros((self.ambient_dim, self.ambient_dim), dtype=np.result_type(
-            float, *(t.dtype for t in self.operators)
-        ))
-        for c, t in zip(coef, self.operators):
-            total = total + c * t
-        return total
+        return np.tensordot(self.sum_coefficients(), self.operators, axes=1)
 
     def operator_norms(self) -> np.ndarray:
-        return np.asarray([hilbert.operator_norm(t) for t in self.operators])
+        return np.linalg.norm(self.operators, 2, axis=(1, 2))
 
     def sup_norm(self) -> float:
         """Largest operator norm across the family."""
@@ -117,12 +123,7 @@ class ResolutionBounds:
 
 def resolution_gram(family: OperatorFamily) -> np.ndarray:
     """Gram operator M = sum omega_i^2 mu_i T_i* T_i (positive semidefinite)."""
-    d = family.ambient_dim
-    m_mat = np.zeros((d, d), dtype=np.result_type(float, *(t.dtype for t in family.operators)))
-    for t, w, mu in zip(family.operators, family.weights, family.masses):
-        m_mat = m_mat + (w * w * mu) * (adjoint(t) @ t)
-    # symmetrize away float noise so eigh sees an exactly hermitian matrix
-    return (m_mat + adjoint(m_mat)) / 2.0
+    return hilbert.stacked_gram(family.operators, family.gram_coefficients())
 
 
 def resolution_bounds(family: OperatorFamily) -> ResolutionBounds:
@@ -132,12 +133,8 @@ def resolution_bounds(family: OperatorFamily) -> ResolutionBounds:
 
 def gram_sum(family: OperatorFamily, f) -> float:
     """Direct quadratic form sum omega_i^2 mu_i ||T_i f||^2."""
-    f = as_vector(f)
-    total = 0.0
-    for t, w, mu in zip(family.operators, family.weights, family.masses):
-        tf = t @ f
-        total += (w * w * mu) * float(np.vdot(tf, tf).real)
-    return total
+    images = family.operators @ as_vector(f)
+    return float(family.gram_coefficients() @ np.sum(np.abs(images) ** 2, axis=1))
 
 
 def identity_sum_residual(family: OperatorFamily, nprobes: int = 10, rng=None):
@@ -148,9 +145,7 @@ def identity_sum_residual(family: OperatorFamily, nprobes: int = 10, rng=None):
     op_residual = hilbert.operator_norm(dev)
     probe_residual = 0.0
     if nprobes:
-        rng = np.random.default_rng(0) if rng is None else rng
-        probes = rng.standard_normal((d, nprobes))
-        probes /= np.linalg.norm(probes, axis=0)
+        probes = hilbert.unit_probes(d, nprobes, rng)
         probe_residual = float(np.linalg.norm(dev @ probes, axis=0).max())
     return basis_residual, probe_residual, op_residual
 
@@ -210,11 +205,8 @@ def support(family: OperatorFamily, f, tol: float = 1e-10) -> tuple:
     fnorm = float(np.linalg.norm(f))
     if fnorm == 0.0:
         return ()
-    return tuple(
-        i
-        for i, t in enumerate(family.operators)
-        if float(np.linalg.norm(t @ f)) > tol * fnorm
-    )
+    images = np.linalg.norm(family.operators @ f, axis=1)
+    return tuple(np.flatnonzero(images > tol * fnorm).tolist())
 
 
 def normalize_to_identity(family: OperatorFamily) -> OperatorFamily:
@@ -225,7 +217,7 @@ def normalize_to_identity(family: OperatorFamily) -> OperatorFamily:
     """
     inv = np.linalg.inv(family.identity_sum_matrix())
     return OperatorFamily(
-        operators=tuple(t @ inv for t in family.operators),
+        operators=family.operators @ inv,
         weights=family.weights,
         masses=family.masses,
         sum_mode=family.sum_mode,
@@ -241,7 +233,7 @@ def from_orthonormal_basis(dim: int) -> OperatorFamily:
     if dim < 1:
         raise ValueError(f"need dim >= 1, got {dim}")
     eye = np.eye(dim)
-    ops = tuple(np.outer(eye[:, i], eye[:, i]) for i in range(dim))
+    ops = eye[:, :, None] * eye[:, None, :]
     return OperatorFamily(
         operators=ops,
         weights=np.ones(dim),

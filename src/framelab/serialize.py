@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .fusion import WeightedSubspaceFamily
-from .hilbert import Subspace, orthonormal_basis
+from .hilbert import Subspace, orthonormal_basis, require_finite
 from .measure import (
     DiscretizationScheme,
     ParameterSpace,
@@ -102,6 +102,7 @@ def _subspace_from_rows(rows, dim: int, where: str) -> Subspace:
         )
     if mat.shape[0] == 0:
         raise ValueError(f"{where}: basis has no rows")
+    require_finite(mat, f"{where}: basis")
     deviation = float(np.abs(mat @ mat.T - np.eye(mat.shape[0])).max())
     if deviation <= BASIS_KEEP_TOL:
         return Subspace(mat.T)
@@ -152,7 +153,7 @@ def dumps_operator_family(family: OperatorFamily) -> str:
             "ambient_dim": family.ambient_dim,
             "sum_mode": family.sum_mode.value,
             "atoms": atoms,
-            "operators": [t.tolist() for t in family.operators],
+            "operators": family.operators.tolist(),
         }
     )
 

@@ -8,6 +8,7 @@ failed check.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,12 +16,31 @@ import numpy as np
 from . import fusion, hilbert, resolution
 from .errors import AtomMismatchError
 from .fusion import WeightedSubspaceFamily
-from .hilbert import Subspace, adjoint, as_vector, column_space
+from .hilbert import adjoint, as_vector, column_space
 from .reports import VerificationReport
 from .resolution import OperatorFamily, SumMode
 
 
-_unit_probes = hilbert.unit_probes
+def first_power_residual(family: WeightedSubspaceFamily) -> float:
+    """Largest column norm of id - sum_i omega_i mu_i P_i."""
+    d = family.ambient_dim
+    first_power = family.projector_sum(family.weights * family.masses)
+    return float(np.linalg.norm(np.eye(d) - first_power, axis=0).max())
+
+
+def orthogonality_defect(family: WeightedSubspaceFamily) -> float:
+    """Largest ||U_i* U_j|| over pairs of atoms, read off the blocks of U* U."""
+    u = family.basis
+    gram = adjoint(u) @ u
+    cols = np.split(np.arange(u.shape[1]), np.cumsum(family.ranks)[:-1])
+    return max(
+        (
+            float(np.linalg.norm(gram[np.ix_(a, b)], 2))
+            for a, b in itertools.combinations(cols, 2)
+            if a.size and b.size
+        ),
+        default=0.0,
+    )
 
 
 def verify_induced_fusion_frame(family: OperatorFamily, tol: float = 1e-9):
@@ -60,12 +80,9 @@ def verify_induced_fusion_frame(family: OperatorFamily, tol: float = 1e-9):
     )
 
     # deviation between each operator and the projector onto its range
-    d = family.ambient_dim
-    dev = np.zeros((d, d), dtype=np.result_type(float, *(t.dtype for t in family.operators)))
-    for t, s, w, mu in zip(family.operators, subspaces, family.weights, family.masses):
-        delta = s.projector() - t
-        dev = dev + (w * w * mu) * (adjoint(delta) @ delta)
-    dev = (dev + adjoint(dev)) / 2.0
+    dev = hilbert.stacked_gram(
+        induced.projectors() - family.operators, family.gram_coefficients()
+    )
     r_const = max(float(hilbert.self_adjoint_spectrum(dev)[-1]), 0.0)
 
     bounds = fusion.frame_bounds(induced)
@@ -122,13 +139,11 @@ def verify_operator_family_sandwich(
     if operators.sum_mode is not SumMode.WEIGHTED:
         raise ValueError("sandwich check expects a weighted-mode operator family")
 
-    kernel_res = 0.0
-    range_res = 0.0
-    for t, s in zip(operators.operators, family.subspaces):
-        p = s.projector()
-        scale = max(1.0, hilbert.operator_norm(t))
-        kernel_res = max(kernel_res, hilbert.operator_norm(t @ p - t) / scale)
-        range_res = max(range_res, hilbert.operator_norm(p @ t - t) / scale)
+    ops = operators.operators
+    p = family.projectors()
+    scale = np.maximum(1.0, operators.operator_norms())
+    kernel_res = float((np.linalg.norm(ops @ p - ops, 2, axis=(1, 2)) / scale).max())
+    range_res = float((np.linalg.norm(p @ ops - ops, 2, axis=(1, 2)) / scale).max())
     report.add_hypothesis(
         "kernel_contains_complement", kernel_res <= sandwich_tol, residual=kernel_res
     )
@@ -188,20 +203,12 @@ def verify_frame_from_projection_identity(
     """
     report = VerificationReport(check_id="projection_identity_frame")
     report.tolerances = {"identity_residual": tol, "bound_slack": tol}
-    d = family.ambient_dim
-    first_power = np.zeros((d, d))
-    unweighted = np.zeros((d, d))
-    for s, w, mu in zip(family.subspaces, family.weights, family.masses):
-        if s.rank:
-            p = s.projector()
-            first_power = first_power + (w * mu) * p
-            unweighted = unweighted + mu * p
-    identity_res = float(np.linalg.norm(np.eye(d) - first_power, axis=0).max())
+    identity_res = first_power_residual(family)
     report.add_hypothesis(
         "first_power_identity_sum", identity_res <= tol, residual=identity_res
     )
     unweighted_top = float(
-        hilbert.self_adjoint_spectrum((unweighted + unweighted.T) / 2.0)[-1]
+        hilbert.self_adjoint_spectrum(family.projector_sum(family.masses))[-1]
     )
     report.add_hypothesis(
         "unweighted_gram_bounded", unweighted_top > 0.0, residual=unweighted_top
@@ -209,11 +216,9 @@ def verify_frame_from_projection_identity(
     c_const = 1.0 / unweighted_top if unweighted_top > 0 else float("inf")
     bounds = fusion.frame_bounds(family)
 
-    probes = _unit_probes(d, nprobes, rng)
-    worst_margin = 0.0
-    for k in range(probes.shape[1]):
-        f = probes[:, k]
-        worst_margin = max(worst_margin, c_const - fusion.frame_sum(family, f))
+    probes = hilbert.unit_probes(family.ambient_dim, nprobes, rng)
+    sums = hilbert.quadratic_forms(fusion.frame_operator(family), probes)
+    worst_margin = float(np.max(c_const - sums, initial=0.0))
     report.constants = {
         "unweighted_upper": unweighted_top,
         "predicted_lower": c_const,
@@ -243,15 +248,7 @@ def verify_orthogonal_decomposition(
         "decomposition_residual": tol,
         "orthogonality": orthogonality_tol,
     }
-    cross = 0.0
-    subs = family.subspaces
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            if subs[i].rank and subs[j].rank:
-                cross = max(
-                    cross,
-                    float(np.linalg.norm(adjoint(subs[i].basis) @ subs[j].basis, 2)),
-                )
+    cross = orthogonality_defect(family)
     report.add_hypothesis(
         "pairwise_orthogonal", cross <= orthogonality_tol, residual=cross
     )
@@ -263,10 +260,7 @@ def verify_orthogonal_decomposition(
         detail=f"upper={bounds.upper:.6e}",
     )
     d = family.ambient_dim
-    proj_sum = np.zeros((d, d))
-    for s in subs:
-        if s.rank:
-            proj_sum = proj_sum + s.projector()
+    proj_sum = family.projector_sum(np.ones(family.natoms))
     decomposition_res = float(np.linalg.norm(np.eye(d) - proj_sum, axis=0).max())
     report.constants = {
         "lower": bounds.lower,
@@ -277,11 +271,7 @@ def verify_orthogonal_decomposition(
     report.conclude(decomposition_res <= tol)
 
     # converse direction, available when the first-power identity holds
-    first_power = np.zeros((d, d))
-    for s, w, mu in zip(subs, family.weights, family.masses):
-        if s.rank:
-            first_power = first_power + (w * mu) * s.projector()
-    if float(np.linalg.norm(np.eye(d) - first_power, axis=0).max()) <= tol:
+    if first_power_residual(family) <= tol:
         sub = verify_frame_from_projection_identity(family, tol=tol)
         report.constants["converse_predicted_lower"] = sub.constants["predicted_lower"]
         report.notes.append(
@@ -327,19 +317,14 @@ def verify_induced_vector_frame(
     c_const = res_report.constants["gram_lower"]
     d_const = res_report.constants["gram_upper"]
 
-    seq_gram = np.zeros((family.ambient_dim, family.ambient_dim), dtype=np.result_type(
-        float, *(v.dtype for v in vectors)
-    ))
-    for v in vectors:
-        seq_gram = seq_gram + np.outer(v, v.conj())
+    seq = np.stack(vectors, axis=1)
+    seq_gram = seq @ adjoint(seq)
     q = span.basis
     seq_on_span = hilbert.self_adjoint_spectrum(adjoint(q) @ seq_gram @ q) if span.rank else np.zeros(1)
     seq_lower, seq_upper = float(seq_on_span[0]), float(seq_on_span[-1])
 
-    induced = np.zeros_like(seq_gram)
-    for t, w, mu in zip(family.operators, family.weights, family.masses):
-        induced = induced + (w * w * mu) * (adjoint(t) @ seq_gram @ t)
-    induced = (induced + adjoint(induced)) / 2.0
+    # sum_i omega_i^2 mu_i T_i* (F F*) T_i with F the sequence as columns
+    induced = hilbert.stacked_gram(adjoint(seq) @ family.operators, family.gram_coefficients())
     on_span = hilbert.self_adjoint_spectrum(adjoint(q) @ induced @ q) if span.rank else np.zeros(1)
     lower, upper = float(on_span[0]), float(on_span[-1])
 
@@ -405,31 +390,26 @@ def reconstruct_by_support(
         report.conclude(True)
         return SupportReconstruction(zero, zero, report)
 
-    coords = tuple(int(j) for j in np.nonzero(np.abs(f) > support_tol * fnorm)[0])
-    eye = np.eye(d)
-    atoms: set[int] = set()
-    for j in coords:
-        atoms.update(resolution.support(family, eye[:, j], tol=support_tol))
-    atom_list = sorted(atoms)
-    q = eye[:, list(coords)]
+    coords = np.flatnonzero(np.abs(f) > support_tol * fnorm)
+    q = np.eye(d)[:, coords]
+    # atoms acting on the span: T_i e_j is nonzero for some carried coordinate j
+    acting = (np.linalg.norm(family.operators[:, :, coords], axis=1) > support_tol).any(axis=1)
+    support_size = int(np.count_nonzero(acting))
 
-    gram = np.zeros((d, d), dtype=np.result_type(float, *(t.dtype for t in family.operators)))
-    for i in atom_list:
-        t = family.operators[i]
-        w, mu = family.weights[i], family.masses[i]
-        gram = gram + (w * w * mu) * (adjoint(t) @ t)
-    gram = (gram + adjoint(gram)) / 2.0
+    gram = hilbert.stacked_gram(
+        family.operators[acting], family.gram_coefficients()[acting]
+    )
     gram_on_span = adjoint(q) @ gram @ q
     spec = hilbert.self_adjoint_spectrum(gram_on_span)
     positive = float(spec[0]) > 1e-10 * max(float(spec[-1]), 0.0)
     report.add_hypothesis(
         "span_gram_positive", positive, residual=float(spec[0]),
-        detail=f"span_dim={len(coords)}, support_size={len(atom_list)}",
+        detail=f"span_dim={len(coords)}, support_size={support_size}",
     )
     if not positive:
         report.constants = {
             "span_dim": float(len(coords)),
-            "support_size": float(len(atom_list)),
+            "support_size": float(support_size),
             "span_gram_lower": float(spec[0]),
         }
         report.conclude(False)
@@ -450,7 +430,7 @@ def reconstruct_by_support(
     gap = float(np.linalg.norm(inverse_first - inverse_last)) / fnorm
     report.constants = {
         "span_dim": float(len(coords)),
-        "support_size": float(len(atom_list)),
+        "support_size": float(support_size),
         "span_gram_lower": float(spec[0]),
         "residual_inverse_first": res_first,
         "residual_inverse_last": res_last,

@@ -263,3 +263,31 @@ def test_tolerance_env_var_is_honored(tmp_path, monkeypatch, capsys):
 def test_help_exits_cleanly(capsys):
     assert run(["--help"]) == cli.EXIT_OK
     assert run([]) == cli.EXIT_PARSE
+
+
+def test_verify_non_finite_resolution_is_a_parse_failure(tmp_path, capsys):
+    data = json.loads(serialize.dumps_instance(instances.build_scenario("basis_resolution")))
+    data["operators"][1][0][1] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(data))  # json writes the NaN literal, which it also reads
+    assert run(["verify", str(bad)]) == cli.EXIT_PARSE
+    assert "not finite" in capsys.readouterr().err
+
+
+def test_verify_non_finite_basis_is_a_parse_failure(tmp_path, capsys):
+    data = json.loads(serialize.dumps_instance(instances.build_scenario("mercedes")))
+    data["atoms"][1]["basis"][0][1] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(data))
+    assert run(["verify", str(bad)]) == cli.EXIT_PARSE
+    assert "atom 1: basis entry (0, 1) is not finite" in capsys.readouterr().err
+
+
+def test_linalg_error_is_an_internal_error(monkeypatch, capsys):
+    # LinAlgError subclasses ValueError but is not a parse failure
+    def singular(args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(cli, "cmd_analyze", singular)
+    assert run(["analyze", "--scenario", "axes"]) == cli.EXIT_INTERNAL
+    assert "Singular matrix" in capsys.readouterr().err

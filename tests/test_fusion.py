@@ -189,3 +189,28 @@ def test_bounds_enclose_every_probe(seed, dim, atoms):
     f /= np.linalg.norm(f)
     q = fusion.frame_sum(fam, f)
     assert bounds.lower - 1e-9 <= q <= bounds.upper + 1e-9
+
+
+def test_verify_characterization_reads_injectivity_from_the_svd_rank():
+    # two copies of one line: T has rank 1 in the plane, so analysis is not injective
+    line = Subspace(np.eye(2)[:, :1])
+    fam = WeightedSubspaceFamily(subspaces=(line, line), weights=np.ones(2), masses=np.ones(2))
+    report = fusion.verify_characterization(fam)
+    hyp = {h.name: h for h in report.hypotheses}["analysis_injective_iff_lower_positive"]
+    assert hyp.passed
+    assert "rank=1" in hyp.detail and "injective=False" in hyp.detail
+    full = {h.name: h for h in fusion.verify_characterization(_family(1)).hypotheses}
+    assert "rank=4, injective=True" in full["analysis_injective_iff_lower_positive"].detail
+
+
+class TestNonFiniteInput:
+    def test_family_weights_and_masses(self):
+        sub = Subspace(np.eye(2)[:, :1])
+        with pytest.raises(ValueError, match=r"weights entry 1 is not finite \(inf\)"):
+            WeightedSubspaceFamily(
+                subspaces=(sub, sub), weights=np.array([1.0, np.inf]), masses=np.ones(2)
+            )
+        with pytest.raises(ValueError, match=r"masses entry 0 is not finite \(nan\)"):
+            WeightedSubspaceFamily(
+                subspaces=(sub, sub), weights=np.ones(2), masses=np.array([np.nan, 1.0])
+            )

@@ -134,3 +134,8 @@ def test_projection_never_expands(dim, rank, seed):
     assert np.linalg.norm(pf) <= np.linalg.norm(f) + 1e-12
     # projecting twice changes nothing
     assert np.allclose(sub.project(pf), pf, atol=1e-12)
+
+
+def test_subspace_rejects_non_finite_basis():
+    with pytest.raises(ValueError, match=r"basis entry \(1, 0\) is not finite \(nan\)"):
+        Subspace(np.array([[1.0], [np.nan]]))

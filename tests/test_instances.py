@@ -94,3 +94,15 @@ def test_composite_instance_side_constant_is_positive():
         side = math.sqrt(float(np.sum(base.weights**2 * base.masses)))
         side -= params.lambda1 * math.sqrt(d_const) + phi_l2
         assert side > 0.0
+
+
+def test_scenario_defaults_match_the_builders():
+    assert instances.build_scenario("axes").ambient_dim == 3
+    assert instances.build_scenario("equiangular").natoms == 5
+    assert instances.build_scenario("rotating_line").natoms == 64
+    assert instances.build_scenario("block_resolution").natoms == 6
+    fam = instances.build_scenario("random_fusion", dim=3, atoms=4, seed=2)
+    ref = instances.random_fusion_family(3, 4, 2)
+    assert all(np.array_equal(a.basis, b.basis) for a, b in zip(fam.subspaces, ref.subspaces))
+    # arguments a scenario does not take are ignored
+    assert instances.build_scenario("mercedes", dim=7, seed=3).natoms == 3

@@ -117,3 +117,25 @@ def test_support_is_genuinely_local_on_block_resolutions():
 def test_support_of_zero_vector_is_empty():
     fam = _raw(7)
     assert resolution.support(fam, np.zeros(fam.ambient_dim)) == ()
+
+
+class TestStackedOperators:
+    def test_operators_are_one_read_only_array(self):
+        fam = OperatorFamily(
+            operators=[np.eye(2), 2.0 * np.eye(2)], weights=np.ones(2), masses=np.ones(2)
+        )
+        assert fam.operators.shape == (2, 2, 2)
+        assert not fam.operators.flags.writeable
+        assert len(fam.operators) == 2
+        assert np.array_equal(fam.operators[1], 2.0 * np.eye(2))
+        assert [float(t[0, 0]) for t in fam.operators] == [1.0, 2.0]
+
+    def test_rejects_non_finite_entries(self):
+        ops = np.stack([np.eye(2), np.eye(2)])
+        ops[1, 0, 1] = np.nan
+        with pytest.raises(ValueError, match=r"operators entry \(1, 0, 1\) is not finite"):
+            OperatorFamily(operators=ops, weights=np.ones(2), masses=np.ones(2))
+        with pytest.raises(ValueError, match=r"weights entry 0 is not finite"):
+            OperatorFamily(operators=(np.eye(2),), weights=[np.inf], masses=np.ones(1))
+        with pytest.raises(ValueError, match=r"masses entry 0 is not finite"):
+            OperatorFamily(operators=(np.eye(2),), weights=np.ones(1), masses=[np.nan])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framelab import fusion, instances, resolution, theorems
+from framelab import cli, fusion, instances, resolution, theorems
 from framelab.errors import AtomMismatchError
 from framelab.fusion import WeightedSubspaceFamily
 from framelab.hilbert import Subspace
@@ -158,3 +158,30 @@ class TestSupportReconstruction:
         fam = instances.induced_frame_instance(3, 4, 2)
         with pytest.raises(ValueError):
             theorems.reconstruct_by_support(fam, np.eye(3)[:, 0])
+
+
+class TestComplexFamilies:
+    def _lines(self, vectors):
+        n = vectors.shape[1]
+        subs = tuple(Subspace(vectors[:, [k]]) for k in range(n))
+        return WeightedSubspaceFamily(subspaces=subs, weights=np.ones(n), masses=np.ones(n))
+
+    def test_unweighted_upper_and_defect_use_the_adjoint(self):
+        rng = np.random.default_rng(1)
+        v = np.array([rng.standard_normal(3) + 1j * rng.standard_normal(3) for _ in range(4)]).T
+        v /= np.linalg.norm(v, axis=0)
+        fam = self._lines(v)
+        report = theorems.verify_frame_from_projection_identity(fam)
+        # a plain transpose would read 2.2693 here instead of 2.2937
+        expected_top = np.linalg.eigvalsh(v @ v.conj().T)[-1]
+        assert report.constants["unweighted_upper"] == pytest.approx(expected_top, rel=1e-12)
+        cross = np.abs(v.conj().T @ v)[np.triu_indices(4, 1)].max()
+        assert theorems.orthogonality_defect(fam) == pytest.approx(cross, rel=1e-12)
+
+    def test_cli_gate_runs_on_complex_orthogonal_lines(self):
+        # (1, i) and (1, -i) are orthogonal, but their plain transpose product is 1
+        fam = self._lines(np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0))
+        entries = cli._projector_checks(fam, 1e-9)
+        assert [kind for kind, _ in entries] == ["run", "run"]
+        assert all(report.passed for _, report in entries)
+        assert theorems.orthogonality_defect(fam) <= 1e-15
