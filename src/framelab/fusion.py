@@ -34,8 +34,10 @@ class WeightedSubspaceFamily:
 
     ``subspaces`` is the constructor input and the per-atom view. Every
     computation reads the stacked form built here instead: ``basis`` is the
-    d x sum(ranks) concatenation of the orthonormal bases, and
-    ``column_atom[k]`` is the atom that column k of ``basis`` belongs to.
+    d x sum(ranks) concatenation of the orthonormal bases,
+    ``column_atom[k]`` is the atom that column k of ``basis`` belongs to, and
+    ``padded[i]`` is atom i's basis zero-padded to the largest rank, for
+    per-atom work batched over atoms.
     """
 
     subspaces: tuple
@@ -44,6 +46,7 @@ class WeightedSubspaceFamily:
     points: tuple = ()
     basis: np.ndarray = field(init=False, repr=False, compare=False)
     column_atom: np.ndarray = field(init=False, repr=False, compare=False)
+    padded: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         subs = tuple(self.subspaces)
@@ -70,16 +73,21 @@ class WeightedSubspaceFamily:
         pts = tuple(self.points) if self.points else tuple(range(len(subs)))
         if len(pts) != len(subs):
             raise AtomMismatchError(f"{len(pts)} points for {len(subs)} atoms")
+        ranks = shapes[:, 1]
         basis = np.concatenate([s.basis for s in subs], axis=1)
-        basis.flags.writeable = False
-        column_atom = np.repeat(np.arange(len(subs)), shapes[:, 1])
-        column_atom.flags.writeable = False
+        column_atom = np.repeat(np.arange(len(subs)), ranks)
+        position = np.arange(basis.shape[1]) - np.repeat(np.cumsum(ranks) - ranks, ranks)
+        padded = np.zeros((len(subs), shapes[0, 0], ranks.max()), dtype=basis.dtype)
+        padded[column_atom, :, position] = basis.T
+        for a in (basis, column_atom, padded):
+            a.flags.writeable = False
         object.__setattr__(self, "subspaces", subs)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "column_atom", column_atom)
+        object.__setattr__(self, "padded", padded)
 
     @property
     def ambient_dim(self) -> int:
@@ -98,10 +106,17 @@ class WeightedSubspaceFamily:
         u = self.basis
         return hermitian_part((u * np.asarray(coef)[self.column_atom]) @ adjoint(u))
 
+    def gram_coefficients(self) -> np.ndarray:
+        return hilbert.gram_coefficients(self.weights, self.masses)
+
     def projectors(self) -> np.ndarray:
         """The per-atom projectors P_i as one (natoms, d, d) stack."""
-        member = self.column_atom == np.arange(self.natoms)[:, None]
-        return np.einsum("ik,jk,ak->aij", self.basis, self.basis.conj(), member)
+        return self.padded @ np.swapaxes(self.padded.conj(), 1, 2)
+
+    def project(self, vectors) -> np.ndarray:
+        """d x natoms matrix whose column i is P_i v_i, for the columns v_i of ``vectors``."""
+        coords = np.einsum("ajk,ja->ak", self.padded.conj(), vectors)
+        return np.einsum("aik,ak->ia", self.padded, coords)
 
     @classmethod
     def from_atoms(cls, subspaces, weights, masses, points=None):
@@ -158,16 +173,6 @@ class FrameBounds:
         return self.upper / self.lower
 
 
-def _frame_coef(family: WeightedSubspaceFamily) -> np.ndarray:
-    return family.weights**2 * family.masses
-
-
-def _block_sums(family: WeightedSubspaceFamily, columns: np.ndarray) -> np.ndarray:
-    """d x natoms matrix whose column i is U_i c_i, for per-column coordinates c."""
-    member = family.column_atom[:, None] == np.arange(family.natoms)
-    return (family.basis * columns) @ member
-
-
 def analysis(family: WeightedSubspaceFamily, f) -> Coefficients:
     """Analysis map: f -> (omega_i * P_i f)_i."""
     f = as_vector(f)
@@ -175,7 +180,8 @@ def analysis(family: WeightedSubspaceFamily, f) -> Coefficients:
         raise DimensionMismatchError(
             f"vector of dim {f.shape[0]} vs ambient dim {family.ambient_dim}"
         )
-    projections = _block_sums(family, adjoint(family.basis) @ f) * family.weights
+    copies = np.broadcast_to(f[:, None], (f.shape[0], family.natoms))
+    projections = family.project(copies) * family.weights
     return Coefficients(blocks=tuple(projections.T), masses=family.masses)
 
 
@@ -199,10 +205,7 @@ def synthesis(
         raise DimensionMismatchError(
             f"blocks must be vectors of ambient dim {family.ambient_dim}"
         )
-    u = family.basis
-    # column k of the basis against the block of its own atom
-    own = np.einsum("jk,jk->k", u.conj(), blocks[:, family.column_atom])
-    stickout = np.linalg.norm(blocks - _block_sums(family, own), axis=0)
+    stickout = np.linalg.norm(blocks - family.project(blocks), axis=0)
     limit = membership_tol * np.maximum(1.0, np.linalg.norm(blocks, axis=0))
     bad = np.flatnonzero(stickout > limit)
     if bad.size:
@@ -215,21 +218,21 @@ def synthesis(
 
 def frame_operator(family: WeightedSubspaceFamily) -> np.ndarray:
     """Assembled operator S = sum omega_i^2 mu_i P_i."""
-    return family.projector_sum(_frame_coef(family))
+    return family.projector_sum(family.gram_coefficients())
 
 
 def apply_frame_operator(family: WeightedSubspaceFamily, f) -> np.ndarray:
     """S f computed from the stacked basis, without assembling S."""
     f = as_vector(f)
     u = family.basis
-    return u @ (_frame_coef(family)[family.column_atom] * (adjoint(u) @ f))
+    return u @ (family.gram_coefficients()[family.column_atom] * (adjoint(u) @ f))
 
 
 def frame_sum(family: WeightedSubspaceFamily, f) -> float:
     """Direct quadratic form sum omega_i^2 mu_i ||P_i f||^2."""
     f = as_vector(f)
     coords = adjoint(family.basis) @ f
-    return float(_frame_coef(family)[family.column_atom] @ np.abs(coords) ** 2)
+    return float(family.gram_coefficients()[family.column_atom] @ np.abs(coords) ** 2)
 
 
 def frame_bounds(family: WeightedSubspaceFamily) -> FrameBounds:

@@ -65,6 +65,11 @@ def require_finite(a, what: str) -> np.ndarray:
     return a
 
 
+def gram_coefficients(weights, masses) -> np.ndarray:
+    """Per-atom coefficient omega_i^2 mu_i of frame and Gram sums."""
+    return weights**2 * masses
+
+
 def stacked_gram(stack: np.ndarray, coef) -> np.ndarray:
     """Hermitian sum of coef_i A_i* A_i over a stack of matrices of shape (n, k, d)."""
     coef = np.asarray(coef)[:, None, None]

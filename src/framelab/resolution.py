@@ -83,8 +83,7 @@ class OperatorFamily:
         return self.operators.shape[0]
 
     def gram_coefficients(self) -> np.ndarray:
-        """Per-atom coefficient omega_i^2 mu_i of the Gram form."""
-        return self.weights**2 * self.masses
+        return hilbert.gram_coefficients(self.weights, self.masses)
 
     def sum_coefficients(self) -> np.ndarray:
         """Per-atom coefficient in the identity sum for the active mode."""

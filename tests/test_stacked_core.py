@@ -3,12 +3,14 @@
 Families are drawn over real and complex scalars; the references loop over
 atoms exactly as the definitions read.
 """
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import fusion, resolution
+from framelab import fusion, resolution, theorems
 from framelab.fusion import WeightedSubspaceFamily
 from framelab.hilbert import Subspace
 from framelab.resolution import OperatorFamily, SumMode
@@ -85,6 +87,23 @@ def test_subspace_family_core_matches_per_atom_sums(args):
         axis=1,
     )
     _close(fusion.synthesis_matrix(fam), t_ref)
+
+    _close(fam.projectors(), np.stack([sub.projector() for sub in fam.subspaces]))
+    f = probes[:, 0]
+    blocks = [w * sub.project(f) for sub, w in zip(fam.subspaces, fam.weights)]
+    coeffs = fusion.analysis(fam, f)
+    _close(np.stack(coeffs.blocks), np.stack(blocks))
+    synth_ref = sum(w * mu * b for b, w, mu in zip(blocks, fam.weights, fam.masses))
+    _close(fusion.synthesis(fam, coeffs), synth_ref)
+    cross_ref = max(
+        (
+            np.linalg.norm(a.basis.conj().T @ b.basis, 2)
+            for a, b in itertools.combinations(fam.subspaces, 2)
+            if a.rank and b.rank
+        ),
+        default=0.0,
+    )
+    assert theorems.orthogonality_defect(fam) == pytest.approx(cross_ref, rel=REL, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None)

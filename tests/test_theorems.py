@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -101,6 +104,25 @@ class TestOrthogonalDecomposition:
         )
         report = theorems.verify_orthogonal_decomposition(fam)
         assert not report.passed
+
+    def test_defect_never_forms_the_full_gram(self):
+        # 128 rank-16 atoms in R^32: U* U would be 2048 x 2048, 32 MiB
+        rng = np.random.default_rng(0)
+        subs = tuple(
+            Subspace(np.linalg.qr(rng.standard_normal((32, 16)))[0]) for _ in range(128)
+        )
+        fam = WeightedSubspaceFamily(subs, np.ones(128), np.ones(128))
+        tracemalloc.start()
+        try:
+            defect = theorems.orthogonality_defect(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2048**2 * 8 / 8
+        cross = max(
+            np.linalg.norm(a.basis.T @ b.basis, 2) for a, b in itertools.combinations(subs, 2)
+        )
+        assert defect == pytest.approx(cross, rel=1e-12)
 
 
 class TestInducedVectorFrame:
