@@ -111,7 +111,7 @@ class WeightedSubspaceFamily:
 
     def projectors(self) -> np.ndarray:
         """The per-atom projectors P_i as one (natoms, d, d) stack."""
-        return self.padded @ np.swapaxes(self.padded.conj(), 1, 2)
+        return self.padded @ adjoint(self.padded)
 
     def project(self, vectors) -> np.ndarray:
         """d x natoms matrix whose column i is P_i v_i, for the columns v_i of ``vectors``."""

@@ -41,7 +41,8 @@ def norm(f) -> float:
 
 
 def adjoint(a: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T
+    """Conjugate transpose over the last two axes, so a stack maps matrix by matrix."""
+    return np.swapaxes(np.asarray(a).conj(), -1, -2)
 
 
 def operator_norm(a: np.ndarray) -> float:

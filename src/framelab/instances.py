@@ -7,7 +7,6 @@ build from here.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ from . import fusion, resolution
 from .fusion import WeightedSubspaceFamily
 from .hilbert import Subspace, orthonormal_basis
 from .measure import DiscretizationScheme, ParameterSpace, discretize
-from .perturbation import PerturbationParams
+from .perturbation import PerturbationParams, subset_masks, subset_sums
 from .resolution import OperatorFamily, SumMode
 
 
@@ -513,15 +512,11 @@ def _exact_subset_lam(base_ops, deviations) -> float:
     if n > 14:
         raise ValueError(f"exhaustive subset scan limited to 14 atoms, got {n}")
     worst = 0.0
-    for mask in itertools.product((False, True), repeat=n):
-        if not any(mask):
-            continue
-        a = base_ops[list(mask)].sum(axis=0)
-        dev = deviations[list(mask)].sum(axis=0)
+    for _, (a, dev) in subset_sums(subset_masks(n, n, 0), base_ops, deviations):
         svals = np.linalg.svd(a, compute_uv=False)
-        if svals[-1] <= 1e-10 * max(svals[0], 1.0):
+        if np.any(svals[:, -1] <= 1e-10 * np.maximum(svals[:, 0], 1.0)):
             return float("inf")
-        worst = max(worst, float(np.linalg.norm(dev @ np.linalg.inv(a), 2)))
+        worst = max(worst, float(np.linalg.norm(dev @ np.linalg.inv(a), 2, axis=(1, 2)).max()))
     return worst
 
 

@@ -2,7 +2,9 @@
 
 Numbers carry 17 significant digits, so every finite double survives a
 round trip exactly, and key order is fixed by construction. Equal objects
-therefore produce byte-identical text, which the round-trip tests pin.
+therefore produce byte-identical text, which the round-trip tests pin. A
+complex number is written as the pair [re, im]; a complex array therefore
+reads back through a trailing pair axis.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ import warnings
 import numpy as np
 
 from .fusion import WeightedSubspaceFamily
-from .hilbert import Subspace, orthonormal_basis, require_finite
+from .hilbert import Subspace, adjoint, orthonormal_basis, require_finite
 from .measure import (
     DiscretizationScheme,
     ParameterSpace,
@@ -63,6 +65,8 @@ def _render(obj) -> str:
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
             parts.append(json.dumps(k) + ": " + _render(v))
         return "{" + ", ".join(parts) + "}"
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _render([obj.real, obj.imag])
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
@@ -93,8 +97,16 @@ def dumps_fusion_family(family: WeightedSubspaceFamily) -> str:
     return dumps_canonical({"ambient_dim": family.ambient_dim, "atoms": atoms})
 
 
+def _matrix(raw) -> np.ndarray:
+    """A matrix from nested number lists; a third axis of length 2 holds [re, im] pairs."""
+    mat = np.asarray(raw, dtype=float)
+    if mat.ndim == 3 and mat.shape[-1] == 2:
+        return mat.view(complex)[..., 0]
+    return mat
+
+
 def _subspace_from_rows(rows, dim: int, where: str) -> Subspace:
-    mat = np.asarray(rows, dtype=float)
+    mat = _matrix(rows)
     if mat.ndim != 2 or mat.shape[1] != dim:
         raise ValueError(
             f"{where}: basis must be a list of length-{dim} rows, got shape"
@@ -103,7 +115,7 @@ def _subspace_from_rows(rows, dim: int, where: str) -> Subspace:
     if mat.shape[0] == 0:
         raise ValueError(f"{where}: basis has no rows")
     require_finite(mat, f"{where}: basis")
-    deviation = float(np.abs(mat @ mat.T - np.eye(mat.shape[0])).max())
+    deviation = float(np.abs(mat @ adjoint(mat) - np.eye(mat.shape[0])).max())
     if deviation <= BASIS_KEEP_TOL:
         return Subspace(mat.T)
     if deviation > BASIS_WARN_TOL:
@@ -172,7 +184,7 @@ def _resolution_from_obj(data: dict) -> OperatorFamily:
         )
     operators = []
     for i, block in enumerate(raw_ops):
-        mat = np.asarray(block, dtype=float)
+        mat = _matrix(block)
         if mat.shape != (dim, dim):
             raise ValueError(
                 f"operator {i} must be {dim}x{dim}, got shape {mat.shape}"

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import instances, serialize
+from framelab import cli, instances, resolution, serialize
 from framelab.fusion import WeightedSubspaceFamily
+from framelab.hilbert import Subspace
 from framelab.resolution import OperatorFamily, SumMode
 from framelab.reports import VerificationReport
 
@@ -62,6 +63,69 @@ def test_round_trip_preserves_values():
     assert np.array_equal(loaded.masses, fam.masses)
     for a, b in zip(loaded.subspaces, fam.subspaces):
         assert np.array_equal(a.basis, b.basis)
+
+
+def _complex_families(seed, dim=3, atoms=4):
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    ops = OperatorFamily(
+        operators=tuple(draw(atoms, dim, dim)),
+        weights=rng.uniform(0.5, 2.0, atoms),
+        masses=rng.uniform(0.5, 2.0, atoms),
+        sum_mode=SumMode.RAW,
+    )
+    fam = WeightedSubspaceFamily(
+        subspaces=tuple(Subspace(np.linalg.qr(draw(dim, 2))[0]) for _ in range(atoms)),
+        weights=rng.uniform(0.5, 2.0, atoms),
+        masses=rng.uniform(0.5, 2.0, atoms),
+    )
+    return ops, fam
+
+
+def test_complex_families_round_trip_value_exact_and_byte_identical():
+    for seed in range(4):
+        ops, fam = _complex_families(seed)
+        text = serialize.dumps_instance(ops)
+        loaded = serialize.loads_instance(text)
+        assert loaded.operators.dtype == complex
+        assert np.array_equal(loaded.operators, ops.operators)
+        assert serialize.dumps_instance(loaded) == text
+
+        text = serialize.dumps_instance(fam)
+        loaded = serialize.loads_instance(text)
+        for a, b in zip(loaded.subspaces, fam.subspaces):
+            assert a.basis.dtype == complex
+            assert np.array_equal(a.basis, b.basis)
+        assert serialize.dumps_instance(loaded) == text
+
+
+def test_complex_entries_are_written_as_re_im_pairs():
+    ops, fam = _complex_families(5)
+    stored = np.asarray(json.loads(serialize.dumps_instance(ops))["operators"])
+    assert np.array_equal(stored, np.stack([ops.operators.real, ops.operators.imag], axis=-1))
+    rows = np.asarray(json.loads(serialize.dumps_instance(fam))["atoms"][0]["basis"])
+    basis = fam.subspaces[0].basis.T
+    assert np.array_equal(rows, np.stack([basis.real, basis.imag], axis=-1))
+    # real families keep one number per entry
+    real = instances.random_resolution_family(3, 4, 0)
+    assert np.asarray(json.loads(serialize.dumps_instance(real))["operators"]).shape == (4, 3, 3)
+
+
+def test_complex_files_are_verified(tmp_path, capsys):
+    ops, fam = _complex_families(2)
+    for name, obj in (
+        ("res.json", resolution.normalize_to_identity(ops)),
+        ("fus.json", fam),
+    ):
+        path = tmp_path / name
+        path.write_text(serialize.dumps_instance(obj))
+        assert cli.main(["verify", str(path)]) in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    out = capsys.readouterr().out
+    assert "resolution_conditions: PASS" in out
+    assert "synthesis_characterization: PASS" in out
 
 
 def test_loads_instance_dispatches_on_keys():

@@ -1,7 +1,7 @@
 """Every stacked-array computation against a per-atom reference sum.
 
 Families are drawn over real and complex scalars; the references loop over
-atoms exactly as the definitions read.
+atoms, or over index subsets, exactly as the definitions read.
 """
 import itertools
 
@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import fusion, resolution, theorems
+from framelab import fusion, hilbert, instances, perturbation, resolution, theorems
 from framelab.fusion import WeightedSubspaceFamily
-from framelab.hilbert import Subspace
+from framelab.hilbert import Subspace, adjoint
 from framelab.resolution import OperatorFamily, SumMode
 
 REL = 1e-12
@@ -139,3 +139,135 @@ def test_operator_family_core_matches_per_atom_sums(args):
 
     sup_ref = max(np.linalg.norm(t, 2) for t in fam.operators)
     assert fam.sup_norm() == pytest.approx(sup_ref, rel=REL, abs=0.0)
+
+
+def _reference_subset_masks(natoms, limit, nrandom, rng=None):
+    """The subset enumeration as a generator, one subset at a time."""
+    if natoms <= limit:
+        for mask in itertools.product((False, True), repeat=natoms):
+            if any(mask):
+                yield np.array(mask)
+        return
+    eye = np.eye(natoms, dtype=bool)
+    for i in range(natoms):
+        yield eye[i]
+    cumulative = np.zeros(natoms, dtype=bool)
+    for i in range(natoms):
+        cumulative = cumulative.copy()
+        cumulative[i] = True
+        yield cumulative
+    rng = np.random.default_rng(0) if rng is None else rng
+    produced = 0
+    while produced < nrandom:
+        mask = rng.random(natoms) < rng.uniform(0.1, 0.9)
+        if mask.any():
+            produced += 1
+            yield mask
+
+
+@pytest.mark.parametrize(
+    "natoms, limit, nrandom", [(5, 12, 10_000), (12, 12, 10_000), (14, 12, 300)]
+)
+def test_subset_masks_reproduce_the_enumeration(natoms, limit, nrandom):
+    rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+    masks = perturbation.subset_masks(natoms, limit, nrandom, rng)
+    ref = np.array(list(_reference_subset_masks(natoms, limit, nrandom, ref_rng)))
+    assert masks.dtype == bool
+    assert np.array_equal(masks, ref)
+    # the sampled path leaves the generator where the enumeration left it
+    assert rng.random() == ref_rng.random()
+
+
+def _reference_worst_margin(base, perturbed, lam, limit, nrandom, rng):
+    worst, checked = np.inf, 0
+    deviations = base.operators - perturbed.operators
+    for mask in _reference_subset_masks(base.natoms, limit, nrandom, rng):
+        a = base.operators[mask].sum(axis=0)
+        dev = deviations[mask].sum(axis=0)
+        cert = hilbert.hermitian_part(lam * lam * (adjoint(a) @ a) - adjoint(dev) @ dev)
+        scale = max(1.0, lam * lam * float(np.linalg.norm(a, 2)) ** 2)
+        worst = min(worst, float(hilbert.self_adjoint_spectrum(cert)[0]) / scale)
+        checked += 1
+    return worst, checked
+
+
+def _reference_exact_lam(base_ops, deviations):
+    worst = 0.0
+    for mask in _reference_subset_masks(len(base_ops), len(base_ops), 0):
+        a = base_ops[mask].sum(axis=0)
+        dev = deviations[mask].sum(axis=0)
+        svals = np.linalg.svd(a, compute_uv=False)
+        if svals[-1] <= 1e-10 * max(svals[0], 1.0):
+            return float("inf")
+        worst = max(worst, float(np.linalg.norm(dev @ np.linalg.inv(a), 2)))
+    return worst
+
+
+def _perturbed_sum_pair(seed, dim, atoms, complex_, lam):
+    """A raw-mode resolution (operators summing to the identity) and a perturbation of it."""
+    rng = np.random.default_rng(seed)
+    ops = np.eye(dim) + _draw(rng, (atoms, dim, dim), complex_) / (4 * dim)
+    ops = ops @ np.linalg.inv(ops.sum(axis=0))
+    noise = lam * _draw(rng, (atoms, dim, dim), complex_) / (1.5 * atoms * dim)
+    base, perturbed = (
+        OperatorFamily(
+            operators=tuple(stack),
+            weights=np.ones(atoms),
+            masses=np.ones(atoms),
+            sum_mode=SumMode.RAW,
+        )
+        for stack in (ops, ops + noise)
+    )
+    return base, perturbed, -noise
+
+
+@settings(max_examples=40, deadline=None)
+@given(families, st.floats(0.05, 0.95), st.booleans())
+def test_subset_scanner_matches_per_subset_loop(args, lam, sampled):
+    _check_scanner(*args, lam, sampled)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_subset_scanner_spans_several_chunks(complex_):
+    # the 1023 subsets of 10 atoms span several chunks of the scanner
+    assert 2**10 > 2 * perturbation._SUBSET_CHUNK
+    _check_scanner(3, 3, 10, complex_, 0.5, False)
+
+
+def _check_scanner(seed, dim, atoms, complex_, lam, sampled):
+    base, perturbed, deviations = _perturbed_sum_pair(seed, dim, atoms, complex_, lam)
+    limit = atoms - 1 if sampled else 12
+    nrandom = 50
+    report, total = perturbation.verify_perturbed_sum(
+        base, perturbed, lam, subset_limit=limit, nrandom=nrandom,
+        rng=np.random.default_rng(seed),
+    )
+    worst, checked = _reference_worst_margin(
+        base, perturbed, lam, limit, nrandom, np.random.default_rng(seed)
+    )
+    assert report.constants["subsets_checked"] == checked
+    assert report.constants["worst_subset_margin"] == pytest.approx(worst, rel=REL, abs=1e-14)
+    assert any(("sampled" if sampled else "exhaustive") in note for note in report.notes)
+    sigmas = np.linalg.svd(total, compute_uv=False)
+    verdict = (
+        worst >= -1e-10
+        and np.linalg.norm(np.eye(dim) - total, 2) <= lam + 1e-9
+        and sigmas[-1] >= 1.0 - lam - 1e-9
+    )
+    assert report.passed == verdict
+
+    lam_exact = instances._exact_subset_lam(base.operators, deviations)
+    lam_ref = _reference_exact_lam(base.operators, deviations)
+    if np.isinf(lam_ref):
+        assert np.isinf(lam_exact)
+    else:
+        assert lam_exact == pytest.approx(lam_ref, rel=REL, abs=1e-14)
+
+
+def test_exact_subset_lam_is_infinite_when_a_subset_sum_is_singular():
+    eye = np.eye(3)
+    base_ops = np.stack([eye, -eye, 2.0 * eye])  # atoms 0 and 1 cancel
+    deviations = 0.01 * np.ones((3, 3, 3))
+    assert instances._exact_subset_lam(base_ops, deviations) == float("inf")
+    # dropping the cancelling atom leaves every subset sum invertible
+    assert np.isfinite(instances._exact_subset_lam(base_ops[[0, 2]], deviations[[0, 2]]))
