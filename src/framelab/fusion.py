@@ -24,20 +24,81 @@ from .errors import (
     DimensionMismatchError,
     NotAFrameError,
 )
-from .hilbert import adjoint, as_vector, hermitian_part, require_finite
+from .hilbert import Subspace, adjoint, as_vector, hermitian_part, require_finite
 from .reports import VerificationReport
+
+
+# Atoms whose bases are checked together: bounds the batched U_i* U_i work
+# to _CHECK_CHUNK zero-padded bases at a time.
+_CHECK_CHUNK = 64
+
+
+def _stack(atoms: tuple):
+    """The one pass over the per-atom input: (concatenated bases, ranks).
+
+    Each atom is a ``Subspace`` or a d x r array.
+    """
+    bases = [a.basis if isinstance(a, Subspace) else np.asarray(a) for a in atoms]
+    flat = next((i for i, b in enumerate(bases) if b.ndim != 2), None)
+    if flat is not None:
+        raise DimensionMismatchError(
+            f"atom {flat} basis must be 2-d, got shape {bases[flat].shape}"
+        )
+    dims = {b.shape[0] for b in bases}
+    if len(dims) > 1:
+        raise DimensionMismatchError(f"mixed ambient dimensions {sorted(dims)}")
+    return np.concatenate(bases, axis=1), np.array([b.shape[1] for b in bases])
+
+
+def _padded(basis: np.ndarray, column_atom: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+    """(atoms, d, max rank) stack: each atom's columns of ``basis``, zero-padded.
+
+    ``column_atom`` numbers the atoms from 0 and ``ranks`` counts their columns.
+    """
+    position = np.arange(column_atom.size) - np.repeat(np.cumsum(ranks) - ranks, ranks)
+    out = np.zeros((ranks.size, basis.shape[0], ranks.max()), dtype=basis.dtype)
+    out[column_atom, :, position] = basis.T
+    return out
+
+
+def _check_bases(basis: np.ndarray, column_atom: np.ndarray, ranks: np.ndarray):
+    """Every atom's basis is finite with orthonormal columns, checked over the stack.
+
+    Runs before the family's own padded stack exists, on chunk-sized padded
+    stacks, so the check adds nothing to the constructor's peak memory.
+    """
+    finite = np.isfinite(basis)
+    if not finite.all():
+        atom = int(column_atom[np.flatnonzero(~finite.all(axis=0))[0]])
+        require_finite(basis[:, column_atom == atom], f"atom {atom} basis")
+    ends = np.cumsum(ranks)
+    for lo in range(0, ranks.size, _CHECK_CHUNK):
+        hi = min(lo + _CHECK_CHUNK, ranks.size)
+        cols = slice(ends[lo] - ranks[lo], ends[hi - 1])
+        chunk = _padded(basis[:, cols], column_atom[cols] - lo, ranks[lo:hi])
+        defects = hilbert.orthonormality_defects(chunk, ranks[lo:hi])
+        bad = np.flatnonzero(defects > hilbert.ORTHONORMAL_TOL)
+        if bad.size:
+            raise ValueError(
+                f"atom {lo + int(bad[0])} basis columns not orthonormal"
+                f" (deviation {defects[bad[0]]:.3e})"
+            )
 
 
 @dataclass(frozen=True)
 class WeightedSubspaceFamily:
     """Finitely many weighted subspaces over an atomic measure.
 
-    ``subspaces`` is the constructor input and the per-atom view. Every
-    computation reads the stacked form built here instead: ``basis`` is the
-    d x sum(ranks) concatenation of the orthonormal bases,
-    ``column_atom[k]`` is the atom that column k of ``basis`` belongs to, and
-    ``padded[i]`` is atom i's basis zero-padded to the largest rank, for
-    per-atom work batched over atoms.
+    ``subspaces`` is the constructor input: each atom is a ``Subspace`` or
+    a d x r array with orthonormal columns, and the atoms are checked once,
+    together, as one stack. Every computation reads the stacked form built
+    here instead: ``basis`` is the d x sum(ranks) concatenation of the
+    orthonormal bases, ``column_atom[k]`` is the atom that column k of
+    ``basis`` belongs to, and ``padded[i]`` is atom i's basis zero-padded to
+    the largest rank, for per-atom work batched over atoms. Read back,
+    ``subspaces`` is the per-atom view: one ``Subspace`` per atom on its
+    slice of ``padded``, made on first read (most families are never read
+    atom by atom).
     """
 
     subspaces: tuple
@@ -58,30 +119,22 @@ class WeightedSubspaceFamily:
             raise AtomMismatchError(
                 f"{len(subs)} subspaces vs weights {w.shape} and masses {m.shape}"
             )
-        # the one pass over the per-atom input: (ambient_dim, rank) per atom
-        shapes = np.array([s.basis.shape for s in subs])
-        if np.any(shapes[:, 0] != shapes[0, 0]):
-            raise DimensionMismatchError(
-                f"mixed ambient dimensions {sorted(set(shapes[:, 0].tolist()))}"
-            )
+        basis, ranks = _stack(subs)
         if not np.all(w > 0):
             raise ValueError("weights must be strictly positive (zero-weight atoms are excluded upstream)")
         if not np.all(m > 0):
             raise ValueError("masses must be strictly positive")
-        if shapes[:, 1].max() < 1:
+        if ranks.max() < 1:
             raise ValueError("at least one subspace must have rank >= 1")
         pts = tuple(self.points) if self.points else tuple(range(len(subs)))
         if len(pts) != len(subs):
             raise AtomMismatchError(f"{len(pts)} points for {len(subs)} atoms")
-        ranks = shapes[:, 1]
-        basis = np.concatenate([s.basis for s in subs], axis=1)
         column_atom = np.repeat(np.arange(len(subs)), ranks)
-        position = np.arange(basis.shape[1]) - np.repeat(np.cumsum(ranks) - ranks, ranks)
-        padded = np.zeros((len(subs), shapes[0, 0], ranks.max()), dtype=basis.dtype)
-        padded[column_atom, :, position] = basis.T
+        _check_bases(basis, column_atom, ranks)
+        padded = _padded(basis, column_atom, ranks)
         for a in (basis, column_atom, padded):
             a.flags.writeable = False
-        object.__setattr__(self, "subspaces", subs)
+        object.__delattr__(self, "subspaces")  # made by __getattr__ when read
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "points", pts)
@@ -89,13 +142,23 @@ class WeightedSubspaceFamily:
         object.__setattr__(self, "column_atom", column_atom)
         object.__setattr__(self, "padded", padded)
 
+    def __getattr__(self, name):
+        """``subspaces`` on first read: one ``Subspace`` view of ``padded`` per atom."""
+        if name != "subspaces":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        subs = tuple(
+            Subspace._trusted(self.padded[i, :, :r]) for i, r in enumerate(self.ranks)
+        )
+        object.__setattr__(self, "subspaces", subs)
+        return subs
+
     @property
     def ambient_dim(self) -> int:
         return self.basis.shape[0]
 
     @property
     def natoms(self) -> int:
-        return len(self.subspaces)
+        return len(self.weights)
 
     @property
     def ranks(self) -> tuple:

@@ -20,6 +20,9 @@ from .errors import (
 # RANK_TOL * sigma_max are treated as zero.
 RANK_TOL = 1e-12
 
+# Largest entry of |U* U - I| a basis U may show and still count as orthonormal.
+ORTHONORMAL_TOL = 1e-10
+
 
 def as_vector(f) -> np.ndarray:
     f = np.asarray(f)
@@ -58,12 +61,11 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 def require_finite(a, what: str) -> np.ndarray:
     """Return ``a`` as an array, or raise ValueError naming its first non-finite entry."""
     a = np.asarray(a)
-    bad = np.argwhere(~np.isfinite(a))
-    if bad.size:
-        index = tuple(int(i) for i in bad[0])
-        where = index[0] if len(index) == 1 else index
-        raise ValueError(f"{what} entry {where} is not finite ({a[index]})")
-    return a
+    if np.isfinite(a).all():
+        return a
+    index = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+    where = index[0] if len(index) == 1 else index
+    raise ValueError(f"{what} entry {where} is not finite ({a[index]})")
 
 
 def gram_coefficients(weights, masses) -> np.ndarray:
@@ -72,14 +74,28 @@ def gram_coefficients(weights, masses) -> np.ndarray:
 
 
 def stacked_gram(stack: np.ndarray, coef) -> np.ndarray:
-    """Hermitian sum of coef_i A_i* A_i over a stack of matrices of shape (n, k, d)."""
-    coef = np.asarray(coef)[:, None, None]
-    return hermitian_part(np.tensordot(stack.conj() * coef, stack, axes=([0, 1], [0, 1])))
+    """Hermitian sum of coef_i A_i* A_i over a stack of matrices of shape (n, k, d).
+
+    ``coef`` is real, so the one scaled copy is conjugated in place:
+    conj(c a) = c conj(a) exactly.
+    """
+    scaled = stack * np.asarray(coef)[:, None, None]
+    if np.iscomplexobj(scaled):
+        np.conjugate(scaled, out=scaled)
+    return hermitian_part(np.tensordot(scaled, stack, axes=([0, 1], [0, 1])))
 
 
 def quadratic_forms(a: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Real parts of <A p, p> for every column p of ``vectors``."""
     return np.einsum("ij,ij->j", vectors.conj(), a @ vectors).real
+
+
+def orthonormality_defects(padded: np.ndarray, ranks) -> np.ndarray:
+    """max |U_i* U_i - I| for each basis U_i of a stack zero-padded past its rank r_i."""
+    gram = adjoint(padded) @ padded
+    k = np.arange(gram.shape[-1])
+    gram[:, k, k] -= k < np.asarray(ranks)[:, None]
+    return np.abs(gram).max(axis=(1, 2), initial=0.0)
 
 
 def is_self_adjoint(a: np.ndarray, rtol: float = 1e-12) -> bool:
@@ -106,12 +122,16 @@ class Subspace:
             raise DimensionMismatchError(f"basis must be 2-d, got shape {b.shape}")
         require_finite(b, "basis")
         object.__setattr__(self, "basis", b)
-        r = b.shape[1]
-        if r:
-            gram = adjoint(b) @ b
-            dev = float(np.abs(gram - np.eye(r)).max())
-            if dev > 1e-10:
-                raise ValueError(f"basis columns not orthonormal (deviation {dev:.3e})")
+        dev = float(orthonormality_defects(b[None], [b.shape[1]])[0])
+        if dev > ORTHONORMAL_TOL:
+            raise ValueError(f"basis columns not orthonormal (deviation {dev:.3e})")
+
+    @classmethod
+    def _trusted(cls, basis: np.ndarray) -> "Subspace":
+        """Wrap a basis that already passed these checks as part of a stack."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "basis", basis)
+        return sub
 
     @property
     def ambient_dim(self) -> int:
@@ -160,11 +180,7 @@ def orthonormal_basis(vectors, tol: float = RANK_TOL, ambient_dim: int | None = 
     if len(dims) != 1:
         raise DimensionMismatchError(f"mixed vector dimensions {sorted(dims)}")
     a = np.stack(rows, axis=1)  # columns span the subspace
-    u, s, _ = np.linalg.svd(a, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return Subspace(np.zeros((a.shape[0], 0), dtype=a.dtype))
-    r = int(np.count_nonzero(s > tol * s[0]))
-    return Subspace(u[:, :r])
+    return Subspace(range_bases(a[None], tol)[0])
 
 
 def column_space(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
@@ -172,7 +188,18 @@ def column_space(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
     a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {a.shape}")
-    return orthonormal_basis(list(a.T), tol=tol, ambient_dim=a.shape[0])
+    return Subspace(range_bases(a[None], tol)[0])
+
+
+def range_bases(stack: np.ndarray, tol: float = RANK_TOL) -> list:
+    """Orthonormal bases of the ranges of a stack of matrices, from one batched SVD.
+
+    Singular values at or below ``tol`` times the largest one count as zero.
+    Each basis is a copy of its kept columns, so the full U stack is freed.
+    """
+    u, s, _ = np.linalg.svd(stack, full_matrices=False)
+    ranks = np.count_nonzero(s > tol * s[..., :1], axis=-1)
+    return [u[i, :, :r].copy() for i, r in enumerate(ranks.tolist())]
 
 
 def self_adjoint_eigh(a: np.ndarray, rtol: float = 1e-12):

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fusion, resolution
 from .fusion import WeightedSubspaceFamily
-from .hilbert import Subspace, orthonormal_basis
+from .hilbert import adjoint, orthonormal_basis, range_bases
 from .measure import DiscretizationScheme, ParameterSpace, discretize
 from .perturbation import PerturbationParams, subset_masks, subset_sums
 from .resolution import OperatorFamily, SumMode
@@ -25,9 +25,10 @@ def _simplex(rng, n: int) -> np.ndarray:
     return e / e.sum()
 
 
-def _random_subspace(rng, dim: int, rank: int) -> Subspace:
+def _random_basis(rng, dim: int, rank: int) -> np.ndarray:
+    """Orthonormal dim x rank basis: the Q factor of a seeded Gaussian draw."""
     q, _ = np.linalg.qr(rng.standard_normal((dim, rank)))
-    return Subspace(q[:, :rank])
+    return q[:, :rank]
 
 
 def _balanced_partition(dim: int, blocks: int) -> list:
@@ -37,28 +38,29 @@ def _balanced_partition(dim: int, blocks: int) -> list:
     return [base + (1 if i < extra else 0) for i in range(blocks)]
 
 
-def _orthogonal_block_subspaces(dim: int, blocks: int, rng=None) -> tuple:
-    """Pairwise orthogonal subspaces jointly spanning the whole space."""
+def _orthogonal_blocks(dim: int, blocks: int, rng=None) -> tuple:
+    """Bases of pairwise orthogonal subspaces jointly spanning the whole space."""
     if rng is None:
         q = np.eye(dim)
     else:
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    sizes = _balanced_partition(dim, blocks)
-    subs = []
-    lo = 0
-    for size in sizes:
-        subs.append(Subspace(q[:, lo : lo + size]))
-        lo += size
-    return tuple(subs)
+    ends = np.cumsum(_balanced_partition(dim, blocks))
+    return tuple(np.split(q, ends[:-1], axis=1))
+
+
+def _projectors(bases) -> tuple:
+    return tuple(b @ adjoint(b) for b in bases)
+
+
+def _lines(angles) -> np.ndarray:
+    """The lines at ``angles`` in the plane, as one (n, 2, 1) stack of unit vectors."""
+    return np.array([(math.cos(t), math.sin(t)) for t in angles])[:, :, None]
 
 
 def _line_family(angles) -> WeightedSubspaceFamily:
-    subs = tuple(
-        Subspace(np.array([[math.cos(t)], [math.sin(t)]])) for t in angles
-    )
-    n = len(subs)
+    n = len(angles)
     return WeightedSubspaceFamily(
-        subspaces=subs,
+        subspaces=_lines(angles),
         weights=np.ones(n),
         masses=np.ones(n),
         points=tuple(float(t) for t in angles),
@@ -67,10 +69,8 @@ def _line_family(angles) -> WeightedSubspaceFamily:
 
 def axes_family(dim: int = 3) -> WeightedSubspaceFamily:
     """Coordinate axes of R^dim with unit weights: a tight frame, A = B = 1."""
-    eye = np.eye(dim)
-    subs = tuple(Subspace(eye[:, [i]]) for i in range(dim))
     return WeightedSubspaceFamily(
-        subspaces=subs, weights=np.ones(dim), masses=np.ones(dim)
+        subspaces=np.eye(dim)[:, :, None], weights=np.ones(dim), masses=np.ones(dim)
     )
 
 
@@ -90,7 +90,7 @@ def orthogonal_blocks_family(
     dim: int = 4, atoms: int = 2, seed: int = 0
 ) -> WeightedSubspaceFamily:
     """Random orthogonal decomposition of R^dim into atoms blocks (A = B = 1)."""
-    subs = _orthogonal_block_subspaces(dim, atoms, np.random.default_rng(seed))
+    subs = _orthogonal_blocks(dim, atoms, np.random.default_rng(seed))
     return WeightedSubspaceFamily(
         subspaces=subs, weights=np.ones(atoms), masses=np.ones(atoms)
     )
@@ -105,9 +105,8 @@ def random_fusion_family(
         ranks = rng.integers(1, max(dim, 2), size=atoms)
         if ranks.sum() < dim:
             continue
-        subs = tuple(_random_subspace(rng, dim, int(r)) for r in ranks)
         fam = WeightedSubspaceFamily(
-            subspaces=subs,
+            subspaces=tuple(_random_basis(rng, dim, int(r)) for r in ranks),
             weights=rng.uniform(0.5, 2.0, atoms),
             masses=rng.uniform(0.5, 2.0, atoms),
         )
@@ -126,11 +125,8 @@ def rotating_line_family(n: int = 64) -> WeightedSubspaceFamily:
     """
     space = ParameterSpace.circle(period=math.pi)
     meas = discretize(space, DiscretizationScheme("midpoint", n))
-    subs = tuple(
-        Subspace(np.array([[math.cos(t)], [math.sin(t)]])) for t in meas.points
-    )
     return WeightedSubspaceFamily(
-        subspaces=subs,
+        subspaces=_lines(meas.points),
         weights=np.ones(meas.natoms),
         masses=meas.masses,
         points=tuple(float(p) for p in meas.points),
@@ -303,11 +299,10 @@ def induced_frame_instance(
     rng = np.random.default_rng(seed)
     if exact:
         blocks = min(atoms, dim)
-        subs = _orthogonal_block_subspaces(dim, blocks, rng)
         weights = rng.uniform(0.5, 2.0, blocks)
         masses = 1.0 / weights**2
         return OperatorFamily(
-            operators=tuple(s.projector() for s in subs),
+            operators=_projectors(_orthogonal_blocks(dim, blocks, rng)),
             weights=weights,
             masses=masses,
             sum_mode=SumMode.WEIGHTED,
@@ -318,9 +313,7 @@ def induced_frame_instance(
         ranks = rng.integers(1, max(dim, 2), size=atoms)
         if ranks.sum() < dim:
             continue
-        projectors = [
-            _random_subspace(rng, dim, int(r)).projector() for r in ranks
-        ]
+        projectors = _projectors(_random_basis(rng, dim, int(r)) for r in ranks)
         directions = [rng.standard_normal((dim, dim)) for _ in range(atoms)]
         eps = 0.3
         for _ in range(40):
@@ -365,15 +358,15 @@ def sandwich_instance(
     rng = np.random.default_rng(seed)
     if scaled_orthogonal:
         blocks = min(atoms, dim)
-        subs = _orthogonal_block_subspaces(dim, blocks, rng)
+        subs = _orthogonal_blocks(dim, blocks, rng)
         weights = rng.uniform(0.55, 0.9, blocks)
         masses = np.ones(blocks)
         fam = WeightedSubspaceFamily(
             subspaces=subs, weights=weights, masses=masses
         )
         ops = tuple(
-            s.projector() / (w * w * m)
-            for s, w, m in zip(subs, weights, masses)
+            p / (w * w * m)
+            for p, w, m in zip(_projectors(subs), weights, masses)
         )
         return fam, OperatorFamily(
             operators=ops, weights=weights, masses=masses,
@@ -385,7 +378,7 @@ def sandwich_instance(
         ranks = rng.integers(1, max(dim, 2), size=atoms)
         if ranks.sum() < dim:
             continue
-        bases = [_random_subspace(rng, dim, int(r)).basis for r in ranks]
+        bases = [_random_basis(rng, dim, int(r)) for r in ranks]
         cores = []
         for u in bases:
             g = rng.standard_normal((dim, dim))
@@ -402,9 +395,10 @@ def sandwich_instance(
             continue
         inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
         ops = tuple(inv_sqrt @ t @ inv_sqrt for t in cores)
-        subs = tuple(orthonormal_basis(list((inv_sqrt @ u).T)) for u in bases)
         fam = WeightedSubspaceFamily(
-            subspaces=subs, weights=weights, masses=masses
+            subspaces=tuple(range_bases((inv_sqrt @ u)[None])[0] for u in bases),
+            weights=weights,
+            masses=masses,
         )
         return fam, OperatorFamily(
             operators=ops, weights=weights, masses=masses,
@@ -615,8 +609,7 @@ def composite_instance(
     if kind == "projector_defect":
         if dim < 2:
             raise ValueError("projector defect needs dim >= 2")
-        subs = _orthogonal_block_subspaces(dim, 2, rng)
-        ops = tuple(s.projector() for s in subs)
+        ops = _projectors(_orthogonal_blocks(dim, 2, rng))
         fam = OperatorFamily(
             operators=ops, weights=np.ones(2), masses=np.ones(2),
             sum_mode=SumMode.RAW,

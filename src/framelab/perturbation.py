@@ -183,8 +183,14 @@ def subset_masks(natoms: int, limit: int, nrandom: int, rng=None) -> np.ndarray:
     Beyond: the singletons, the prefixes, then ``nrandom`` seeded draws.
     """
     if natoms <= limit:
-        counts = np.arange(1, 2**natoms)[:, None]
-        return (counts >> np.arange(natoms - 1, -1, -1)) & 1 == 1
+        # the counts as big-endian integers of the narrowest width, shifted so
+        # their natoms bits lead; unpacked, those bits are the rows, and no
+        # temporary is larger than the counts themselves
+        width = np.min_scalar_type(2**natoms - 1).itemsize
+        counts = np.arange(1, 2**natoms, dtype=f">u{width}")
+        counts <<= 8 * width - natoms
+        rows = counts.view(np.uint8).reshape(-1, width)
+        return np.unpackbits(rows, axis=1, count=natoms).view(bool)
     rng = np.random.default_rng(0) if rng is None else rng
     rows = [*np.eye(natoms, dtype=bool), *np.tri(natoms, dtype=bool)]
     while len(rows) < 2 * natoms + nrandom:

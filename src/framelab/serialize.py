@@ -15,7 +15,7 @@ import warnings
 import numpy as np
 
 from .fusion import WeightedSubspaceFamily
-from .hilbert import Subspace, adjoint, orthonormal_basis, require_finite
+from .hilbert import adjoint, range_bases, require_finite
 from .measure import (
     DiscretizationScheme,
     ParameterSpace,
@@ -105,7 +105,8 @@ def _matrix(raw) -> np.ndarray:
     return mat
 
 
-def _subspace_from_rows(rows, dim: int, where: str) -> Subspace:
+def _basis_from_rows(rows, dim: int, where: str) -> np.ndarray:
+    """One atom's d x r basis, re-orthonormalized when its rows drift past BASIS_KEEP_TOL."""
     mat = _matrix(rows)
     if mat.ndim != 2 or mat.shape[1] != dim:
         raise ValueError(
@@ -117,14 +118,14 @@ def _subspace_from_rows(rows, dim: int, where: str) -> Subspace:
     require_finite(mat, f"{where}: basis")
     deviation = float(np.abs(mat @ adjoint(mat) - np.eye(mat.shape[0])).max())
     if deviation <= BASIS_KEEP_TOL:
-        return Subspace(mat.T)
+        return mat.T
     if deviation > BASIS_WARN_TOL:
         warnings.warn(
             f"{where}: basis rows deviate from orthonormal by {deviation:.3e};"
             " re-orthonormalizing",
             stacklevel=2,
         )
-    return orthonormal_basis(list(mat))
+    return range_bases(mat.T[None])[0]
 
 
 def _family_from_obj(data: dict) -> WeightedSubspaceFamily:
@@ -135,7 +136,7 @@ def _family_from_obj(data: dict) -> WeightedSubspaceFamily:
     subs, weights, masses, points = [], [], [], []
     for i, atom in enumerate(raw_atoms):
         where = f"atom {i}"
-        subs.append(_subspace_from_rows(_require(atom, "basis", where), dim, where))
+        subs.append(_basis_from_rows(_require(atom, "basis", where), dim, where))
         weights.append(float(_require(atom, "weight", where)))
         masses.append(float(_require(atom, "mass", where)))
         points.append(_require(atom, "point", where))

@@ -15,7 +15,7 @@ import numpy as np
 from . import fusion, hilbert, resolution
 from .errors import AtomMismatchError
 from .fusion import WeightedSubspaceFamily
-from .hilbert import adjoint, as_vector, column_space
+from .hilbert import adjoint, as_vector
 from .reports import VerificationReport
 from .resolution import OperatorFamily, SumMode
 
@@ -70,21 +70,20 @@ def verify_induced_fusion_frame(family: OperatorFamily, tol: float = 1e-9):
         detail=f"gram_upper={rbounds.upper:.6e}",
     )
 
-    subspaces = tuple(column_space(t) for t in family.operators)
     induced = WeightedSubspaceFamily(
-        subspaces=subspaces,
+        subspaces=hilbert.range_bases(family.operators),
         weights=family.weights,
         masses=family.masses,
         points=family.points,
     )
 
-    # deviation between each operator and the projector onto its range
-    dev = hilbert.stacked_gram(
-        induced.projectors() - family.operators, family.gram_coefficients()
-    )
-    r_const = max(float(hilbert.self_adjoint_spectrum(dev)[-1]), 0.0)
-
     bounds = fusion.frame_bounds(induced)
+
+    # deviation between each operator and the projector onto its range
+    deviation = induced.projectors()
+    deviation -= family.operators
+    dev = hilbert.stacked_gram(deviation, family.gram_coefficients())
+    r_const = max(float(hilbert.self_adjoint_spectrum(dev)[-1]), 0.0)
     d_const = rbounds.upper
     predicted_upper = d_const * (1.0 + np.sqrt(r_const / d_const)) ** 2 if d_const > 0 else 0.0
     predicted_lower = 1.0 / d_const if d_const > 0 else float("inf")

@@ -4,6 +4,8 @@ Families are drawn over real and complex scalars; the references loop over
 atoms, or over index subsets, exactly as the definitions read.
 """
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,8 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framelab import fusion, hilbert, instances, perturbation, resolution, theorems
+from framelab.errors import DimensionMismatchError
 from framelab.fusion import WeightedSubspaceFamily
 from framelab.hilbert import Subspace, adjoint
+from framelab.measure import DiscretizationScheme, ParameterSpace, discretize
 from framelab.resolution import OperatorFamily, SumMode
 
 REL = 1e-12
@@ -271,3 +275,242 @@ def test_exact_subset_lam_is_infinite_when_a_subset_sum_is_singular():
     assert instances._exact_subset_lam(base_ops, deviations) == float("inf")
     # dropping the cancelling atom leaves every subset sum invertible
     assert np.isfinite(instances._exact_subset_lam(base_ops[[0, 2]], deviations[[0, 2]]))
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_subset_masks_peak_stays_near_the_kept_matrix():
+    masks, peak = _traced_peak(lambda: perturbation.subset_masks(18, 18, 0))
+    assert masks.shape == (2**18 - 1, 18)
+    assert peak <= 2 * masks.nbytes
+
+
+# -- the family's stacked basis check ---------------------------------------
+
+
+def _random_bases(rng, dim, ranks, complex_=False):
+    return [np.linalg.qr(_draw(rng, (dim, r), complex_))[0][:, :r] for r in ranks]
+
+
+def _identical(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _same_family(fam, ref):
+    assert _identical(fam.basis, ref.basis)
+    assert _identical(fam.padded, ref.padded)
+    assert _identical(fam.column_atom, ref.column_atom)
+    assert _identical(fam.weights, ref.weights)
+    assert _identical(fam.masses, ref.masses)
+    assert fam.points == ref.points
+    assert all(_identical(a.basis, b.basis) for a, b in zip(fam.subspaces, ref.subspaces))
+
+
+@pytest.mark.parametrize("atom", [0, 57, 83, 99])
+def test_stacked_check_names_the_non_orthonormal_atom(atom):
+    # 100 atoms span two check chunks; the bad atom may sit in either
+    assert 100 > fusion._CHECK_CHUNK
+    rng = np.random.default_rng(atom)
+    bases = _random_bases(rng, 3, rng.integers(1, 4, size=100))
+    bases[atom] = bases[atom] * (1.0 + 1e-8)
+    with pytest.raises(ValueError, match=rf"^atom {atom} basis columns not orthonormal"):
+        WeightedSubspaceFamily(bases, np.ones(100), np.ones(100))
+    # as a Subspace the same basis fails the public constructor's own check
+    with pytest.raises(ValueError, match="not orthonormal"):
+        Subspace(bases[atom])
+    # a deviation below the threshold passes, as it does for Subspace
+    bases[atom] = bases[atom] / (1.0 + 1e-8) * (1.0 + 1e-13)
+    WeightedSubspaceFamily(bases, np.ones(100), np.ones(100))
+    Subspace(bases[atom])
+
+
+@pytest.mark.parametrize("atom", [3, 70])
+def test_stacked_check_names_the_non_finite_atom(atom):
+    rng = np.random.default_rng(1)
+    bases = _random_bases(rng, 3, np.full(100, 2))
+    bases[atom][1, 0] = np.nan
+    with pytest.raises(ValueError, match=rf"^atom {atom} basis entry \(1, 0\) is not finite \(nan\)"):
+        WeightedSubspaceFamily(bases, np.ones(100), np.ones(100))
+
+
+def test_stacked_check_rejects_a_flat_atom():
+    with pytest.raises(DimensionMismatchError, match="atom 1 basis must be 2-d"):
+        WeightedSubspaceFamily([np.eye(2)[:, :1], np.ones(2)], np.ones(2), np.ones(2))
+
+
+def test_stacked_check_accepts_rank_zero_and_complex_atoms():
+    rng = np.random.default_rng(2)
+    complex_basis = _random_bases(rng, 3, [2], complex_=True)[0]
+    atoms = [np.zeros((3, 0)), complex_basis, np.eye(3)[:, 2:]]
+    fam = WeightedSubspaceFamily(atoms, np.ones(3), np.ones(3))
+    assert fam.ranks == (0, 2, 1)
+    assert all(isinstance(sub, Subspace) for sub in fam.subspaces)
+    assert fam.subspaces[0].rank == 0
+    assert np.array_equal(fam.subspaces[1].basis, complex_basis)
+    s_ref = complex_basis @ adjoint(complex_basis) + np.diag([0.0, 0.0, 1.0])
+    _close(fusion.frame_operator(fam), s_ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(families)
+def test_family_from_arrays_equals_family_from_subspaces(args):
+    seed, dim, atoms, complex_ = args
+    rng = np.random.default_rng(seed)
+    ranks = rng.integers(0, dim + 1, size=atoms)
+    ranks[0] = max(ranks[0], 1)
+    bases = _random_bases(rng, dim, ranks, complex_)
+    weights, masses = rng.uniform(0.5, 2.0, atoms), rng.uniform(0.5, 2.0, atoms)
+    from_arrays = WeightedSubspaceFamily(bases, weights, masses)
+    from_subspaces = WeightedSubspaceFamily([Subspace(b) for b in bases], weights, masses)
+    _same_family(from_arrays, from_subspaces)
+    assert fusion.frame_bounds(from_arrays) == fusion.frame_bounds(from_subspaces)
+
+
+# -- builders against per-atom reference constructions ----------------------
+
+
+def _reference_lines(angles, masses, points):
+    subs = tuple(Subspace(np.array([[math.cos(t)], [math.sin(t)]])) for t in angles)
+    return WeightedSubspaceFamily(subs, np.ones(len(subs)), masses, points)
+
+
+def _reference_range(a):
+    """Subspace on the range of one matrix, by its own SVD and the 1e-12 rank rule."""
+    u, s, _ = np.linalg.svd(a, full_matrices=False)
+    return Subspace(u[:, : int(np.count_nonzero(s > 1e-12 * s[0]))])
+
+
+def _reference_random_fusion(dim, atoms, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        ranks = rng.integers(1, max(dim, 2), size=atoms)
+        if ranks.sum() < dim:
+            continue
+        subs = tuple(Subspace(b) for b in _random_bases(rng, dim, ranks))
+        fam = WeightedSubspaceFamily(
+            subs, rng.uniform(0.5, 2.0, atoms), rng.uniform(0.5, 2.0, atoms)
+        )
+        bounds = fusion.frame_bounds(fam)
+        if bounds.lower > 1e-9 * max(bounds.upper, 1.0):
+            return fam
+    raise AssertionError("no spanning family")
+
+
+def _reference_sandwich(dim, atoms, seed):
+    rng = np.random.default_rng(seed)
+    weights, masses = rng.uniform(0.5, 2.0, atoms), rng.uniform(0.5, 2.0, atoms)
+    for _ in range(200):
+        ranks = rng.integers(1, max(dim, 2), size=atoms)
+        if ranks.sum() < dim:
+            continue
+        bases = _random_bases(rng, dim, ranks)
+        total = np.zeros((dim, dim))
+        for u, w, mu in zip(bases, weights, masses):
+            g = rng.standard_normal((dim, dim))
+            g = (g + g.T) / 2.0
+            g /= np.linalg.norm(g, 2)
+            p = u @ u.T
+            total = total + (w * w * mu) * (p @ (np.eye(dim) + 0.25 * g) @ p)
+        evals, evecs = np.linalg.eigh((total + total.T) / 2.0)
+        if evals[0] <= 1e-6 * evals[-1]:
+            continue
+        inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
+        subs = tuple(_reference_range(inv_sqrt @ u) for u in bases)
+        return WeightedSubspaceFamily(subs, weights, masses)
+    raise AssertionError("no positive weighted sum")
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_range_bases_match_per_matrix_svd(complex_):
+    rng = np.random.default_rng(4)
+    low_rank = _draw(rng, (4, 2), complex_) @ _draw(rng, (2, 4), complex_)
+    stack = np.stack([
+        _draw(rng, (4, 4), complex_),
+        1e-14 * low_rank,  # the rank rule is relative to the largest singular value
+        np.zeros((4, 4)),
+        low_rank,
+    ])
+    bases = hilbert.range_bases(stack)
+    assert [b.shape[1] for b in bases] == [4, 2, 0, 2]
+    for got, a in zip(bases, stack):
+        assert _identical(got, _reference_range(a).basis)
+
+
+@pytest.mark.parametrize("n", [1, 8, 13, 64, 200])
+def test_rotating_line_family_matches_per_atom_lines(n):
+    meas = discretize(ParameterSpace.circle(period=math.pi), DiscretizationScheme("midpoint", n))
+    ref = _reference_lines(meas.points, meas.masses, tuple(float(p) for p in meas.points))
+    _same_family(instances.rotating_line_family(n), ref)
+
+
+@pytest.mark.parametrize("atoms", [2, 3, 5, 17])
+def test_equiangular_family_matches_per_atom_lines(atoms):
+    angles = [k * math.pi / atoms for k in range(atoms)]
+    ref = _reference_lines(angles, np.ones(atoms), tuple(float(t) for t in angles))
+    _same_family(instances.equiangular_family(atoms), ref)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_random_builders_match_per_atom_references(seed):
+    dim, atoms = 2 + seed % 5, 2 + seed
+    _same_family(
+        instances.random_fusion_family(dim, atoms, seed),
+        _reference_random_fusion(dim, atoms, seed),
+    )
+    _same_family(
+        instances.sandwich_instance(dim, atoms, seed)[0],
+        _reference_sandwich(dim, atoms, seed),
+    )
+    ops = instances.induced_frame_instance(dim, atoms, seed)
+    _, induced = theorems.verify_induced_fusion_frame(ops)
+    ref = WeightedSubspaceFamily(
+        tuple(_reference_range(t) for t in ops.operators), ops.weights, ops.masses, ops.points
+    )
+    _same_family(induced, ref)
+
+
+def test_builders_construct_no_subspace_per_atom(monkeypatch):
+    checked = []
+    original = Subspace.__post_init__
+
+    def counting(self):
+        checked.append(self)
+        original(self)
+
+    monkeypatch.setattr(Subspace, "__post_init__", counting)
+    instances.rotating_line_family(64)
+    instances.equiangular_family(9)
+    instances.mercedes_family()
+    instances.axes_family(4)
+    instances.orthogonal_blocks_family(6, 3, 1)
+    instances.random_fusion_family(6, 8, 1)
+    instances.sandwich_instance(5, 6, 1)
+    instances.sandwich_instance(5, 6, 1, scaled_orthogonal=True)
+    instances.projection_identity_instance(6, 1, "orthogonal", 5)
+    theorems.verify_induced_fusion_frame(instances.induced_frame_instance(5, 6, 1))
+    assert checked == []
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_induced_check_holds_few_stacks_at_once(complex_):
+    # the induced family's bases, its padded bases, the deviation stack and
+    # stacked_gram's one scaled copy: about four operator stacks at the peak
+    rng = np.random.default_rng(3)
+    dim, atoms = 32, 200
+    ops = _draw(rng, (atoms, dim, dim), complex_)
+    fam = OperatorFamily(
+        operators=ops,
+        weights=rng.uniform(0.5, 2.0, atoms),
+        masses=rng.uniform(0.5, 2.0, atoms),
+        sum_mode=SumMode.WEIGHTED,
+    )
+    _, peak = _traced_peak(lambda: theorems.verify_induced_fusion_frame(fam))
+    assert peak < 4.5 * fam.operators.nbytes
