@@ -1,9 +1,11 @@
 """Canonical and seeded random instances, plus the scenario registry.
 
 Every random draw flows through numpy's default_rng (PCG64), so a seed
-fully determines each instance bit for bit across platforms. The registry
-is the single home of the canonical scenarios: tests, docs and the CLI all
-build from here.
+fully determines each instance bit for bit on a given NumPy/LAPACK build
+(QR, SVD and eigh outputs depend on LAPACK). Each per-atom random quantity
+is one stacked draw, and sums over atoms add the stack slice by slice in
+atom order. The registry is the single home of the canonical scenarios:
+tests, docs and the CLI all build from here.
 """
 from __future__ import annotations
 
@@ -14,9 +16,9 @@ import numpy as np
 
 from . import fusion, resolution
 from .fusion import WeightedSubspaceFamily
-from .hilbert import adjoint, orthonormal_basis, range_bases
+from .hilbert import adjoint, hermitian_part, range_bases
 from .measure import DiscretizationScheme, ParameterSpace, discretize
-from .perturbation import PerturbationParams, subset_masks, subset_sums
+from .perturbation import PerturbationParams, composite_defects, subset_masks, subset_sums
 from .resolution import OperatorFamily, SumMode
 
 
@@ -48,8 +50,13 @@ def _orthogonal_blocks(dim: int, blocks: int, rng=None) -> tuple:
     return tuple(np.split(q, ends[:-1], axis=1))
 
 
-def _projectors(bases) -> tuple:
-    return tuple(b @ adjoint(b) for b in bases)
+def _projectors(bases) -> np.ndarray:
+    return np.array([b @ adjoint(b) for b in bases])
+
+
+def _unit_norm(stack: np.ndarray) -> np.ndarray:
+    """Each matrix of a stack divided by its operator norm."""
+    return stack / np.linalg.norm(stack, 2, axis=(1, 2))[:, None, None]
 
 
 def _lines(angles) -> np.ndarray:
@@ -144,20 +151,13 @@ def random_resolution_family(
     """
     rng = np.random.default_rng(seed) if rng is None else rng
     alphas = _simplex(rng, atoms)
-    noise = []
-    for _ in range(atoms):
-        g = rng.standard_normal((dim, dim))
-        noise.append(g / np.linalg.norm(g, 2))
+    noise = _unit_norm(rng.standard_normal((atoms, dim, dim)))
     weights = rng.uniform(0.5, 2.0, atoms)
     eps = 0.3 / atoms
     for _ in range(50):
-        raw = [a * np.eye(dim) + eps * g for a, g in zip(alphas, noise)]
-        total = np.zeros((dim, dim))
-        for t in raw:
-            total = total + t
-        ops = tuple(t @ np.linalg.inv(total) for t in raw)
+        raw = alphas[:, None, None] * np.eye(dim) + eps * noise
         fam = OperatorFamily(
-            operators=ops,
+            operators=raw @ np.linalg.inv(sum(raw)),
             weights=weights,
             masses=np.ones(atoms),
             sum_mode=SumMode.RAW,
@@ -179,25 +179,18 @@ def block_resolution_family(
     """
     if dim < 2:
         raise ValueError(f"need dim >= 2 to split into blocks, got {dim}")
-    sizes = _balanced_partition(dim, 2)
-    offsets = [0, sizes[0]]
-    operators = []
-    weights = []
-    for b, size in enumerate(sizes):
-        part = random_resolution_family(
-            size, atoms, rng=np.random.default_rng([seed, b])
-        )
-        for t, w in zip(part.operators, part.weights):
-            big = np.zeros((dim, dim))
-            lo = offsets[b]
-            big[lo : lo + size, lo : lo + size] = t
-            operators.append(big)
-            weights.append(w)
-    n = len(operators)
+    lo = _balanced_partition(dim, 2)[0]
+    first, second = (
+        random_resolution_family(size, atoms, rng=np.random.default_rng([seed, b]))
+        for b, size in enumerate((lo, dim - lo))
+    )
+    operators = np.zeros((2 * atoms, dim, dim))
+    operators[:atoms, :lo, :lo] = first.operators
+    operators[atoms:, lo:, lo:] = second.operators
     return OperatorFamily(
-        operators=tuple(operators),
-        weights=np.asarray(weights),
-        masses=np.ones(n),
+        operators=operators,
+        weights=np.concatenate([first.weights, second.weights]),
+        masses=np.ones(2 * atoms),
         sum_mode=SumMode.RAW,
     )
 
@@ -314,21 +307,15 @@ def induced_frame_instance(
         if ranks.sum() < dim:
             continue
         projectors = _projectors(_random_basis(rng, dim, int(r)) for r in ranks)
-        directions = [rng.standard_normal((dim, dim)) for _ in range(atoms)]
+        directions = projectors @ _unit_norm(rng.standard_normal((atoms, dim, dim)))
         eps = 0.3
         for _ in range(40):
-            raw = [
-                p + eps * (p @ (g / np.linalg.norm(g, 2)))
-                for p, g in zip(projectors, directions)
-            ]
-            total = np.zeros((dim, dim))
-            for t, w, mu in zip(raw, weights, masses):
-                total = total + (w * w * mu) * t
+            raw = projectors + eps * directions
+            total = sum((weights * weights * masses)[:, None, None] * raw)
             svals = np.linalg.svd(total, compute_uv=False)
             if svals[-1] > 1e-6 * svals[0]:
-                inv = np.linalg.inv(total)
                 fam = OperatorFamily(
-                    operators=tuple(t @ inv for t in raw),
+                    operators=raw @ np.linalg.inv(total),
                     weights=weights,
                     masses=masses,
                     sum_mode=SumMode.WEIGHTED,
@@ -364,10 +351,7 @@ def sandwich_instance(
         fam = WeightedSubspaceFamily(
             subspaces=subs, weights=weights, masses=masses
         )
-        ops = tuple(
-            p / (w * w * m)
-            for p, w, m in zip(_projectors(subs), weights, masses)
-        )
+        ops = _projectors(subs) / (weights * weights * masses)[:, None, None]
         return fam, OperatorFamily(
             operators=ops, weights=weights, masses=masses,
             sum_mode=SumMode.WEIGHTED,
@@ -379,22 +363,15 @@ def sandwich_instance(
         if ranks.sum() < dim:
             continue
         bases = [_random_basis(rng, dim, int(r)) for r in ranks]
-        cores = []
-        for u in bases:
-            g = rng.standard_normal((dim, dim))
-            g = (g + g.T) / 2.0
-            g /= np.linalg.norm(g, 2)
-            p = u @ u.T
-            cores.append(p @ (np.eye(dim) + 0.25 * g) @ p)
-        total = np.zeros((dim, dim))
-        for t, w, mu in zip(cores, weights, masses):
-            total = total + (w * w * mu) * t
-        total = (total + total.T) / 2.0
-        evals, evecs = np.linalg.eigh(total)
+        g = _unit_norm(hermitian_part(rng.standard_normal((atoms, dim, dim))))
+        p = _projectors(bases)
+        cores = p @ (np.eye(dim) + 0.25 * g) @ p
+        total = sum((weights * weights * masses)[:, None, None] * cores)
+        evals, evecs = np.linalg.eigh(hermitian_part(total))
         if evals[0] <= 1e-6 * evals[-1]:
             continue
         inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
-        ops = tuple(inv_sqrt @ t @ inv_sqrt for t in cores)
+        ops = inv_sqrt @ cores @ inv_sqrt
         fam = WeightedSubspaceFamily(
             subspaces=tuple(range_bases((inv_sqrt @ u)[None])[0] for u in bases),
             weights=weights,
@@ -451,8 +428,8 @@ def vector_frame_instance(
         raise ValueError(f"need at least dim={dim} vectors to span, got {count}")
     for _ in range(100):
         vecs = rng.standard_normal((dim, count))
-        if orthonormal_basis(list(vecs.T)).rank == dim:
-            return base, tuple(vecs[:, k] for k in range(count))
+        if range_bases(vecs[None])[0].shape[1] == dim:
+            return base, tuple(vecs.T)
     raise RuntimeError(f"no spanning sequence found for seed {seed}")
 
 
@@ -477,17 +454,15 @@ def perturbed_sum_instance(
     if kind == "columns":
         u = rng.standard_normal((dim, dim))
         u *= lam / np.linalg.norm(u)
-        ops = tuple(
-            np.outer(eye[:, i] + u[:, i], eye[:, i]) for i in range(dim)
-        )
+        # atom i is the outer product of column i of eye + u with e_i
+        ops = (eye + u).T[:, :, None] * eye[:, None, :]
     elif kind == "left":
         g = rng.standard_normal((dim, dim))
         g /= np.linalg.norm(g, 2)
-        factor = eye + lam * g
-        ops = tuple(factor @ t for t in base.operators)
+        ops = (eye + lam * g) @ base.operators
     elif kind == "scalar":
         deltas = rng.uniform(-lam, lam, dim)
-        ops = tuple((1.0 + d) * t for d, t in zip(deltas, base.operators))
+        ops = (1.0 + deltas)[:, None, None] * base.operators
     else:
         raise ValueError(f"unknown kind {kind!r}")
     perturbed = OperatorFamily(
@@ -536,9 +511,9 @@ def perturbed_resolution_instance(
         return base, base, params, 0.0
     if kind == "uniform":
         eps = 0.1
-        ops = tuple((1.0 - eps) * t for t in base.operators)
         perturbed = OperatorFamily(
-            operators=ops, weights=base.weights, masses=base.masses,
+            operators=(1.0 - eps) * base.operators,
+            weights=base.weights, masses=base.masses,
             sum_mode=SumMode.RAW,
         )
         return base, perturbed, PerturbationParams(eps, 0.0, zeros), eps
@@ -546,10 +521,9 @@ def perturbed_resolution_instance(
         g = rng.standard_normal((dim, dim))
         g /= np.linalg.norm(g, 2)
         eps = 0.15
-        factor = np.eye(dim) + eps * g
-        ops = tuple(factor @ t for t in base.operators)
         perturbed = OperatorFamily(
-            operators=ops, weights=base.weights, masses=base.masses,
+            operators=(np.eye(dim) + eps * g) @ base.operators,
+            weights=base.weights, masses=base.masses,
             sum_mode=SumMode.RAW,
         )
         lam = min(eps * (1.0 + 1e-9), 0.95)
@@ -557,26 +531,20 @@ def perturbed_resolution_instance(
     if kind != "additive":
         raise ValueError(f"unknown kind {kind!r}")
     c_const = resolution.resolution_bounds(base).lower
-    raw_noise = []
-    for _ in range(atoms):
-        g = rng.standard_normal((dim, dim))
-        raw_noise.append(g / np.linalg.norm(g, 2))
+    raw_noise = _unit_norm(rng.standard_normal((atoms, dim, dim)))
     budget = 0.5 * np.sqrt(c_const) * rng.uniform(0.3, 1.0)
     sizes = _simplex(rng, atoms)
     for _ in range(60):
         # per-atom operator-norm envelope sized to keep the side condition
         scales = budget * np.sqrt(sizes / base.masses) / base.weights
-        noise = [s * g for s, g in zip(scales, raw_noise)]
-        ops = tuple(t + e for t, e in zip(base.operators, noise))
-        lam_exact = _exact_subset_lam(base.operators, [-e for e in noise])
+        noise = scales[:, None, None] * raw_noise
+        lam_exact = _exact_subset_lam(base.operators, -noise)
         if lam_exact < 0.9:
             lam = lam_exact * (1.0 + 1e-9) + 1e-15
-            phi = tuple(
-                float(w * np.linalg.norm(e, 2)) * (1.0 + 1e-12)
-                for w, e in zip(base.weights, noise)
-            )
+            phi = base.weights * np.linalg.norm(noise, 2, axis=(1, 2)) * (1.0 + 1e-12)
             perturbed = OperatorFamily(
-                operators=ops, weights=base.weights, masses=base.masses,
+                operators=base.operators + noise,
+                weights=base.weights, masses=base.masses,
                 sum_mode=SumMode.RAW,
             )
             return base, perturbed, PerturbationParams(0.0, 0.0, phi), lam
@@ -615,24 +583,14 @@ def composite_instance(
             sum_mode=SumMode.RAW,
         )
         lambda1 = 0.1
-        phi = []
-        for t in ops:
-            phi.append(
-                max(
-                    0.0,
-                    float(
-                        np.linalg.norm(np.eye(dim) - t @ t, 2)
-                        - lambda1 * np.linalg.svd(t, compute_uv=False)[-1]
-                    ),
-                )
-            )
-        return fam, fam, PerturbationParams(lambda1, 0.0, tuple(phi)), 0.0
+        phi = np.maximum(composite_defects(fam, ops, lambda1, 0.0), 0.0)
+        return fam, fam, PerturbationParams(lambda1, 0.0, phi), 0.0
     if kind != "scalar":
         raise ValueError(f"unknown kind {kind!r}")
     alphas = _simplex(rng, atoms)
-    base_ops = tuple(a * np.eye(dim) for a in alphas)
     base = OperatorFamily(
-        operators=base_ops, weights=np.ones(atoms), masses=np.ones(atoms),
+        operators=alphas[:, None, None] * np.eye(dim),
+        weights=np.ones(atoms), masses=np.ones(atoms),
         sum_mode=SumMode.RAW,
     )
     d_const = float(np.sum(alphas**2))
@@ -640,41 +598,17 @@ def composite_instance(
     lambda2 = float(rng.uniform(0.05, 0.3))
     eps = rng.uniform(-0.02, 0.02, atoms)
     eta = 0.005 * float(alphas.min())
-    noise = []
-    for _ in range(atoms):
-        g = rng.standard_normal((dim, dim))
-        g = (g + g.T) / 2.0
-        noise.append(g / np.linalg.norm(g, 2))
-    eye = np.eye(dim)
+    noise = _unit_norm(hermitian_part(rng.standard_normal((atoms, dim, dim))))
     for _ in range(60):
-        raw_s = [
-            a * (1.0 + e) * eye + eta * g
-            for a, e, g in zip(alphas, eps, noise)
-        ]
-        gram = np.zeros((dim, dim))
-        for s in raw_s:
-            gram = gram + s.T @ s
-        top = float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
+        raw_s = (alphas * (1.0 + eps))[:, None, None] * np.eye(dim) + eta * noise
+        gram = sum(adjoint(raw_s) @ raw_s)
+        top = float(np.linalg.eigvalsh(hermitian_part(gram))[-1])
         c = min(1.0, math.sqrt(d_const / top) * (1.0 - 1e-12))
-        s_ops = tuple(c * s for s in raw_s)
-        lam = max(
-            float(np.linalg.norm(t - s, 2)) / a
-            for t, s, a in zip(base_ops, s_ops, alphas)
-        ) * (1.0 + 1e-9)
-        phi = []
-        for t, s in zip(base_ops, s_ops):
-            ts = t @ s
-            phi.append(
-                max(
-                    0.0,
-                    float(
-                        np.linalg.norm(eye - ts, 2)
-                        - lambda1 * np.linalg.svd(t, compute_uv=False)[-1]
-                        - lambda2 * np.linalg.svd(ts, compute_uv=False)[-1]
-                    ),
-                )
-                + 1e-12
-            )
+        s_ops = c * raw_s
+        lam = (
+            np.linalg.norm(base.operators - s_ops, 2, axis=(1, 2)) / alphas
+        ).max() * (1.0 + 1e-9)
+        phi = np.maximum(composite_defects(base, s_ops, lambda1, lambda2), 0.0) + 1e-12
         side = math.sqrt(atoms) - lambda1 * math.sqrt(d_const) - float(
             np.linalg.norm(phi)
         )
@@ -683,7 +617,7 @@ def composite_instance(
                 operators=s_ops, weights=base.weights, masses=base.masses,
                 sum_mode=SumMode.RAW,
             )
-            return base, family, PerturbationParams(lambda1, lambda2, tuple(phi)), lam
+            return base, family, PerturbationParams(lambda1, lambda2, phi), lam
         eps = eps * 0.5
         eta *= 0.5
         lambda1 *= 0.7

@@ -171,6 +171,26 @@ def _sigma_min(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[:, -1]
 
 
+def composite_defects(
+    base: OperatorFamily, s: np.ndarray, lambda1: float, lambda2: float
+) -> np.ndarray:
+    """Per-atom defect of the composite singular-value certificate, before phi.
+
+    For each atom, sigma_max(w - w^2 T S) - lambda1 sigma_min(w T)
+    - lambda2 sigma_min(w^2 T S), with T the base operators and S the
+    stack ``s``. The composite closeness inequality holds for every vector
+    wherever the defect is at most phi.
+    """
+    w = base.weights[:, None, None]
+    t = base.operators
+    wts = w * w * (t @ s)
+    return (
+        np.linalg.norm(w * np.eye(base.ambient_dim) - wts, 2, axis=(1, 2))
+        - lambda1 * _sigma_min(w * t)
+        - lambda2 * _sigma_min(wts)
+    )
+
+
 # Subsets summed at once by subset_sums; bounds each temporary stack of
 # subset sums to _SUBSET_CHUNK x d x d entries.
 _SUBSET_CHUNK = 128
@@ -473,12 +493,7 @@ def verify_composite_perturbation(
     probe_margin = float((lhs - rhs).max())
     composition_margin = float((ts_norms - e_const * _probe_norms(s, probes)).max())
     certificate_margin = float(
-        (
-            np.linalg.norm(defect, 2, axis=(1, 2))
-            - params.lambda1 * _sigma_min(w * t)
-            - params.lambda2 * _sigma_min(w * w * ts)
-            - phi
-        ).max()
+        (composite_defects(base, s, params.lambda1, params.lambda2) - phi).max()
     )
     report.add_hypothesis(
         "pointwise_composite", probe_margin <= tol, residual=probe_margin

@@ -32,6 +32,29 @@ def test_check_perturbation_uniform_scaling():
     assert any("certificate" in n for n in report.notes)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_singular_value_certificate_outcomes(seed):
+    # additive phi is each atom's weighted noise norm, so the certificate holds
+    base, perturbed, params, _ = instances.perturbed_resolution_instance(4, 5, seed, "additive")
+    report = perturbation.check_perturbation(base, perturbed, params)
+    assert report.constants["certificate_margin"] <= 0.0
+    assert "singular-value certificate holds for all vectors" in report.notes
+    # uniform scaling holds on every vector, yet eps ||wT|| > eps sigma_min(wT)
+    base, perturbed, params, _ = instances.perturbed_resolution_instance(4, 5, seed, "uniform")
+    report = perturbation.check_perturbation(base, perturbed, params)
+    assert report.constants["certificate_margin"] > 0.0
+    assert "probe-certified only; singular-value certificate inconclusive" in report.notes
+    # the composite builder sets phi from the same defects the check recomputes
+    report = perturbation.verify_composite_perturbation(
+        *instances.composite_instance(4, 5, seed, "scalar")
+    )
+    assert report.constants["certificate_margin"] <= 0.0
+    report = perturbation.verify_composite_perturbation(
+        *instances.composite_instance(4, 5, seed, "projector_defect")
+    )
+    assert report.constants["certificate_margin"] == 0.0
+
+
 def test_check_perturbation_detects_violation():
     base = instances.random_resolution_family(3, 4, 1)
     far = OperatorFamily(

@@ -17,6 +17,7 @@ from framelab.errors import DimensionMismatchError
 from framelab.fusion import WeightedSubspaceFamily
 from framelab.hilbert import Subspace, adjoint
 from framelab.measure import DiscretizationScheme, ParameterSpace, discretize
+from framelab.perturbation import PerturbationParams
 from framelab.resolution import OperatorFamily, SumMode
 
 REL = 1e-12
@@ -428,6 +429,230 @@ def _reference_sandwich(dim, atoms, seed):
     raise AssertionError("no positive weighted sum")
 
 
+def _same_operators(fam, ref):
+    assert fam.sum_mode is ref.sum_mode
+    assert _identical(fam.operators, ref.operators)
+    assert _identical(fam.weights, ref.weights)
+    assert _identical(fam.masses, ref.masses)
+    assert fam.points == ref.points
+
+
+def _same_instance(got, want):
+    """Builder outputs equal part by part, every array and number by its bytes."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        if isinstance(a, OperatorFamily):
+            _same_operators(a, b)
+        elif isinstance(a, PerturbationParams):
+            assert _identical([a.lambda1, a.lambda2, *a.phi], [b.lambda1, b.lambda2, *b.phi])
+        else:
+            assert _identical(a, b)
+
+
+def _reference_simplex(rng, n):
+    e = rng.exponential(1.0, n)
+    return e / e.sum()
+
+
+def _reference_blocks(rng, dim, blocks):
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    sizes = [dim // blocks + (i < dim % blocks) for i in range(blocks)]
+    return np.split(q, np.cumsum(sizes)[:-1], axis=1)
+
+
+def _reference_random_resolution(dim, atoms, rng):
+    alphas = _reference_simplex(rng, atoms)
+    noise = []
+    for _ in range(atoms):
+        g = rng.standard_normal((dim, dim))
+        noise.append(g / np.linalg.norm(g, 2))
+    weights = rng.uniform(0.5, 2.0, atoms)
+    eps = 0.3 / atoms
+    for _ in range(50):
+        raw = [a * np.eye(dim) + eps * g for a, g in zip(alphas, noise)]
+        total = np.zeros((dim, dim))
+        for t in raw:
+            total = total + t
+        ops = tuple(t @ np.linalg.inv(total) for t in raw)
+        fam = OperatorFamily(ops, weights, np.ones(atoms), SumMode.RAW)
+        bounds = resolution.resolution_bounds(fam)
+        if bounds.lower > 1e-9 * max(bounds.upper, 1.0):
+            return fam
+        eps *= 0.5
+    raise AssertionError("no positive-Gram resolution")
+
+
+def _reference_block_resolution(dim, atoms, seed):
+    sizes = [(dim + 1) // 2, dim // 2]
+    operators, weights = [], []
+    for b, size in enumerate(sizes):
+        part = _reference_random_resolution(size, atoms, np.random.default_rng([seed, b]))
+        lo = b * sizes[0]
+        for t, w in zip(part.operators, part.weights):
+            big = np.zeros((dim, dim))
+            big[lo : lo + size, lo : lo + size] = t
+            operators.append(big)
+            weights.append(w)
+    return OperatorFamily(tuple(operators), np.asarray(weights), np.ones(len(operators)), SumMode.RAW)
+
+
+def _reference_induced(dim, atoms, seed, exact):
+    rng = np.random.default_rng(seed)
+    if exact:
+        blocks = min(atoms, dim)
+        weights = rng.uniform(0.5, 2.0, blocks)
+        ops = tuple(b @ b.T for b in _reference_blocks(rng, dim, blocks))
+        return OperatorFamily(ops, weights, 1.0 / weights**2, SumMode.WEIGHTED)
+    weights, masses = rng.uniform(0.5, 2.0, atoms), rng.uniform(0.5, 2.0, atoms)
+    for _ in range(200):
+        ranks = rng.integers(1, max(dim, 2), size=atoms)
+        if ranks.sum() < dim:
+            continue
+        projectors = [u @ u.T for u in _random_bases(rng, dim, ranks)]
+        directions = [rng.standard_normal((dim, dim)) for _ in range(atoms)]
+        eps = 0.3
+        for _ in range(40):
+            raw = [
+                p + eps * (p @ (g / np.linalg.norm(g, 2)))
+                for p, g in zip(projectors, directions)
+            ]
+            total = np.zeros((dim, dim))
+            for t, w, mu in zip(raw, weights, masses):
+                total = total + (w * w * mu) * t
+            svals = np.linalg.svd(total, compute_uv=False)
+            if svals[-1] > 1e-6 * svals[0]:
+                inv = np.linalg.inv(total)
+                fam = OperatorFamily(tuple(t @ inv for t in raw), weights, masses, SumMode.WEIGHTED)
+                bounds = resolution.resolution_bounds(fam)
+                if bounds.lower > 1e-9 * max(bounds.upper, 1.0):
+                    return fam
+                break
+            eps *= 0.5
+    raise AssertionError("no invertible weighted sum")
+
+
+def _reference_perturbed_sum(dim, seed, kind, lam):
+    base = resolution.from_orthonormal_basis(dim)
+    rng = np.random.default_rng(seed)
+    eye = np.eye(dim)
+    if kind == "columns":
+        u = rng.standard_normal((dim, dim))
+        u *= lam / np.linalg.norm(u)
+        ops = tuple(np.outer(eye[:, i] + u[:, i], eye[:, i]) for i in range(dim))
+    elif kind == "left":
+        g = rng.standard_normal((dim, dim))
+        g /= np.linalg.norm(g, 2)
+        factor = eye + lam * g
+        ops = tuple(factor @ t for t in base.operators)
+    else:
+        deltas = rng.uniform(-lam, lam, dim)
+        ops = tuple((1.0 + d) * t for d, t in zip(deltas, base.operators))
+    return base, OperatorFamily(ops, base.weights, base.masses, SumMode.RAW), lam
+
+
+def _reference_perturbed_resolution(dim, atoms, seed, kind):
+    base = _reference_random_resolution(dim, atoms, np.random.default_rng(seed))
+    rng = np.random.default_rng([seed, 1])
+    zeros = (0.0,) * atoms
+
+    def family(ops):
+        return OperatorFamily(ops, base.weights, base.masses, SumMode.RAW)
+
+    if kind == "uniform":
+        eps = 0.1
+        ops = tuple((1.0 - eps) * t for t in base.operators)
+        return base, family(ops), PerturbationParams(eps, 0.0, zeros), eps
+    if kind == "left":
+        g = rng.standard_normal((dim, dim))
+        g /= np.linalg.norm(g, 2)
+        eps = 0.15
+        factor = np.eye(dim) + eps * g
+        lam = min(eps * (1.0 + 1e-9), 0.95)
+        ops = tuple(factor @ t for t in base.operators)
+        return base, family(ops), PerturbationParams(lam, 0.0, zeros), lam
+    c_const = resolution.resolution_bounds(base).lower
+    raw_noise = []
+    for _ in range(atoms):
+        g = rng.standard_normal((dim, dim))
+        raw_noise.append(g / np.linalg.norm(g, 2))
+    budget = 0.5 * np.sqrt(c_const) * rng.uniform(0.3, 1.0)
+    sizes = _reference_simplex(rng, atoms)
+    for _ in range(60):
+        scales = budget * np.sqrt(sizes / base.masses) / base.weights
+        noise = [s * g for s, g in zip(scales, raw_noise)]
+        lam_exact = instances._exact_subset_lam(base.operators, [-e for e in noise])
+        if lam_exact < 0.9:
+            phi = tuple(
+                float(w * np.linalg.norm(e, 2)) * (1.0 + 1e-12)
+                for w, e in zip(base.weights, noise)
+            )
+            ops = tuple(t + e for t, e in zip(base.operators, noise))
+            lam = lam_exact * (1.0 + 1e-9) + 1e-15
+            return base, family(ops), PerturbationParams(0.0, 0.0, phi), lam
+        budget *= 0.5
+    raise AssertionError("no subset-stable perturbation")
+
+
+def _reference_composite(dim, atoms, seed, kind):
+    rng = np.random.default_rng([seed, 2])
+    eye = np.eye(dim)
+    if kind == "projector_defect":
+        ops = tuple(b @ b.T for b in _reference_blocks(rng, dim, 2))
+        fam = OperatorFamily(ops, np.ones(2), np.ones(2), SumMode.RAW)
+        phi = [
+            max(0.0, float(
+                np.linalg.norm(eye - t @ t, 2) - 0.1 * np.linalg.svd(t, compute_uv=False)[-1]
+            ))
+            for t in ops
+        ]
+        return fam, fam, PerturbationParams(0.1, 0.0, tuple(phi)), 0.0
+    alphas = _reference_simplex(rng, atoms)
+    base_ops = tuple(a * eye for a in alphas)
+    d_const = float(np.sum(alphas**2))
+    lambda1 = float(rng.uniform(0.05, 0.2))
+    lambda2 = float(rng.uniform(0.05, 0.3))
+    eps = rng.uniform(-0.02, 0.02, atoms)
+    eta = 0.005 * float(alphas.min())
+    noise = []
+    for _ in range(atoms):
+        g = rng.standard_normal((dim, dim))
+        g = (g + g.T) / 2.0
+        noise.append(g / np.linalg.norm(g, 2))
+    for _ in range(60):
+        raw_s = [a * (1.0 + e) * eye + eta * g for a, e, g in zip(alphas, eps, noise)]
+        gram = np.zeros((dim, dim))
+        for s in raw_s:
+            gram = gram + s.T @ s
+        top = float(np.linalg.eigvalsh((gram + gram.T) / 2.0)[-1])
+        c = min(1.0, math.sqrt(d_const / top) * (1.0 - 1e-12))
+        s_ops = tuple(c * s for s in raw_s)
+        lam = max(
+            float(np.linalg.norm(t - s, 2)) / a for t, s, a in zip(base_ops, s_ops, alphas)
+        ) * (1.0 + 1e-9)
+        phi = []
+        for t, s in zip(base_ops, s_ops):
+            ts = t @ s
+            defect = (
+                np.linalg.norm(eye - ts, 2)
+                - lambda1 * np.linalg.svd(t, compute_uv=False)[-1]
+                - lambda2 * np.linalg.svd(ts, compute_uv=False)[-1]
+            )
+            phi.append(max(0.0, float(defect)) + 1e-12)
+        side = math.sqrt(atoms) - lambda1 * math.sqrt(d_const) - float(np.linalg.norm(phi))
+        if side > 1e-6 and lam < 0.95:
+            ones = np.ones(atoms)
+            return (
+                OperatorFamily(base_ops, ones, ones, SumMode.RAW),
+                OperatorFamily(s_ops, ones, ones, SumMode.RAW),
+                PerturbationParams(lambda1, lambda2, tuple(phi)),
+                lam,
+            )
+        eps = eps * 0.5
+        eta *= 0.5
+        lambda1 *= 0.7
+    raise AssertionError("no valid composite instance")
+
+
 @pytest.mark.parametrize("complex_", [False, True])
 def test_range_bases_match_per_matrix_svd(complex_):
     rng = np.random.default_rng(4)
@@ -458,8 +683,9 @@ def test_equiangular_family_matches_per_atom_lines(atoms):
     _same_family(instances.equiangular_family(atoms), ref)
 
 
-@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("seed", range(8))
 def test_random_builders_match_per_atom_references(seed):
+    # atoms run up to 9, past the 8 where NumPy's sum(axis=0) turns pairwise
     dim, atoms = 2 + seed % 5, 2 + seed
     _same_family(
         instances.random_fusion_family(dim, atoms, seed),
@@ -475,6 +701,34 @@ def test_random_builders_match_per_atom_references(seed):
         tuple(_reference_range(t) for t in ops.operators), ops.weights, ops.masses, ops.points
     )
     _same_family(induced, ref)
+    _same_operators(ops, _reference_induced(dim, atoms, seed, exact=False))
+    _same_operators(
+        instances.induced_frame_instance(dim, atoms, seed, exact=True),
+        _reference_induced(dim, atoms, seed, exact=True),
+    )
+    _same_operators(
+        instances.random_resolution_family(dim, atoms, seed),
+        _reference_random_resolution(dim, atoms, np.random.default_rng(seed)),
+    )
+    _same_operators(
+        instances.block_resolution_family(dim, atoms, seed),
+        _reference_block_resolution(dim, atoms, seed),
+    )
+    for kind in ("columns", "left", "scalar"):
+        _same_instance(
+            instances.perturbed_sum_instance(dim, seed, kind),
+            _reference_perturbed_sum(dim, seed, kind, 0.5),
+        )
+    for kind in ("additive", "left", "uniform"):
+        _same_instance(
+            instances.perturbed_resolution_instance(dim, atoms, seed, kind),
+            _reference_perturbed_resolution(dim, atoms, seed, kind),
+        )
+    for kind in ("scalar", "projector_defect"):
+        _same_instance(
+            instances.composite_instance(dim, atoms, seed, kind),
+            _reference_composite(dim, atoms, seed, kind),
+        )
 
 
 def test_builders_construct_no_subspace_per_atom(monkeypatch):
@@ -496,6 +750,7 @@ def test_builders_construct_no_subspace_per_atom(monkeypatch):
     instances.sandwich_instance(5, 6, 1, scaled_orthogonal=True)
     instances.projection_identity_instance(6, 1, "orthogonal", 5)
     theorems.verify_induced_fusion_frame(instances.induced_frame_instance(5, 6, 1))
+    instances.vector_frame_instance(5, 6, 1)
     assert checked == []
 
 
