@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from . import fusion, instances, perturbation, resolution, serialize, theorems
+from . import fusion, hilbert, instances, perturbation, resolution, serialize, theorems
 from .errors import FrameLabError, NotAFrameError
 from .fusion import WeightedSubspaceFamily
 from .perturbation import PerturbationParams
@@ -146,7 +146,7 @@ def _probe_vector(args, dim: int) -> np.ndarray:
     if raw is not None:
         import json
 
-        vec = np.asarray(json.loads(raw), dtype=float)
+        vec = hilbert.require_finite(np.asarray(json.loads(raw), dtype=float), "--vector")
         if vec.shape != (dim,):
             raise ValueError(f"vector must have {dim} entries, got shape {vec.shape}")
         return vec

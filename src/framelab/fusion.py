@@ -50,13 +50,14 @@ def _stack(atoms: tuple):
     return np.concatenate(bases, axis=1), np.array([b.shape[1] for b in bases])
 
 
-def _padded(basis: np.ndarray, column_atom: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-    """(atoms, d, max rank) stack: each atom's columns of ``basis``, zero-padded.
+def _padded(basis: np.ndarray, column_atom: np.ndarray, natoms: int) -> np.ndarray:
+    """(natoms, d, max rank) stack: each atom's columns of ``basis``, zero-padded.
 
-    ``column_atom`` numbers the atoms from 0 and ``ranks`` counts their columns.
+    ``column_atom`` numbers the atoms from 0. Families do not keep this stack.
     """
+    ranks = np.bincount(column_atom, minlength=natoms)
     position = np.arange(column_atom.size) - np.repeat(np.cumsum(ranks) - ranks, ranks)
-    out = np.zeros((ranks.size, basis.shape[0], ranks.max()), dtype=basis.dtype)
+    out = np.zeros((natoms, basis.shape[0], ranks.max()), dtype=basis.dtype)
     out[column_atom, :, position] = basis.T
     return out
 
@@ -64,8 +65,8 @@ def _padded(basis: np.ndarray, column_atom: np.ndarray, ranks: np.ndarray) -> np
 def _check_bases(basis: np.ndarray, column_atom: np.ndarray, ranks: np.ndarray):
     """Every atom's basis is finite with orthonormal columns, checked over the stack.
 
-    Runs before the family's own padded stack exists, on chunk-sized padded
-    stacks, so the check adds nothing to the constructor's peak memory.
+    Works on chunk-sized padded stacks, so the check adds little to the
+    constructor's peak memory.
     """
     finite = np.isfinite(basis)
     if not finite.all():
@@ -75,7 +76,7 @@ def _check_bases(basis: np.ndarray, column_atom: np.ndarray, ranks: np.ndarray):
     for lo in range(0, ranks.size, _CHECK_CHUNK):
         hi = min(lo + _CHECK_CHUNK, ranks.size)
         cols = slice(ends[lo] - ranks[lo], ends[hi - 1])
-        chunk = _padded(basis[:, cols], column_atom[cols] - lo, ranks[lo:hi])
+        chunk = _padded(basis[:, cols], column_atom[cols] - lo, hi - lo)
         defects = hilbert.orthonormality_defects(chunk, ranks[lo:hi])
         bad = np.flatnonzero(defects > hilbert.ORTHONORMAL_TOL)
         if bad.size:
@@ -85,34 +86,28 @@ def _check_bases(basis: np.ndarray, column_atom: np.ndarray, ranks: np.ndarray):
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WeightedSubspaceFamily:
     """Finitely many weighted subspaces over an atomic measure.
 
-    ``subspaces`` is the constructor input: each atom is a ``Subspace`` or
-    a d x r array with orthonormal columns, and the atoms are checked once,
-    together, as one stack. Every computation reads the stacked form built
-    here instead: ``basis`` is the d x sum(ranks) concatenation of the
-    orthonormal bases, ``column_atom[k]`` is the atom that column k of
-    ``basis`` belongs to, and ``padded[i]`` is atom i's basis zero-padded to
-    the largest rank, for per-atom work batched over atoms. Read back,
-    ``subspaces`` is the per-atom view: one ``Subspace`` per atom on its
-    slice of ``padded``, made on first read (most families are never read
-    atom by atom).
+    The constructor takes ``subspaces``: each atom is a ``Subspace`` or a
+    d x r array with orthonormal columns, and the atoms are checked once,
+    together, as one stack. The family stores them in one form: ``basis`` is
+    the d x sum(ranks) concatenation of the orthonormal bases and
+    ``column_atom[k]`` is the atom that column k of ``basis`` belongs to.
+    Read back, ``subspaces`` is derived from ``basis`` on each read.
     """
 
-    subspaces: tuple
     weights: np.ndarray
     masses: np.ndarray
-    points: tuple = ()
-    basis: np.ndarray = field(init=False, repr=False, compare=False)
-    column_atom: np.ndarray = field(init=False, repr=False, compare=False)
-    padded: np.ndarray = field(init=False, repr=False, compare=False)
+    points: tuple
+    basis: np.ndarray = field(repr=False, compare=False)
+    column_atom: np.ndarray = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        subs = tuple(self.subspaces)
-        w = require_finite(np.asarray(self.weights, dtype=float), "weights")
-        m = require_finite(np.asarray(self.masses, dtype=float), "masses")
+    def __init__(self, subspaces, weights, masses, points=()):
+        subs = tuple(subspaces)
+        w = require_finite(np.asarray(weights, dtype=float), "weights")
+        m = require_finite(np.asarray(masses, dtype=float), "masses")
         if not subs:
             raise ValueError("a family needs at least one atom")
         if w.shape != (len(subs),) or m.shape != (len(subs),):
@@ -126,31 +121,25 @@ class WeightedSubspaceFamily:
             raise ValueError("masses must be strictly positive")
         if ranks.max() < 1:
             raise ValueError("at least one subspace must have rank >= 1")
-        pts = tuple(self.points) if self.points else tuple(range(len(subs)))
+        pts = tuple(points) if points else tuple(range(len(subs)))
         if len(pts) != len(subs):
             raise AtomMismatchError(f"{len(pts)} points for {len(subs)} atoms")
         column_atom = np.repeat(np.arange(len(subs)), ranks)
         _check_bases(basis, column_atom, ranks)
-        padded = _padded(basis, column_atom, ranks)
-        for a in (basis, column_atom, padded):
+        for a in (basis, column_atom):
             a.flags.writeable = False
-        object.__delattr__(self, "subspaces")  # made by __getattr__ when read
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "masses", m)
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "column_atom", column_atom)
-        object.__setattr__(self, "padded", padded)
 
-    def __getattr__(self, name):
-        """``subspaces`` on first read: one ``Subspace`` view of ``padded`` per atom."""
-        if name != "subspaces":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        subs = tuple(
-            Subspace._trusted(self.padded[i, :, :r]) for i, r in enumerate(self.ranks)
-        )
-        object.__setattr__(self, "subspaces", subs)
-        return subs
+    @property
+    def subspaces(self) -> tuple:
+        """One ``Subspace`` per atom, a view of its columns of ``basis``."""
+        ranks = self.ranks
+        ends = np.cumsum(ranks).tolist()
+        return tuple(Subspace._trusted(self.basis[:, e - r : e]) for e, r in zip(ends, ranks))
 
     @property
     def ambient_dim(self) -> int:
@@ -174,12 +163,14 @@ class WeightedSubspaceFamily:
 
     def projectors(self) -> np.ndarray:
         """The per-atom projectors P_i as one (natoms, d, d) stack."""
-        return self.padded @ adjoint(self.padded)
+        pad = _padded(self.basis, self.column_atom, self.natoms)
+        return pad @ adjoint(pad)
 
     def project(self, vectors) -> np.ndarray:
         """d x natoms matrix whose column i is P_i v_i, for the columns v_i of ``vectors``."""
-        coords = np.einsum("ajk,ja->ak", self.padded.conj(), vectors)
-        return np.einsum("aik,ak->ia", self.padded, coords)
+        pad = _padded(self.basis, self.column_atom, self.natoms)
+        coords = np.einsum("ajk,ja->ak", pad.conj(), vectors)
+        return np.einsum("aik,ak->ia", pad, coords)
 
     @classmethod
     def from_atoms(cls, subspaces, weights, masses, points=None):
@@ -199,13 +190,21 @@ class WeightedSubspaceFamily:
 
 @dataclass(frozen=True)
 class Coefficients:
-    """Blocks phi_i in W_i under the mass weighted inner product."""
+    """Blocks phi_i in W_i under the mass weighted inner product.
 
-    blocks: tuple
+    ``blocks`` is one (natoms, d) array whose row i is phi_i.
+    """
+
+    blocks: np.ndarray
     masses: np.ndarray
 
     def __post_init__(self):
-        blocks = tuple(np.asarray(b) for b in self.blocks)
+        try:
+            blocks = np.asarray(self.blocks)
+        except ValueError:  # ragged rows
+            blocks = None
+        if blocks is None or blocks.ndim != 2:
+            raise DimensionMismatchError("blocks must be vectors of one common dimension")
         m = np.asarray(self.masses, dtype=float)
         if len(blocks) != m.shape[0]:
             raise AtomMismatchError(f"{len(blocks)} blocks vs {m.shape[0]} masses")
@@ -218,8 +217,7 @@ class Coefficients:
     def inner(self, other: "Coefficients"):
         if len(self.blocks) != len(other.blocks):
             raise AtomMismatchError("coefficient families have different atom counts")
-        f, g = np.stack(self.blocks), np.stack(other.blocks)
-        return self.masses @ np.sum(g.conj() * f, axis=1)
+        return self.masses @ np.sum(other.blocks.conj() * self.blocks, axis=1)
 
 
 @dataclass(frozen=True)
@@ -245,7 +243,7 @@ def analysis(family: WeightedSubspaceFamily, f) -> Coefficients:
         )
     copies = np.broadcast_to(f[:, None], (f.shape[0], family.natoms))
     projections = family.project(copies) * family.weights
-    return Coefficients(blocks=tuple(projections.T), masses=family.masses)
+    return Coefficients(blocks=projections.T, masses=family.masses)
 
 
 def synthesis(
@@ -260,11 +258,8 @@ def synthesis(
         raise AtomMismatchError(
             f"{len(coeffs.blocks)} blocks for {family.natoms} atoms"
         )
-    try:
-        blocks = np.stack(coeffs.blocks, axis=1)
-    except ValueError:
-        blocks = None
-    if blocks is None or blocks.ndim != 2 or blocks.shape[0] != family.ambient_dim:
+    blocks = coeffs.blocks.T
+    if blocks.shape[0] != family.ambient_dim:
         raise DimensionMismatchError(
             f"blocks must be vectors of ambient dim {family.ambient_dim}"
         )

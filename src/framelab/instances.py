@@ -209,6 +209,9 @@ class Scenario:
             raise ValueError(f"scenario {self.name!r} has no builder")
         builder, defaults = _BUILDERS[self.name]
         given = {"dim": dim, "atoms": atoms, "seed": seed, "n": n}
+        small = [k for k in ("dim", "atoms", "n") if given[k] is not None and int(given[k]) < 1]
+        if small:
+            raise ValueError(f"--{small[0]} must be at least 1, got {given[small[0]]}")
         return builder(**{
             key: default if given[key] is None else int(given[key])
             for key, default in defaults.items()

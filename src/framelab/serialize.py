@@ -108,15 +108,15 @@ def _matrix(raw) -> np.ndarray:
 def _basis_from_rows(rows, dim: int, where: str) -> np.ndarray:
     """One atom's d x r basis, re-orthonormalized when its rows drift past BASIS_KEEP_TOL."""
     mat = _matrix(rows)
+    if mat.shape == (0,):  # a rank-0 atom
+        mat = mat.reshape(0, dim)
     if mat.ndim != 2 or mat.shape[1] != dim:
         raise ValueError(
             f"{where}: basis must be a list of length-{dim} rows, got shape"
             f" {mat.shape}"
         )
-    if mat.shape[0] == 0:
-        raise ValueError(f"{where}: basis has no rows")
     require_finite(mat, f"{where}: basis")
-    deviation = float(np.abs(mat @ adjoint(mat) - np.eye(mat.shape[0])).max())
+    deviation = float(np.abs(mat @ adjoint(mat) - np.eye(mat.shape[0])).max(initial=0.0))
     if deviation <= BASIS_KEEP_TOL:
         return mat.T
     if deviation > BASIS_WARN_TOL:

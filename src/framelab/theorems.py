@@ -30,10 +30,10 @@ def first_power_residual(family: WeightedSubspaceFamily) -> float:
 def orthogonality_defect(family: WeightedSubspaceFamily) -> float:
     """Largest ||U_i* U_j|| over pairs of atoms i < j.
 
-    U* U is formed one atom-row slab at a time from the padded bases (zero
+    U* U is formed one atom-row slab at a time from zero-padded bases (the
     padding leaves the norms unchanged), so no sum(ranks)^2 matrix is built.
     """
-    pad, ranks = family.padded, family.ranks
+    pad, ranks = fusion._padded(family.basis, family.column_atom, family.natoms), family.ranks
     worst = 0.0
     for i in range(family.natoms - 1):
         if ranks[i]:

@@ -127,6 +127,21 @@ def test_reconstruct_tight_family(capsys):
     assert np.allclose(out["reconstructed"], [0.5, -1.5])
 
 
+def test_reconstruct_rejects_a_non_finite_vector(capsys, monkeypatch):
+    monkeypatch.setattr(cli.fusion, "reconstruct", None)  # fails before any work
+    assert run([
+        "reconstruct", "--scenario", "mercedes", "--vector", "[1.0, NaN]",
+    ]) == cli.EXIT_PARSE
+    assert "--vector entry 1 is not finite (nan)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--dim", "--atoms"])
+@pytest.mark.parametrize("scenario", sorted(instances.SCENARIOS))
+def test_gen_rejects_sizes_below_one(scenario, flag, capsys):
+    assert run(["gen", "--scenario", scenario, flag, "0"]) == cli.EXIT_PARSE
+    assert f"{flag} must be at least 1, got 0" in capsys.readouterr().err
+
+
 def test_reconstruct_deficient_family_fails(tmp_path, capsys):
     fam = instances.equiangular_family(3)
     data = json.loads(serialize.dumps_fusion_family(fam))

@@ -115,6 +115,25 @@ def test_synthesis_rejects_coefficients_outside_the_subspace():
         fusion.synthesis(fam, bad)
 
 
+def test_coefficients_are_one_array_with_a_row_per_atom():
+    fam = _family(8)
+    coeffs = fusion.analysis(fam, np.ones(fam.ambient_dim))
+    assert isinstance(coeffs.blocks, np.ndarray)
+    assert coeffs.blocks.shape == (fam.natoms, fam.ambient_dim)
+    assert len(coeffs.blocks) == fam.natoms
+    sub, w = fam.subspaces[2], fam.weights[2]
+    assert np.allclose(coeffs.blocks[2], w * sub.project(np.ones(fam.ambient_dim)), atol=1e-14)
+
+
+def test_ragged_coefficients_are_rejected_at_construction():
+    with pytest.raises(DimensionMismatchError):
+        fusion.Coefficients(blocks=(np.ones(3), np.ones(2)), masses=np.ones(2))
+    with pytest.raises(DimensionMismatchError):
+        fusion.Coefficients(blocks=np.ones((2, 3, 1)), masses=np.ones(2))
+    with pytest.raises(AtomMismatchError):
+        fusion.Coefficients(blocks=np.ones((2, 3)), masses=np.ones(3))
+
+
 def test_synthesis_matrix_norm_squares_to_upper_bound():
     fam = _family(7)
     top = np.linalg.norm(fusion.synthesis_matrix(fam), 2)

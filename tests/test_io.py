@@ -55,6 +55,19 @@ def test_resolution_round_trip_is_byte_identical():
         assert again == text
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+def test_rank_zero_atoms_round_trip_byte_identical(complex_):
+    rng = np.random.default_rng(4)
+    draw = rng.standard_normal((3, 2)) + (1j * rng.standard_normal((3, 2)) if complex_ else 0)
+    atoms = [np.zeros((3, 0)), np.linalg.qr(draw)[0], np.eye(3)[:, 2:], np.zeros((3, 0))]
+    fam = WeightedSubspaceFamily(atoms, rng.uniform(0.5, 2.0, 4), rng.uniform(0.5, 2.0, 4))
+    text = serialize.dumps_fusion_family(fam)
+    assert json.loads(text)["atoms"][0]["basis"] == []
+    loaded = serialize.loads_fusion_family(text)
+    assert loaded.ranks == (0, 2, 1, 0)
+    assert serialize.dumps_fusion_family(loaded) == text
+
+
 def test_round_trip_preserves_values():
     fam = instances.random_fusion_family(3, 4, 11)
     loaded = serialize.loads_fusion_family(serialize.dumps_fusion_family(fam))

@@ -307,12 +307,26 @@ def _identical(a, b):
 
 def _same_family(fam, ref):
     assert _identical(fam.basis, ref.basis)
-    assert _identical(fam.padded, ref.padded)
     assert _identical(fam.column_atom, ref.column_atom)
     assert _identical(fam.weights, ref.weights)
     assert _identical(fam.masses, ref.masses)
     assert fam.points == ref.points
     assert all(_identical(a.basis, b.basis) for a, b in zip(fam.subspaces, ref.subspaces))
+
+
+def test_family_retains_only_its_stacked_basis():
+    # 64 x 400 with ranks 1-16: once built, the family holds basis and
+    # column_atom and no second copy of the bases
+    rng = np.random.default_rng(5)
+    bases = _random_bases(rng, 64, rng.integers(1, 17, size=400))
+    weights, masses = rng.uniform(0.5, 2.0, 400), rng.uniform(0.5, 2.0, 400)
+    tracemalloc.start()
+    try:
+        fam = WeightedSubspaceFamily(bases, weights, masses)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained <= 1.1 * (fam.basis.nbytes + fam.column_atom.nbytes)
 
 
 @pytest.mark.parametrize("atom", [0, 57, 83, 99])
