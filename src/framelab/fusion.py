@@ -86,7 +86,7 @@ def _check_bases(basis: np.ndarray, column_atom: np.ndarray, ranks: np.ndarray):
             )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class WeightedSubspaceFamily:
     """Finitely many weighted subspaces over an atomic measure.
 
@@ -96,6 +96,7 @@ class WeightedSubspaceFamily:
     the d x sum(ranks) concatenation of the orthonormal bases and
     ``column_atom[k]`` is the atom that column k of ``basis`` belongs to.
     Read back, ``subspaces`` is derived from ``basis`` on each read.
+    Families compare and hash by identity.
     """
 
     weights: np.ndarray

@@ -106,10 +106,19 @@ def orthogonal_blocks_family(
 def random_fusion_family(
     dim: int = 4, atoms: int = 6, seed: int = 0
 ) -> WeightedSubspaceFamily:
-    """Seeded random frame of subspaces with spanning ranks and random weights."""
+    """Seeded random frame of subspaces with spanning ranks and random weights.
+
+    Ranks are drawn from [1, dim - 1] (1 when dim is 1), so ``atoms`` of
+    them must be able to reach ``dim``; otherwise ValueError.
+    """
+    top_rank = max(dim, 2) - 1
+    if atoms * top_rank < dim:
+        raise ValueError(
+            f"{atoms} atoms of rank at most {top_rank} cannot span dimension {dim}"
+        )
     rng = np.random.default_rng(seed)
     for _ in range(200):
-        ranks = rng.integers(1, max(dim, 2), size=atoms)
+        ranks = rng.integers(1, top_rank + 1, size=atoms)
         if ranks.sum() < dim:
             continue
         fam = WeightedSubspaceFamily(
@@ -499,10 +508,11 @@ def perturbed_resolution_instance(
 
     kinds: "additive" adds small dense operators with the envelope taken
     from their operator norms and the subset constant computed exactly by
-    exhaustive scan; "left" composes with id + eps G so the relative
-    constant eps covers the deviation; "uniform" rescales the whole family
-    by 1 - eps (every inequality tight); "degenerate" returns the base
-    itself with zero parameters.
+    one exhaustive scan (halving the noise budget halves that constant
+    exactly, so the scan runs once per instance); "left" composes with
+    id + eps G so the relative constant eps covers the deviation; "uniform"
+    rescales the whole family by 1 - eps (every inequality tight);
+    "degenerate" returns the base itself with zero parameters.
 
     Returns (base, perturbed, params, lam).
     """
@@ -537,12 +547,18 @@ def perturbed_resolution_instance(
     raw_noise = _unit_norm(rng.standard_normal((atoms, dim, dim)))
     budget = 0.5 * np.sqrt(c_const) * rng.uniform(0.3, 1.0)
     sizes = _simplex(rng, atoms)
-    for _ in range(60):
+
+    def noise_at(budget):
         # per-atom operator-norm envelope sized to keep the side condition
         scales = budget * np.sqrt(sizes / base.masses) / base.weights
-        noise = scales[:, None, None] * raw_noise
-        lam_exact = _exact_subset_lam(base.operators, -noise)
+        return scales[:, None, None] * raw_noise
+
+    # the noise is linear in the budget and halving is exact, so the scan at
+    # a halved budget is exactly half the last one: scan once, then halve
+    lam_exact = _exact_subset_lam(base.operators, -noise_at(budget))
+    for _ in range(60):
         if lam_exact < 0.9:
+            noise = noise_at(budget)
             lam = lam_exact * (1.0 + 1e-9) + 1e-15
             phi = base.weights * np.linalg.norm(noise, 2, axis=(1, 2)) * (1.0 + 1e-12)
             perturbed = OperatorFamily(
@@ -552,6 +568,7 @@ def perturbed_resolution_instance(
             )
             return base, perturbed, PerturbationParams(0.0, 0.0, phi), lam
         budget *= 0.5
+        lam_exact *= 0.5
     raise RuntimeError(f"no subset-stable perturbation found for seed {seed}")
 
 

@@ -212,18 +212,47 @@ def subset_masks(natoms: int, limit: int, nrandom: int, rng=None) -> np.ndarray:
         rows = counts.view(np.uint8).reshape(-1, width)
         return np.unpackbits(rows, axis=1, count=natoms).view(bool)
     rng = np.random.default_rng(0) if rng is None else rng
-    rows = [*np.eye(natoms, dtype=bool), *np.tri(natoms, dtype=bool)]
-    while len(rows) < 2 * natoms + nrandom:
-        mask = rng.random(natoms) < rng.uniform(0.1, 0.9)
-        if mask.any():
-            rows.append(mask)
-    return np.array(rows)
+    rows = [np.eye(natoms, dtype=bool), np.tri(natoms, dtype=bool)]
+    need = nrandom
+    while need > 0:
+        # a row is natoms uniforms then its density uniform(0.1, 0.9), the
+        # order a row-at-a-time draw takes; empty rows are drawn again
+        r = rng.random((need, natoms + 1))
+        drawn = r[:, :natoms] < 0.1 + 0.8 * r[:, natoms:]
+        drawn = drawn[drawn.any(axis=1)]
+        rows.append(drawn)
+        need -= len(drawn)
+    return np.concatenate(rows)
 
 
 def subset_sums(masks: np.ndarray, *stacks: np.ndarray):
     """Yield (offset, [mask rows @ stack for each stack]): every subset's sum, a chunk at a time."""
     for lo in range(0, len(masks), _SUBSET_CHUNK):
         yield lo, [np.tensordot(masks[lo : lo + _SUBSET_CHUNK], s, axes=1) for s in stacks]
+
+
+def _subset_margins(
+    masks: np.ndarray, operators: np.ndarray, deviations: np.ndarray, lam: float
+) -> np.ndarray:
+    """Scaled domination margin of every subset, one per mask row.
+
+    With A_I and D_I the subset sums of ``operators`` and ``deviations``,
+    the margin is lambda_min(lam^2 A_I^* A_I - D_I^* D_I) divided by the
+    scale max(1, lam^2 ||A_I||^2).
+    """
+    margins = np.empty(len(masks))
+    for lo, (a, dev) in subset_sums(masks, operators, deviations):
+        g = lam * lam * (adjoint(a) @ a)
+        cert = hilbert.hermitian_part(g - adjoint(dev) @ dev)
+        # the scale is max(1, lambda_max(g)), and lambda_max(g) <= trace(g):
+        # where the trace stays a rounding margin below 1 the scale is
+        # exactly 1 and needs no eigenvalue
+        scale = np.ones(len(a))
+        big = np.einsum("ijj->i", g).real > 1.0 - 1e-8
+        if big.any():
+            scale[big] = np.maximum(1.0, np.linalg.eigvalsh(g[big])[:, -1])
+        margins[lo : lo + len(a)] = np.linalg.eigvalsh(cert)[:, 0] / scale
+    return margins
 
 
 def verify_perturbed_sum(
@@ -267,13 +296,10 @@ def verify_perturbed_sum(
         "base_identity_sum", max(basis_res, probe_res) <= tol, residual=basis_res
     )
 
-    deviations = base.operators - perturbed.operators
     masks = subset_masks(base.natoms, subset_limit, nrandom, rng)
-    margins = np.empty(len(masks))
-    for lo, (a, dev) in subset_sums(masks, base.operators, deviations):
-        cert = hilbert.hermitian_part(lam * lam * (adjoint(a) @ a) - adjoint(dev) @ dev)
-        scale = np.maximum(1.0, lam * lam * np.linalg.norm(a, 2, axis=(1, 2)) ** 2)
-        margins[lo : lo + len(a)] = np.linalg.eigvalsh(cert)[:, 0] / scale
+    margins = _subset_margins(
+        masks, base.operators, base.operators - perturbed.operators, lam
+    )
     worst_index = int(np.argmin(margins))
     worst = float(margins[worst_index])
     worst_subset = tuple(np.flatnonzero(masks[worst_index]).tolist())

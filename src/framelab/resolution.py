@@ -26,13 +26,13 @@ class SumMode(enum.Enum):
     WEIGHTED = "weighted"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorFamily:
     """Finitely many operators with weights, masses and a summation mode.
 
     ``operators`` accepts any sequence of d x d matrices and is stored as
     one read-only (natoms, d, d) array; indexing, len and iteration see the
-    individual operators.
+    individual operators. Families compare and hash by identity.
     """
 
     operators: np.ndarray

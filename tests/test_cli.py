@@ -142,6 +142,14 @@ def test_gen_rejects_sizes_below_one(scenario, flag, capsys):
     assert f"{flag} must be at least 1, got 0" in capsys.readouterr().err
 
 
+def test_gen_random_fusion_too_few_atoms_to_span_is_a_parse_failure(capsys, monkeypatch):
+    monkeypatch.setattr(instances, "_random_basis", None)  # fails before any draw
+    assert run([
+        "gen", "--scenario", "random_fusion", "--dim", "2", "--atoms", "1",
+    ]) == cli.EXIT_PARSE
+    assert "1 atoms of rank at most 1 cannot span dimension 2" in capsys.readouterr().err
+
+
 def test_reconstruct_deficient_family_fails(tmp_path, capsys):
     fam = instances.equiangular_family(3)
     data = json.loads(serialize.dumps_fusion_family(fam))

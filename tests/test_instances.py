@@ -34,6 +34,31 @@ def test_every_scenario_builds(name):
     assert isinstance(obj, (WeightedSubspaceFamily, OperatorFamily))
 
 
+@pytest.mark.parametrize("dim, atoms", [(2, 1), (5, 1), (1, 0)])
+def test_random_fusion_family_rejects_sizes_that_cannot_span(dim, atoms):
+    with pytest.raises(ValueError, match="cannot span"):
+        instances.random_fusion_family(dim, atoms, 0)
+
+
+def test_smallest_spanning_random_fusion_sizes_build():
+    for dim, atoms in [(1, 1), (2, 2), (3, 2)]:
+        assert instances.random_fusion_family(dim, atoms, 0).natoms == atoms
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: instances.random_fusion_family(4, 6, 0),
+        lambda: instances.random_resolution_family(4, 6, 0),
+    ],
+)
+def test_families_compare_and_hash_by_identity(build):
+    a, b = build(), build()
+    assert a == a and a != b
+    assert hash(a) == hash(a)
+    assert len({a, b}) == 2
+
+
 def test_same_seed_reproduces_the_instance():
     a = instances.random_fusion_family(5, 7, 42)
     b = instances.random_fusion_family(5, 7, 42)

@@ -171,7 +171,8 @@ def _reference_subset_masks(natoms, limit, nrandom, rng=None):
 
 
 @pytest.mark.parametrize(
-    "natoms, limit, nrandom", [(5, 12, 10_000), (12, 12, 10_000), (14, 12, 300)]
+    "natoms, limit, nrandom",
+    [(5, 12, 10_000), (12, 12, 10_000), (14, 12, 300), (20, 12, 1000), (40, 12, 2000)],
 )
 def test_subset_masks_reproduce_the_enumeration(natoms, limit, nrandom):
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
@@ -183,17 +184,22 @@ def test_subset_masks_reproduce_the_enumeration(natoms, limit, nrandom):
     assert rng.random() == ref_rng.random()
 
 
-def _reference_worst_margin(base, perturbed, lam, limit, nrandom, rng):
-    worst, checked = np.inf, 0
+def _reference_margins(base, perturbed, lam, limit, nrandom, rng):
+    """Every subset's margin and scale, the scale from the SVD of its sum."""
+    margins, scales = [], []
     deviations = base.operators - perturbed.operators
     for mask in _reference_subset_masks(base.natoms, limit, nrandom, rng):
         a = base.operators[mask].sum(axis=0)
         dev = deviations[mask].sum(axis=0)
         cert = hilbert.hermitian_part(lam * lam * (adjoint(a) @ a) - adjoint(dev) @ dev)
-        scale = max(1.0, lam * lam * float(np.linalg.norm(a, 2)) ** 2)
-        worst = min(worst, float(hilbert.self_adjoint_spectrum(cert)[0]) / scale)
-        checked += 1
-    return worst, checked
+        scales.append(max(1.0, lam * lam * float(np.linalg.norm(a, 2)) ** 2))
+        margins.append(float(hilbert.self_adjoint_spectrum(cert)[0]) / scales[-1])
+    return np.array(margins), np.array(scales)
+
+
+def _reference_worst_margin(base, perturbed, lam, limit, nrandom, rng):
+    margins, _ = _reference_margins(base, perturbed, lam, limit, nrandom, rng)
+    return float(margins.min()), len(margins)
 
 
 def _reference_exact_lam(base_ops, deviations):
@@ -267,6 +273,30 @@ def _check_scanner(seed, dim, atoms, complex_, lam, sampled):
         assert np.isinf(lam_exact)
     else:
         assert lam_exact == pytest.approx(lam_ref, rel=REL, abs=1e-14)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_subset_scale_above_one_shares_a_chunk_with_scale_one(complex_):
+    # atoms 3I and -2I: with lam = 0.9, subsets holding 3I alone have
+    # lam^2 ||A_I||^2 > 1, the pair sums to I (trace above 1, scale still 1),
+    # and subsets of the small atoms have trace below 1; all in one chunk
+    rng = np.random.default_rng(12)
+    dim, lam = 3, 0.9
+    small = 0.05 * _draw(rng, (5, dim, dim), complex_)
+    ops = np.concatenate([[3.0 * np.eye(dim), -2.0 * np.eye(dim)], small])
+    noise = 0.01 * _draw(rng, ops.shape, complex_)
+    base, perturbed = (
+        OperatorFamily(stack, np.ones(7), np.ones(7), SumMode.RAW) for stack in (ops, ops + noise)
+    )
+    masks = perturbation.subset_masks(7, 12, 0)
+    assert len(masks) <= perturbation._SUBSET_CHUNK
+    want, scales = _reference_margins(base, perturbed, lam, 12, 0, None)
+    assert np.any(scales > 1.0) and np.any(scales == 1.0)
+    _close(perturbation._subset_margins(masks, ops, -noise, lam), want)
+    report, _ = perturbation.verify_perturbed_sum(base, perturbed, lam)
+    worst, checked = _reference_worst_margin(base, perturbed, lam, 12, 0, None)
+    assert report.constants["subsets_checked"] == checked
+    assert report.constants["worst_subset_margin"] == pytest.approx(worst, rel=REL, abs=1e-14)
 
 
 def test_exact_subset_lam_is_infinite_when_a_subset_sum_is_singular():
@@ -605,6 +635,27 @@ def _reference_perturbed_resolution(dim, atoms, seed, kind):
             return base, family(ops), PerturbationParams(0.0, 0.0, phi), lam
         budget *= 0.5
     raise AssertionError("no subset-stable perturbation")
+
+
+def test_perturbed_resolution_instance_scans_once(monkeypatch):
+    # the builder scans once and halves the result with the budget; the
+    # reference scans again at every budget. Seeds 0-39 run through dims
+    # 2-8 and atoms 2-9 (40 of the 56 pairs), and need up to 8 halvings
+    scans = []
+    exact = instances._exact_subset_lam
+    monkeypatch.setattr(
+        instances, "_exact_subset_lam", lambda *args: scans.append(1) or exact(*args)
+    )
+    tries = []
+    for seed in range(40):
+        dim, atoms = 2 + seed % 7, 2 + seed % 8
+        scans.clear()
+        got = instances.perturbed_resolution_instance(dim, atoms, seed, "additive")
+        assert len(scans) == 1
+        scans.clear()
+        _same_instance(got, _reference_perturbed_resolution(dim, atoms, seed, "additive"))
+        tries.append(len(scans))
+    assert max(tries) >= 3
 
 
 def _reference_composite(dim, atoms, seed, kind):
