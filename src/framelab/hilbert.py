@@ -63,6 +63,8 @@ def require_finite(a, what: str) -> np.ndarray:
     a = np.asarray(a)
     if np.isfinite(a).all():
         return a
+    if a.ndim == 0:
+        raise ValueError(f"{what} is not finite ({a})")
     index = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
     where = index[0] if len(index) == 1 else index
     raise ValueError(f"{what} entry {where} is not finite ({a[index]})")

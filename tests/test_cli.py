@@ -254,6 +254,25 @@ def test_perturb_malformed_scenario_is_a_parse_failure(tmp_path):
     assert run(["perturb", str(path)]) == cli.EXIT_PARSE
 
 
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("phi", "table:[NaN, 0, 0, 0]", "phi entry 0"),
+        ("lambda1", float("inf"), "lambda1"),
+        ("lambda2", float("nan"), "lambda2"),
+    ],
+)
+def test_perturb_non_finite_parameters_are_a_parse_failure(tmp_path, capsys, field, value, named):
+    path = _write_perturbation_fixture(tmp_path)
+    scenario = json.loads(path.read_text())
+    scenario[field] = value
+    path.write_text(json.dumps(scenario))  # writes NaN / Infinity literals
+    assert run(["perturb", str(path)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert named in captured.err and "not finite" in captured.err
+    assert captured.out == ""
+
+
 def test_perturb_mismatched_families_is_internal(tmp_path, capsys):
     base = instances.random_resolution_family(3, 4, 0)
     other = instances.random_resolution_family(4, 4, 0)

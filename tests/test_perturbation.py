@@ -15,6 +15,20 @@ class TestParams:
         with pytest.raises(ValueError):
             PerturbationParams(0.0, 0.0, (-1.0,))
 
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            ((0.1, 0.0, (float("nan"),)), "phi entry 0"),
+            ((0.1, 0.0, (0.0, float("-inf"))), "phi entry 1"),
+            ((float("inf"), 0.0, (0.0,)), "lambda1"),
+            ((float("nan"), 0.0, (0.0,)), "lambda1"),
+            ((0.1, float("nan"), (0.0,)), "lambda2"),
+        ],
+    )
+    def test_non_finite_fields_are_rejected_by_name(self, args, named):
+        with pytest.raises(ValueError, match=f"{named} is not finite"):
+            PerturbationParams(*args)
+
     def test_uniform_and_phi_l2(self):
         params = PerturbationParams.uniform(0.1, 0.2, 0.3, 4)
         assert params.phi == (0.3,) * 4

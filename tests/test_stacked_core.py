@@ -214,6 +214,41 @@ def _reference_exact_lam(base_ops, deviations):
     return worst
 
 
+def _full_scan(masks, operators, deviations, lam):
+    """Every subset's margin from one eigensolve per subset, over the scan's own chunks."""
+    return np.concatenate([
+        np.linalg.eigvalsh(cert)[:, 0] / scale
+        for _, cert, scale in perturbation._subset_certificates(masks, operators, deviations, lam)
+    ])
+
+
+def _same_as_full_scan(masks, operators, deviations, lam, report=None):
+    """The pruned scan returns the full scan's np.argmin and its value, bit for bit."""
+    margins = _full_scan(masks, operators, deviations, lam)
+    index, worst, eigensolved = perturbation._worst_subset(masks, operators, deviations, lam)
+    assert index == int(np.argmin(margins))
+    assert worst == margins[index]
+    assert 1 <= eigensolved <= len(masks)
+    if report is not None:
+        assert report.constants["worst_subset_margin"] == worst
+        assert report.constants["subsets_eigensolved"] == eigensolved
+        subset = tuple(np.flatnonzero(masks[index]).tolist())
+        assert report.hypotheses[-1].detail == f"worst_subset={subset}"
+    return index, margins
+
+
+def _full_svd_exact_lam(base_ops, deviations):
+    """The additive builder's constant with an SVD of every subset, over the same chunks."""
+    worst = 0.0
+    masks = perturbation.subset_masks(len(base_ops), len(base_ops), 0)
+    for _, (a, dev) in perturbation.subset_sums(masks, base_ops, deviations):
+        svals = np.linalg.svd(a, compute_uv=False)
+        if np.any(svals[:, -1] <= 1e-10 * np.maximum(svals[:, 0], 1.0)):
+            return float("inf")
+        worst = max(worst, float(np.linalg.norm(dev @ np.linalg.inv(a), 2, axis=(1, 2)).max()))
+    return worst
+
+
 def _perturbed_sum_pair(seed, dim, atoms, complex_, lam):
     """A raw-mode resolution (operators summing to the identity) and a perturbation of it."""
     rng = np.random.default_rng(seed)
@@ -259,6 +294,9 @@ def _check_scanner(seed, dim, atoms, complex_, lam, sampled):
     assert report.constants["subsets_checked"] == checked
     assert report.constants["worst_subset_margin"] == pytest.approx(worst, rel=REL, abs=1e-14)
     assert any(("sampled" if sampled else "exhaustive") in note for note in report.notes)
+    assert 1 <= report.constants["subsets_eigensolved"] <= checked
+    masks = perturbation.subset_masks(atoms, limit, nrandom, np.random.default_rng(seed))
+    _same_as_full_scan(masks, base.operators, base.operators - perturbed.operators, lam, report)
     sigmas = np.linalg.svd(total, compute_uv=False)
     verdict = (
         worst >= -1e-10
@@ -273,6 +311,7 @@ def _check_scanner(seed, dim, atoms, complex_, lam, sampled):
         assert np.isinf(lam_exact)
     else:
         assert lam_exact == pytest.approx(lam_ref, rel=REL, abs=1e-14)
+    assert lam_exact == _full_svd_exact_lam(base.operators, deviations)
 
 
 @pytest.mark.parametrize("complex_", [False, True])
@@ -292,11 +331,129 @@ def test_subset_scale_above_one_shares_a_chunk_with_scale_one(complex_):
     assert len(masks) <= perturbation._SUBSET_CHUNK
     want, scales = _reference_margins(base, perturbed, lam, 12, 0, None)
     assert np.any(scales > 1.0) and np.any(scales == 1.0)
-    _close(perturbation._subset_margins(masks, ops, -noise, lam), want)
+    [(_, cert, scale)] = perturbation._subset_certificates(masks, ops, -noise, lam)
+    _close(scale, scales)
+    _close(np.linalg.eigvalsh(cert)[:, 0] / scale, want)
+    # every subset's certified bounds hold its margin (soundness), and the
+    # candidates that reach the eigensolver carry the exact margins
+    lower, upper, _ = perturbation._margin_bounds(cert, scale)
+    assert np.all(lower <= want) and np.all(want <= upper)
+    cand = perturbation._candidates(cert, scale, np.inf)
+    assert 0 < len(cand) < len(masks)
+    _close(np.linalg.eigvalsh(cert[cand])[:, 0] / scale[cand], want[cand])
+    assert int(np.argmin(want)) in cand
     report, _ = perturbation.verify_perturbed_sum(base, perturbed, lam)
     worst, checked = _reference_worst_margin(base, perturbed, lam, 12, 0, None)
     assert report.constants["subsets_checked"] == checked
     assert report.constants["worst_subset_margin"] == pytest.approx(worst, rel=REL, abs=1e-14)
+    _same_as_full_scan(masks, ops, base.operators - perturbed.operators, lam, report)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("zero_atoms", [(7, 8), (0, 1)])
+def test_tied_worst_subsets_resolve_to_the_first_index(complex_, zero_atoms):
+    # two duplicated zero atoms: every subset of them has the zero
+    # certificate, margin exactly 0 and bounds exactly 0, while every other
+    # subset clears 0. With atoms (0, 1) of 9 the tied subsets {1}, {0} and
+    # {0, 1} sit in three chunks (rows 127, 255, 383); with (7, 8) two of
+    # them share the first chunk
+    rng = np.random.default_rng(4)
+    dim, atoms, lam = 3, 9, 0.8
+    ops = np.eye(dim) + 0.2 * _draw(rng, (atoms, dim, dim), complex_)
+    noise = 0.02 * _draw(rng, (atoms, dim, dim), complex_) / atoms
+    ops[list(zero_atoms)] = 0.0
+    noise[list(zero_atoms)] = 0.0
+    masks = perturbation.subset_masks(atoms, 12, 0)
+    index, margins = _same_as_full_scan(masks, ops, noise, lam)
+    tied = np.flatnonzero(margins == 0.0)
+    assert len(tied) == 3 and margins.min() == 0.0
+    assert index == tied[0]
+    assert tuple(np.flatnonzero(masks[index])) == zero_atoms[1:]
+
+
+def test_overflowing_certificates_report_the_first_nan_subset():
+    # finite atoms near 1e160 overflow lam^2 A^* A - D^* D to inf - inf:
+    # the margins are NaN, np.argmin stops at the first of them, and the
+    # domination hypothesis fails rather than passing on an empty minimum
+    ops = np.stack([1e160 * np.eye(2), (1.0 - 1e160) * np.eye(2)])
+    base, perturbed = (
+        OperatorFamily(stack, np.ones(2), np.ones(2), SumMode.RAW) for stack in (ops, ops + 1e150)
+    )
+    masks = perturbation.subset_masks(2, 12, 0)
+    deviations = base.operators - perturbed.operators
+    with np.errstate(all="ignore"):
+        margins = _full_scan(masks, base.operators, deviations, 0.5)
+        index, worst, _ = perturbation._worst_subset(masks, base.operators, deviations, 0.5)
+        report, _ = perturbation.verify_perturbed_sum(base, perturbed, 0.5)
+    assert np.isnan(worst) and index == int(np.argmin(margins))
+    domination = report.hypotheses[-1]
+    assert domination.name == "subset_domination" and not domination.passed
+
+
+def _dense_certificates(rng, count, dim, complex_, low):
+    """Hermitian matrices with eigenvalues drawn from [low, 1] in a random basis.
+
+    A random basis spreads each matrix over all its entries, so the
+    Gershgorin discs reach far below the smallest eigenvalue.
+    """
+    q = np.linalg.qr(_draw(rng, (count, dim, dim), complex_))[0]
+    mu = rng.uniform(low, 1.0, (count, 1, dim))
+    return hilbert.hermitian_part((q * mu) @ adjoint(q))
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_cholesky_tier_prunes_what_gershgorin_cannot(complex_):
+    rng = np.random.default_rng(21)
+    cert = _dense_certificates(rng, 300, 6, complex_, 0.1)
+    worst = 0.05
+    assert np.linalg.eigvalsh(cert)[:, 0].min() > worst
+    # a chunk of those whose discs all reach below the running worst
+    lower, _, _ = perturbation._margin_bounds(cert, np.ones(len(cert)))
+    cert = cert[lower <= worst][: perturbation._SUBSET_CHUNK]
+    assert len(cert) >= 100
+    scale = np.ones(len(cert))
+    margins = np.linalg.eigvalsh(cert)[:, 0]
+    assert len(perturbation._candidates(cert, scale, worst)) == 0
+    # a running worst at the chunk's own minimum keeps the whole chunk
+    np.testing.assert_array_equal(
+        perturbation._candidates(cert, scale, margins.min()), np.arange(len(cert))
+    )
+    # and the scan as a whole eigensolves only what the bounds leave
+    base, perturbed, deviations = _perturbed_sum_pair(5, 6, 10, complex_, 0.5)
+    report, _ = perturbation.verify_perturbed_sum(base, perturbed, 0.5)
+    masks = perturbation.subset_masks(10, 12, 0)
+    _same_as_full_scan(masks, base.operators, base.operators - perturbed.operators, 0.5, report)
+    assert report.constants["subsets_eigensolved"] < len(masks)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_a_subset_at_the_running_worst_stays_a_candidate(complex_):
+    # one certificate per chunk, the running worst set to its own computed
+    # margin: no tier may drop it, whatever the rounding of the bounds, the
+    # shift or the factorization
+    rng = np.random.default_rng(33)
+    for dim, low in itertools.product((1, 2, 3, 5, 8), (-0.5, 0.1)):
+        for cert in _dense_certificates(rng, 60, dim, complex_, low):
+            scale = np.array([1.0 + rng.random()])
+            margin = np.linalg.eigvalsh(cert[None])[0, 0] / scale[0]
+            assert len(perturbation._candidates(cert[None], scale, margin)) == 1
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_margin_bounds_hold_where_gershgorin_is_tight(complex_):
+    # [[a, b], [conj b, a]] has lambda_min = a - |b|, the left end of both
+    # discs, so the computed eigenvalue falls on either side of the bound
+    rng = np.random.default_rng(8)
+    n = 4000
+    a = rng.standard_normal(n)
+    b = _draw(rng, n, complex_)
+    cert = np.empty((n, 2, 2), dtype=b.dtype)
+    cert[:, 0, 0] = cert[:, 1, 1] = a
+    cert[:, 0, 1], cert[:, 1, 0] = b, b.conj()
+    scale = 1.0 + rng.random(n)
+    margins = np.linalg.eigvalsh(cert)[:, 0] / scale
+    lower, upper, _ = perturbation._margin_bounds(cert, scale)
+    assert np.all(lower <= margins) and np.all(margins <= upper)
 
 
 def test_exact_subset_lam_is_infinite_when_a_subset_sum_is_singular():
@@ -306,6 +463,20 @@ def test_exact_subset_lam_is_infinite_when_a_subset_sum_is_singular():
     assert instances._exact_subset_lam(base_ops, deviations) == float("inf")
     # dropping the cancelling atom leaves every subset sum invertible
     assert np.isfinite(instances._exact_subset_lam(base_ops[[0, 2]], deviations[[0, 2]]))
+    # a nearly cancelling pair inverts, and the SVD still calls it singular
+    near = np.stack([eye, -(1.0 - 1e-12) * eye, 2.0 * eye])
+    assert instances._exact_subset_lam(near, deviations) == float("inf")
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_exact_subset_lam_matches_the_full_svd_scan_bitwise(complex_):
+    rng = np.random.default_rng(17)
+    for atoms in (1, 3, 8, 10):
+        for dim in (1, 2, 4, 7):
+            ops = np.eye(dim) / atoms + 0.3 * _draw(rng, (atoms, dim, dim), complex_)
+            deviations = 0.1 * _draw(rng, (atoms, dim, dim), complex_)
+            got = instances._exact_subset_lam(ops, deviations)
+            assert got == _full_svd_exact_lam(ops, deviations)
 
 
 def _traced_peak(fn):
