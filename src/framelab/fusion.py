@@ -96,7 +96,8 @@ class WeightedSubspaceFamily:
     the d x sum(ranks) concatenation of the orthonormal bases and
     ``column_atom[k]`` is the atom that column k of ``basis`` belongs to.
     Read back, ``subspaces`` is derived from ``basis`` on each read.
-    Families compare and hash by identity.
+    ``weights`` and ``masses`` are stored as read-only copies. Families
+    compare and hash by identity.
     """
 
     weights: np.ndarray
@@ -107,8 +108,8 @@ class WeightedSubspaceFamily:
 
     def __init__(self, subspaces, weights, masses, points=()):
         subs = tuple(subspaces)
-        w = require_finite(np.asarray(weights, dtype=float), "weights")
-        m = require_finite(np.asarray(masses, dtype=float), "masses")
+        w = require_finite(np.array(weights, dtype=float), "weights")
+        m = require_finite(np.array(masses, dtype=float), "masses")
         if not subs:
             raise ValueError("a family needs at least one atom")
         if w.shape != (len(subs),) or m.shape != (len(subs),):
@@ -127,7 +128,7 @@ class WeightedSubspaceFamily:
             raise AtomMismatchError(f"{len(pts)} points for {len(subs)} atoms")
         column_atom = np.repeat(np.arange(len(subs)), ranks)
         _check_bases(basis, column_atom, ranks)
-        for a in (basis, column_atom):
+        for a in (basis, column_atom, w, m):
             a.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "masses", m)

@@ -6,6 +6,7 @@ Everything here is deterministic for a fixed input.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,9 +49,18 @@ def adjoint(a: np.ndarray) -> np.ndarray:
     return np.swapaxes(np.asarray(a).conj(), -1, -2)
 
 
+def operator_norms(a: np.ndarray) -> np.ndarray:
+    """Largest singular value of a matrix, or of each matrix of a stack.
+
+    The same LAPACK call as ``np.linalg.norm(a, 2)`` (or ``axis=(1, 2)``),
+    so the values are the same bits, without that function's axis handling.
+    """
+    return np.linalg.svd(a, compute_uv=False)[..., 0]
+
+
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value."""
-    return float(np.linalg.norm(np.asarray(a), 2))
+    return float(operator_norms(a))
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -207,10 +217,11 @@ def range_bases(stack: np.ndarray, tol: float = RANK_TOL) -> list:
 def self_adjoint_eigh(a: np.ndarray, rtol: float = 1e-12):
     """Eigendecomposition of a self-adjoint matrix, eigenvalues ascending.
 
-    Raises NotSelfAdjointError when the input is not self-adjoint within
-    ``rtol`` relative to its largest entry.
+    Raises ValueError when an entry is not finite (a sum of large finite
+    entries can overflow), and NotSelfAdjointError when the input is not
+    self-adjoint within ``rtol`` relative to its largest entry.
     """
-    a = np.asarray(a)
+    a = require_finite(a, "assembled matrix")
     if not is_self_adjoint(a, rtol=rtol):
         raise NotSelfAdjointError("matrix is not self-adjoint within tolerance")
     w, v = np.linalg.eigh(a)
@@ -223,11 +234,30 @@ def self_adjoint_spectrum(a: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
     return w
 
 
+# Distinct (dim, count) pairs whose seed-0 probes are kept. The checks'
+# default probe counts are 2000, 1000 and 10, so dims 2-8 need 21 pairs;
+# one pair at dim 8 and 2000 probes holds 128 KB.
+_PROBE_CACHE_SIZE = 32
+
+
 def unit_probes(dim: int, count: int, rng=None) -> np.ndarray:
-    """Columns are random unit vectors from a seeded generator (seed 0 default)."""
-    rng = np.random.default_rng(0) if rng is None else rng
+    """Columns are random unit vectors from a seeded generator (seed 0 default).
+
+    With ``rng=None`` the result is one shared read-only array per
+    ``(dim, count)``, equal to a fresh ``default_rng(0)`` draw. A passed
+    generator is drawn from, and advanced, on every call.
+    """
+    if rng is None:
+        return _seed0_probes(dim, count)
     p = rng.standard_normal((dim, count))
     p /= np.linalg.norm(p, axis=0)
+    return p
+
+
+@functools.lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def _seed0_probes(dim: int, count: int) -> np.ndarray:
+    p = unit_probes(dim, count, np.random.default_rng(0))
+    p.flags.writeable = False
     return p
 
 

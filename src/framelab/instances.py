@@ -16,7 +16,7 @@ import numpy as np
 
 from . import fusion, resolution
 from .fusion import WeightedSubspaceFamily
-from .hilbert import adjoint, hermitian_part, range_bases
+from .hilbert import adjoint, hermitian_part, operator_norms, range_bases
 from .measure import DiscretizationScheme, ParameterSpace, discretize
 from .perturbation import PerturbationParams, composite_defects, subset_masks, subset_sums
 from .resolution import OperatorFamily, SumMode
@@ -56,7 +56,7 @@ def _projectors(bases) -> np.ndarray:
 
 def _unit_norm(stack: np.ndarray) -> np.ndarray:
     """Each matrix of a stack divided by its operator norm."""
-    return stack / np.linalg.norm(stack, 2, axis=(1, 2))[:, None, None]
+    return stack / operator_norms(stack)[:, None, None]
 
 
 def _lines(angles) -> np.ndarray:
@@ -470,7 +470,7 @@ def perturbed_sum_instance(
         ops = (eye + u).T[:, :, None] * eye[:, None, :]
     elif kind == "left":
         g = rng.standard_normal((dim, dim))
-        g /= np.linalg.norm(g, 2)
+        g /= operator_norms(g)
         ops = (eye + lam * g) @ base.operators
     elif kind == "scalar":
         deltas = rng.uniform(-lam, lam, dim)
@@ -526,7 +526,7 @@ def _exact_subset_lam(base_ops, deviations) -> float:
         floor = max(worst, float(np.sqrt(columns.max())) * (1.0 - rel))
         exact = np.sqrt(columns.sum(axis=1)) * (1.0 + rel) >= floor
         if exact.any():
-            worst = max(worst, float(np.linalg.norm(prod[exact], 2, axis=(1, 2)).max()))
+            worst = max(worst, float(operator_norms(prod[exact]).max()))
     return worst
 
 
@@ -561,7 +561,7 @@ def perturbed_resolution_instance(
         return base, perturbed, PerturbationParams(eps, 0.0, zeros), eps
     if kind == "left":
         g = rng.standard_normal((dim, dim))
-        g /= np.linalg.norm(g, 2)
+        g /= operator_norms(g)
         eps = 0.15
         perturbed = OperatorFamily(
             operators=(np.eye(dim) + eps * g) @ base.operators,
@@ -589,7 +589,7 @@ def perturbed_resolution_instance(
         if lam_exact < 0.9:
             noise = noise_at(budget)
             lam = lam_exact * (1.0 + 1e-9) + 1e-15
-            phi = base.weights * np.linalg.norm(noise, 2, axis=(1, 2)) * (1.0 + 1e-12)
+            phi = base.weights * operator_norms(noise) * (1.0 + 1e-12)
             perturbed = OperatorFamily(
                 operators=base.operators + noise,
                 weights=base.weights, masses=base.masses,
@@ -655,7 +655,7 @@ def composite_instance(
         c = min(1.0, math.sqrt(d_const / top) * (1.0 - 1e-12))
         s_ops = c * raw_s
         lam = (
-            np.linalg.norm(base.operators - s_ops, 2, axis=(1, 2)) / alphas
+            operator_norms(base.operators - s_ops) / alphas
         ).max() * (1.0 + 1e-9)
         phi = np.maximum(composite_defects(base, s_ops, lambda1, lambda2), 0.0) + 1e-12
         side = math.sqrt(atoms) - lambda1 * math.sqrt(d_const) - float(

@@ -32,7 +32,8 @@ class OperatorFamily:
 
     ``operators`` accepts any sequence of d x d matrices and is stored as
     one read-only (natoms, d, d) array; indexing, len and iteration see the
-    individual operators. Families compare and hash by identity.
+    individual operators. ``weights`` and ``masses`` are stored as read-only
+    copies. Families compare and hash by identity.
     """
 
     operators: np.ndarray
@@ -53,9 +54,8 @@ class OperatorFamily:
                 f"operators must be square matrices of one size, got stacked shape {ops.shape}"
             )
         ops = require_finite(ops.astype(np.result_type(float, ops.dtype), copy=False), "operators")
-        ops.flags.writeable = False
-        w = require_finite(np.asarray(self.weights, dtype=float), "weights")
-        m = require_finite(np.asarray(self.masses, dtype=float), "masses")
+        w = require_finite(np.array(self.weights, dtype=float), "weights")
+        m = require_finite(np.array(self.masses, dtype=float), "masses")
         if w.shape != (len(ops),) or m.shape != (len(ops),):
             raise AtomMismatchError(
                 f"{len(ops)} operators vs weights {w.shape} and masses {m.shape}"
@@ -69,6 +69,8 @@ class OperatorFamily:
             raise AtomMismatchError(f"{len(pts)} points for {len(ops)} atoms")
         if not isinstance(self.sum_mode, SumMode):
             raise ValueError(f"sum_mode must be a SumMode, got {self.sum_mode!r}")
+        for a in (ops, w, m):
+            a.flags.writeable = False
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "masses", m)
@@ -95,7 +97,7 @@ class OperatorFamily:
         return np.tensordot(self.sum_coefficients(), self.operators, axes=1)
 
     def operator_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.operators, 2, axis=(1, 2))
+        return hilbert.operator_norms(self.operators)
 
     def sup_norm(self) -> float:
         """Largest operator norm across the family."""

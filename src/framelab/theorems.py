@@ -38,7 +38,7 @@ def orthogonality_defect(family: WeightedSubspaceFamily) -> float:
     for i in range(family.natoms - 1):
         if ranks[i]:
             slab = adjoint(pad[i, :, : ranks[i]]) @ pad[i + 1 :]
-            worst = max(worst, float(np.linalg.norm(slab, 2, axis=(1, 2)).max()))
+            worst = max(worst, float(hilbert.operator_norms(slab).max()))
     return worst
 
 
@@ -140,8 +140,8 @@ def verify_operator_family_sandwich(
     ops = operators.operators
     p = family.projectors()
     scale = np.maximum(1.0, operators.operator_norms())
-    kernel_res = float((np.linalg.norm(ops @ p - ops, 2, axis=(1, 2)) / scale).max())
-    range_res = float((np.linalg.norm(p @ ops - ops, 2, axis=(1, 2)) / scale).max())
+    kernel_res = float((hilbert.operator_norms(ops @ p - ops) / scale).max())
+    range_res = float((hilbert.operator_norms(p @ ops - ops) / scale).max())
     report.add_hypothesis(
         "kernel_contains_complement", kernel_res <= sandwich_tol, residual=kernel_res
     )

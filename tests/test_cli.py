@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -314,6 +317,22 @@ def test_verify_non_finite_resolution_is_a_parse_failure(tmp_path, capsys):
     bad.write_text(json.dumps(data))  # json writes the NaN literal, which it also reads
     assert run(["verify", str(bad)]) == cli.EXIT_PARSE
     assert "not finite" in capsys.readouterr().err
+
+
+def test_overflowing_resolution_is_a_parse_failure(tmp_path):
+    # finite entries whose Gram sum overflows; run as a child process because
+    # this suite turns numpy's overflow RuntimeWarning into an exception
+    data = json.loads(serialize.dumps_instance(instances.build_scenario("random_resolution")))
+    data["operators"] = (1e200 * np.array(data["operators"])).tolist()
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(data))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "framelab.cli", "analyze", str(big)],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == cli.EXIT_PARSE
+    assert "assembled matrix entry (0, 0) is not finite" in proc.stderr
 
 
 def test_verify_non_finite_basis_is_a_parse_failure(tmp_path, capsys):

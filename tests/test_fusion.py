@@ -26,6 +26,19 @@ class TestFamilyValidation:
                 subspaces=(sub,), weights=np.array([0.0]), masses=np.array([1.0])
             )
 
+    def test_family_owns_its_weights_and_masses(self):
+        subs = np.eye(2)[:, :, None]  # the two coordinate axes
+        w, m = np.ones(2), np.ones(2)
+        fam = WeightedSubspaceFamily(subspaces=subs, weights=w, masses=m)
+        before = fusion.frame_bounds(fam)
+        w[0], m[1] = 3.0, 5.0
+        assert np.array_equal(fam.weights, np.ones(2))
+        assert np.array_equal(fam.masses, np.ones(2))
+        assert fusion.frame_bounds(fam) == before
+        for stored in (fam.weights, fam.masses):
+            with pytest.raises(ValueError):
+                stored[1] = -1.0
+
     def test_rejects_mismatched_lengths(self):
         sub = Subspace(np.eye(2)[:, :1])
         with pytest.raises(AtomMismatchError):

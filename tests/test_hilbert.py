@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from framelab import hilbert
 from framelab.errors import (
@@ -34,6 +35,25 @@ def test_norm_matches_inner():
 def test_operator_norm_is_top_singular_value():
     a = np.diag([3.0, -7.0, 1.0])
     assert hilbert.operator_norm(a) == pytest.approx(7.0)
+
+
+_entries = hnp.arrays(
+    float,
+    hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=5),
+    elements=st.floats(-1e6, 1e6),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(real=_entries, imag_scale=st.sampled_from([0.0, 1.0, -0.5]))
+def test_operator_norms_match_numpy_norm_bitwise(real, imag_scale):
+    # the helper makes numpy.linalg.norm's SVD call without its axis handling
+    stack = real if imag_scale == 0.0 else real + 1j * imag_scale * real[:, ::-1]
+    want = np.linalg.norm(stack, 2, axis=(1, 2))
+    assert hilbert.operator_norms(stack).tobytes() == want.tobytes()
+    for a in stack:
+        assert hilbert.operator_norms(a).tobytes() == np.linalg.norm(a, 2).tobytes()
+        assert hilbert.operator_norm(a) == float(np.linalg.norm(a, 2))
 
 
 def test_is_self_adjoint():
@@ -116,6 +136,42 @@ def test_unit_probes_are_unit_and_seeded():
     assert p.shape == (4, 9)
     assert np.allclose(np.linalg.norm(p, axis=0), 1.0)
     assert np.array_equal(p, hilbert.unit_probes(4, 9))
+
+
+def _fresh_probes(rng, dim, count):
+    p = rng.standard_normal((dim, count))
+    p /= np.linalg.norm(p, axis=0)
+    return p
+
+
+def test_default_probes_are_one_shared_read_only_seed_zero_draw():
+    p = hilbert.unit_probes(5, 300)
+    assert p.tobytes() == _fresh_probes(np.random.default_rng(0), 5, 300).tobytes()
+    assert hilbert.unit_probes(5, 300) is p
+    assert not p.flags.writeable
+    with pytest.raises(ValueError):
+        p[0, 0] = 1.0
+
+
+def test_passed_generator_is_drawn_and_advanced_on_every_call():
+    rng, ref = np.random.default_rng(42), np.random.default_rng(42)
+    first = hilbert.unit_probes(3, 8, rng)
+    assert first.tobytes() == _fresh_probes(ref, 3, 8).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert first.flags.writeable
+    second = hilbert.unit_probes(3, 8, rng)
+    assert second.tobytes() == _fresh_probes(ref, 3, 8).tobytes()
+    assert not np.array_equal(first, second)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+def test_default_probe_cache_is_bounded():
+    size = hilbert._PROBE_CACHE_SIZE
+    for count in range(1, size + 6):
+        hilbert.unit_probes(1, count)
+    info = hilbert._seed0_probes.cache_info()
+    assert info.maxsize == size
+    assert info.currsize <= size
 
 
 @settings(max_examples=30, deadline=None)

@@ -29,6 +29,26 @@ class TestOperatorFamily:
             weighted.sum_coefficients(), fam.weights**2 * fam.masses
         )
 
+    def test_family_owns_its_weights_and_masses(self):
+        ops = resolution.from_orthonormal_basis(2).operators
+        w, m = np.ones(2), np.ones(2)
+        fam = OperatorFamily(ops, w, m)
+        before = resolution.resolution_bounds(fam)
+        w[0], m[1] = 3.0, 5.0
+        assert np.array_equal(fam.weights, np.ones(2))
+        assert np.array_equal(fam.masses, np.ones(2))
+        assert resolution.resolution_bounds(fam) == before
+        for stored in (fam.weights, fam.masses):
+            with pytest.raises(ValueError):
+                stored[1] = -1.0
+
+    def test_overflowing_gram_sum_names_its_cause(self):
+        fam = _raw(0)
+        big = OperatorFamily(1e200 * fam.operators, fam.weights, fam.masses)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="assembled matrix entry .* is not finite"):
+                resolution.resolution_bounds(big)
+
     def test_sup_norm_is_max_operator_norm(self):
         fam = _raw(2)
         norms = [np.linalg.norm(t, 2) for t in fam.operators]
