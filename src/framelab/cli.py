@@ -208,7 +208,7 @@ def _projector_checks(family: WeightedSubspaceFamily, tol: float) -> list:
             )
         )
     defect = theorems.orthogonality_defect(family)
-    if defect <= 1e-10:
+    if defect <= theorems.ORTHOGONALITY_TOL:
         entries.append(("run", theorems.verify_orthogonal_decomposition(family, tol)))
     else:
         entries.append(
@@ -483,7 +483,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # an overflow surfaces as a non-finite entry, which the checks name
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except np.linalg.LinAlgError as exc:
         # a subclass of ValueError, but a singular sum is not malformed input
         print(f"error: {exc}", file=sys.stderr)

@@ -227,8 +227,8 @@ class FrameBounds:
     lower: float
     upper: float
 
-    def is_frame(self, rel_tol: float = 1e-10) -> bool:
-        return self.lower > rel_tol * max(self.upper, 0.0)
+    def is_frame(self) -> bool:
+        return self.lower > hilbert.POSITIVITY_REL_TOL * max(self.upper, 0.0)
 
     def condition(self) -> float:
         if self.lower <= 0:
@@ -248,13 +248,11 @@ def analysis(family: WeightedSubspaceFamily, f) -> Coefficients:
     return Coefficients(blocks=projections.T, masses=family.masses)
 
 
-def synthesis(
-    family: WeightedSubspaceFamily, coeffs: Coefficients, membership_tol: float = 1e-10
-) -> np.ndarray:
+def synthesis(family: WeightedSubspaceFamily, coeffs: Coefficients) -> np.ndarray:
     """Synthesis map, the adjoint of analysis: (phi_i) -> sum omega_i mu_i phi_i.
 
     Each block must lie in its subspace; a block sticking out beyond
-    ``membership_tol`` (relative to its size) raises CoefficientError.
+    MEMBERSHIP_TOL (relative to its size) raises CoefficientError.
     """
     if len(coeffs.blocks) != family.natoms:
         raise AtomMismatchError(
@@ -266,7 +264,7 @@ def synthesis(
             f"blocks must be vectors of ambient dim {family.ambient_dim}"
         )
     stickout = np.linalg.norm(blocks - family.project(blocks), axis=0)
-    limit = membership_tol * np.maximum(1.0, np.linalg.norm(blocks, axis=0))
+    limit = hilbert.MEMBERSHIP_TOL * np.maximum(1.0, np.linalg.norm(blocks, axis=0))
     bad = np.flatnonzero(stickout > limit)
     if bad.size:
         i = int(bad[0])
@@ -329,7 +327,7 @@ def verify_characterization(
     t_mat = synthesis_matrix(family)
     svals = np.linalg.svd(t_mat, compute_uv=False)
     t_norm = float(svals[0])
-    rank = int(np.count_nonzero(svals > 1e-12 * svals[0])) if svals.size else 0
+    rank = int(np.count_nonzero(svals > hilbert.RANK_TOL * svals[0])) if svals.size else 0
     d = family.ambient_dim
 
     norm_gap = abs(t_norm - np.sqrt(max(bounds.upper, 0.0)))
@@ -368,12 +366,12 @@ class Reconstruction:
     bounds: FrameBounds
 
 
-def reconstruct(family: WeightedSubspaceFamily, f, rel_tol: float = 1e-10) -> Reconstruction:
+def reconstruct(family: WeightedSubspaceFamily, f) -> Reconstruction:
     """Invert the frame operator: f ~ sum omega_i^2 mu_i S^{-1} P_i f.
 
     The square weight omega^2 mu comes from folding the measure into the
     normalization of each subspace atom. Raises NotAFrameError when the
-    lower bound is zero within rel_tol of the upper bound. S is assembled
+    lower bound is zero within POSITIVITY_REL_TOL of the upper bound. S is assembled
     once; one eigendecomposition gives both the bounds and the solve.
     """
     f = as_vector(f)
@@ -381,7 +379,7 @@ def reconstruct(family: WeightedSubspaceFamily, f, rel_tol: float = 1e-10) -> Re
     eigh = hilbert.self_adjoint_eigh(s_mat)
     spectrum = eigh[0]
     bounds = FrameBounds(lower=float(spectrum[0]), upper=float(spectrum[-1]))
-    if not bounds.is_frame(rel_tol):
+    if not bounds.is_frame():
         raise NotAFrameError(
             f"family is not a frame (bounds {bounds.lower:.3e}, {bounds.upper:.3e})",
             lower=bounds.lower,

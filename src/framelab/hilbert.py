@@ -24,6 +24,15 @@ RANK_TOL = 1e-12
 # Largest entry of |U* U - I| a basis U may show and still count as orthonormal.
 ORTHONORMAL_TOL = 1e-10
 
+# Largest entry of |A - A*|, relative to max(1, largest entry), of a self-adjoint A.
+SELF_ADJOINT_RTOL = 1e-12
+
+# Largest ||f - P f||, relative to max(1, ||f||), of a vector f in a subspace.
+MEMBERSHIP_TOL = 1e-10
+
+# A lower spectral bound is positive when it exceeds this fraction of the upper one.
+POSITIVITY_REL_TOL = 1e-10
+
 
 def as_vector(f) -> np.ndarray:
     f = np.asarray(f)
@@ -110,12 +119,12 @@ def orthonormality_defects(padded: np.ndarray, ranks) -> np.ndarray:
     return np.abs(gram).max(axis=(1, 2), initial=0.0)
 
 
-def is_self_adjoint(a: np.ndarray, rtol: float = 1e-12) -> bool:
+def is_self_adjoint(a: np.ndarray) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     scale = max(1.0, float(np.abs(a).max(initial=0.0)))
-    return float(np.abs(a - adjoint(a)).max(initial=0.0)) <= rtol * scale
+    return float(np.abs(a - adjoint(a)).max(initial=0.0)) <= SELF_ADJOINT_RTOL * scale
 
 
 @dataclass(frozen=True)
@@ -166,14 +175,11 @@ class Subspace:
             return np.zeros_like(f)
         return self.basis @ (adjoint(self.basis) @ f)
 
-    def contains(self, f, tol: float = 1e-10) -> bool:
-        f = as_vector(f)
-        return float(np.linalg.norm(f - self.project(f))) <= tol * max(
-            1.0, float(np.linalg.norm(f))
-        )
+    def contains(self, f) -> bool:
+        return norm(f - self.project(f)) <= MEMBERSHIP_TOL * max(1.0, norm(f))
 
 
-def orthonormal_basis(vectors, tol: float = RANK_TOL, ambient_dim: int | None = None) -> Subspace:
+def orthonormal_basis(vectors, ambient_dim: int | None = None) -> Subspace:
     """Orthonormal basis of the span of ``vectors`` via SVD rank truncation.
 
     ``vectors`` is an iterable of 1-d arrays (or a 2-d array whose rows span
@@ -192,50 +198,48 @@ def orthonormal_basis(vectors, tol: float = RANK_TOL, ambient_dim: int | None = 
     if len(dims) != 1:
         raise DimensionMismatchError(f"mixed vector dimensions {sorted(dims)}")
     a = np.stack(rows, axis=1)  # columns span the subspace
-    return Subspace(range_bases(a[None], tol)[0])
+    return Subspace(range_bases(a[None])[0])
 
 
-def column_space(a: np.ndarray, tol: float = RANK_TOL) -> Subspace:
+def column_space(a: np.ndarray) -> Subspace:
     """Orthonormal basis of the range of a matrix."""
     a = np.asarray(a)
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {a.shape}")
-    return Subspace(range_bases(a[None], tol)[0])
+    return Subspace(range_bases(a[None])[0])
 
 
-def range_bases(stack: np.ndarray, tol: float = RANK_TOL) -> list:
+def range_bases(stack: np.ndarray) -> list:
     """Orthonormal bases of the ranges of a stack of matrices, from one batched SVD.
 
-    Singular values at or below ``tol`` times the largest one count as zero.
+    Singular values at or below RANK_TOL times the largest one count as zero.
     Each basis is a copy of its kept columns, so the full U stack is freed.
     """
     u, s, _ = np.linalg.svd(stack, full_matrices=False)
-    ranks = np.count_nonzero(s > tol * s[..., :1], axis=-1)
+    ranks = np.count_nonzero(s > RANK_TOL * s[..., :1], axis=-1)
     return [u[i, :, :r].copy() for i, r in enumerate(ranks.tolist())]
 
 
-def self_adjoint_eigh(a: np.ndarray, rtol: float = 1e-12):
+def self_adjoint_eigh(a: np.ndarray):
     """Eigendecomposition of a self-adjoint matrix, eigenvalues ascending.
 
     Raises ValueError when an entry is not finite (a sum of large finite
     entries can overflow), and NotSelfAdjointError when the input is not
-    self-adjoint within ``rtol`` relative to its largest entry.
+    self-adjoint within SELF_ADJOINT_RTOL relative to its largest entry.
     """
     a = require_finite(a, "assembled matrix")
-    if not is_self_adjoint(a, rtol=rtol):
+    if not is_self_adjoint(a):
         raise NotSelfAdjointError("matrix is not self-adjoint within tolerance")
-    w, v = np.linalg.eigh(a)
-    return w, v
+    return np.linalg.eigh(a)
 
 
-def self_adjoint_spectrum(a: np.ndarray, rtol: float = 1e-12) -> np.ndarray:
+def self_adjoint_spectrum(a: np.ndarray) -> np.ndarray:
     """Real spectrum of a self-adjoint matrix, ascending."""
-    w, _ = self_adjoint_eigh(a, rtol=rtol)
-    return w
+    return self_adjoint_eigh(a)[0]
 
 
 # Distinct (dim, count) pairs whose seed-0 probes are kept. The checks'
-# default probe counts are 2000, 1000 and 10, so dims 2-8 need 21 pairs;
+# probe counts are 2000, 1000 and 10, so dims 2-8 need 21 pairs;
 # one pair at dim 8 and 2000 probes holds 128 KB.
 _PROBE_CACHE_SIZE = 32
 
@@ -261,19 +265,18 @@ def _seed0_probes(dim: int, count: int) -> np.ndarray:
     return p
 
 
-def solve_positive(a: np.ndarray, f, tol: float = RANK_TOL) -> np.ndarray:
+def solve_positive(a: np.ndarray, f) -> np.ndarray:
     """Solve A x = f for self-adjoint positive definite A.
 
     Uses an eigendecomposition plus one step of iterative refinement, which
     keeps the relative residual near machine precision for condition numbers
     up to about 1e6. Raises NotPositiveDefiniteError (carrying lambda_min)
-    when the smallest eigenvalue does not clear ``tol`` times the largest.
+    when the smallest eigenvalue does not clear RANK_TOL times the largest.
     """
-    f = as_vector(f)
-    return solve_positive_eigh(a, self_adjoint_eigh(a), f, tol)
+    return solve_positive_eigh(a, self_adjoint_eigh(a), f)
 
 
-def solve_positive_eigh(a: np.ndarray, eigh, f, tol: float = RANK_TOL) -> np.ndarray:
+def solve_positive_eigh(a: np.ndarray, eigh, f) -> np.ndarray:
     """solve_positive with the eigendecomposition ``eigh = (w, v)`` of A already at hand."""
     f = as_vector(f)
     w, v = eigh
@@ -283,7 +286,7 @@ def solve_positive_eigh(a: np.ndarray, eigh, f, tol: float = RANK_TOL) -> np.nda
         )
     lam_min = float(w[0])
     lam_max = float(w[-1])
-    if lam_min <= tol * max(lam_max, 0.0) or lam_max <= 0.0:
+    if lam_min <= RANK_TOL * max(lam_max, 0.0) or lam_max <= 0.0:
         raise NotPositiveDefiniteError(
             f"matrix is singular or indefinite (lambda_min={lam_min:.6e})",
             lambda_min=lam_min,

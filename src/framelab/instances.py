@@ -18,7 +18,7 @@ from . import fusion, resolution
 from .fusion import WeightedSubspaceFamily
 from .hilbert import adjoint, hermitian_part, operator_norms, range_bases
 from .measure import DiscretizationScheme, ParameterSpace, discretize
-from .perturbation import PerturbationParams, composite_defects, subset_masks, subset_sums
+from .perturbation import PerturbationParams, all_subset_masks, composite_defects, subset_sums
 from .resolution import OperatorFamily, SumMode
 
 
@@ -48,6 +48,14 @@ def _orthogonal_blocks(dim: int, blocks: int, rng=None) -> tuple:
         q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     ends = np.cumsum(_balanced_partition(dim, blocks))
     return tuple(np.split(q, ends[:-1], axis=1))
+
+
+def _top_rank(dim: int, atoms: int) -> int:
+    """max(dim, 2) - 1, the largest rank of a random atom; ValueError if atoms cannot span."""
+    top_rank = max(dim, 2) - 1
+    if atoms * top_rank < dim:
+        raise ValueError(f"{atoms} atoms of rank at most {top_rank} cannot span dimension {dim}")
+    return top_rank
 
 
 def _projectors(bases) -> np.ndarray:
@@ -111,11 +119,7 @@ def random_fusion_family(
     Ranks are drawn from [1, dim - 1] (1 when dim is 1), so ``atoms`` of
     them must be able to reach ``dim``; otherwise ValueError.
     """
-    top_rank = max(dim, 2) - 1
-    if atoms * top_rank < dim:
-        raise ValueError(
-            f"{atoms} atoms of rank at most {top_rank} cannot span dimension {dim}"
-        )
+    top_rank = _top_rank(dim, atoms)
     rng = np.random.default_rng(seed)
     for _ in range(200):
         ranks = rng.integers(1, top_rank + 1, size=atoms)
@@ -299,7 +303,8 @@ def induced_frame_instance(
 
     With exact=True the operators are orthogonal-block projectors with
     unit weight-mass products, so the range projectors coincide with the
-    operators and the deviation constant vanishes.
+    operators and the deviation constant vanishes. Otherwise ranks are
+    drawn as in ``random_fusion_family``, with the same ValueError.
     """
     rng = np.random.default_rng(seed)
     if exact:
@@ -312,10 +317,11 @@ def induced_frame_instance(
             masses=masses,
             sum_mode=SumMode.WEIGHTED,
         )
+    top_rank = _top_rank(dim, atoms)
     weights = rng.uniform(0.5, 2.0, atoms)
     masses = rng.uniform(0.5, 2.0, atoms)
     for _ in range(200):
-        ranks = rng.integers(1, max(dim, 2), size=atoms)
+        ranks = rng.integers(1, top_rank + 1, size=atoms)
         if ranks.sum() < dim:
             continue
         projectors = _projectors(_random_basis(rng, dim, int(r)) for r in ranks)
@@ -350,7 +356,8 @@ def sandwich_instance(
     preserves both the confinement and the identity. With
     scaled_orthogonal=True the operators are scaled block projectors whose
     weight-mass products all sit below one, the regime where the linear
-    upper bound in the largest operator norm fails.
+    upper bound in the largest operator norm fails. Otherwise ranks are
+    drawn as in ``random_fusion_family``, with the same ValueError.
 
     Returns (subspace_family, operator_family).
     """
@@ -368,10 +375,11 @@ def sandwich_instance(
             operators=ops, weights=weights, masses=masses,
             sum_mode=SumMode.WEIGHTED,
         )
+    top_rank = _top_rank(dim, atoms)
     weights = rng.uniform(0.5, 2.0, atoms)
     masses = rng.uniform(0.5, 2.0, atoms)
     for _ in range(200):
-        ranks = rng.integers(1, max(dim, 2), size=atoms)
+        ranks = rng.integers(1, top_rank + 1, size=atoms)
         if ranks.sum() < dim:
             continue
         bases = [_random_basis(rng, dim, int(r)) for r in ranks]
@@ -423,10 +431,8 @@ def projection_identity_instance(
     )
 
 
-def vector_frame_instance(
-    dim: int = 4, atoms: int = 6, seed: int = 0, nvecs=None
-):
-    """Raw resolution plus a spanning vector sequence.
+def vector_frame_instance(dim: int = 4, atoms: int = 6, seed: int = 0):
+    """Raw resolution plus a spanning sequence of dim + 2 vectors.
 
     The induced-frame containment needs the sequence to span the whole
     space; this generator redraws until it does.
@@ -435,11 +441,8 @@ def vector_frame_instance(
     """
     base = random_resolution_family(dim, atoms, seed)
     rng = np.random.default_rng([seed, 3])
-    count = dim + 2 if nvecs is None else int(nvecs)
-    if count < dim:
-        raise ValueError(f"need at least dim={dim} vectors to span, got {count}")
     for _ in range(100):
-        vecs = rng.standard_normal((dim, count))
+        vecs = rng.standard_normal((dim, dim + 2))
         if range_bases(vecs[None])[0].shape[1] == dim:
             return base, tuple(vecs.T)
     raise RuntimeError(f"no spanning sequence found for seed {seed}")
@@ -506,7 +509,7 @@ def _exact_subset_lam(base_ops, deviations) -> float:
     # relative room for rounding in the computed norms and singular values
     rel = 8.0 * d * np.finfo(float).eps
     worst = 0.0
-    for _, (a, dev) in subset_sums(subset_masks(n, n, 0), base_ops, deviations):
+    for _, (a, dev) in subset_sums(all_subset_masks(n), base_ops, deviations):
         try:
             inv = np.linalg.inv(a)
             unsure = ~(

@@ -13,6 +13,8 @@ from typing import Callable
 
 import numpy as np
 
+from .hilbert import require_finite
+
 RULES = ("midpoint", "trapezoid", "gauss_legendre")
 
 
@@ -29,10 +31,10 @@ class ParameterSpace:
     def __post_init__(self):
         if self.kind not in ("finite", "interval", "circle"):
             raise ValueError(f"unknown space kind {self.kind!r}")
-        if self.kind == "interval" and not self.b > self.a:
-            raise ValueError(f"interval needs b > a, got [{self.a}, {self.b}]")
-        if self.kind == "circle" and not self.period > 0:
-            raise ValueError(f"circle needs a positive period, got {self.period}")
+        if self.kind == "interval" and not (self.b > self.a and math.isfinite(self.b - self.a)):
+            raise ValueError(f"interval needs b > a and a finite length, got [{self.a}, {self.b}]")
+        if self.kind == "circle" and not 0 < self.period < math.inf:
+            raise ValueError(f"circle needs a positive finite period, got {self.period}")
 
     @classmethod
     def finite(cls, labels):
@@ -205,7 +207,7 @@ class SampledWeights:
 def sample_weights(weight: WeightFunction, measure: AtomicMeasure) -> SampledWeights:
     """Evaluate a weight function on the atoms of a measure.
 
-    Raises ValueError on any negative value. Atoms with weight exactly zero
+    Raises ValueError on any negative or non-finite value. Atoms with weight exactly zero
     are legal but flagged, since downstream families exclude them.
     """
     if weight.table:
@@ -217,6 +219,7 @@ def sample_weights(weight: WeightFunction, measure: AtomicMeasure) -> SampledWei
         vals = np.asarray(weight.table, dtype=float)
     else:
         vals = np.asarray([weight(float(x)) for x in measure.points], dtype=float)
+    require_finite(vals, "weight")
     neg = np.nonzero(vals < 0)[0]
     if neg.size:
         raise ValueError(

@@ -11,6 +11,16 @@ from .hilbert import adjoint
 from .reports import VerificationReport
 from .resolution import OperatorFamily, SumMode
 
+# Random unit probes of the closeness inequalities and of the composite lower bound.
+CLOSENESS_PROBES = 2000
+BOUND_PROBES = 1000
+
+# Smallest scaled subset margin that still counts as domination.
+CERTIFICATE_FLOOR = 1e-10
+
+# A perturbed sum is normalized only when sigma_min > SINGULAR_CUT max(1, sigma_max).
+SINGULAR_CUT = 1e-12
+
 
 @dataclass(frozen=True)
 class PerturbationParams:
@@ -78,17 +88,11 @@ def predicted_interval(
     )
 
 
-def _require_aligned(base: OperatorFamily, other: OperatorFamily, phi_len: int):
-    if base.natoms != other.natoms:
-        raise AtomMismatchError(f"{base.natoms} atoms vs {other.natoms}")
-    if np.abs(base.weights - other.weights).max() > 1e-12 or (
-        np.abs(base.masses - other.masses).max() > 1e-12
-    ):
-        raise AtomMismatchError("families must share weights and masses")
-    if phi_len != base.natoms:
-        raise AtomMismatchError(
-            f"phi has {phi_len} entries for {base.natoms} atoms"
-        )
+def _require_aligned(base, other, params: PerturbationParams, mode: SumMode | None):
+    """resolution.require_aligned, and one phi entry per atom."""
+    resolution.require_aligned(base, other, mode)
+    if len(params.phi) != base.natoms:
+        raise AtomMismatchError(f"phi has {len(params.phi)} entries for {base.natoms} atoms")
 
 
 def check_perturbation(
@@ -96,8 +100,6 @@ def check_perturbation(
     perturbed: OperatorFamily,
     params: PerturbationParams,
     tol: float = 1e-9,
-    nprobes: int = 2000,
-    rng=None,
 ) -> VerificationReport:
     """Probe the pointwise closeness inequality atom by atom.
 
@@ -108,11 +110,11 @@ def check_perturbation(
 
         sigma_max(w(T - S)) <= lambda1 sigma_min(wT) + lambda2 sigma_min(wS) + phi.
     """
-    _require_aligned(base, perturbed, len(params.phi))
+    _require_aligned(base, perturbed, params, None)
     report = VerificationReport(check_id="pointwise_perturbation")
     report.tolerances = {"probe_margin": tol}
     probes = np.hstack(
-        [np.eye(base.ambient_dim), hilbert.unit_probes(base.ambient_dim, nprobes, rng)]
+        [np.eye(base.ambient_dim), hilbert.unit_probes(base.ambient_dim, CLOSENESS_PROBES)]
     )
 
     w = base.weights[:, None, None]
@@ -198,21 +200,27 @@ def composite_defects(
 _SUBSET_CHUNK = 128
 
 
-def subset_masks(natoms: int, limit: int, nrandom: int, rng=None) -> np.ndarray:
+def all_subset_masks(natoms: int) -> np.ndarray:
+    """Every nonempty index subset, one bool row each, counting with atom 0 as the top bit."""
+    # the counts as big-endian integers of the narrowest width, shifted so
+    # their natoms bits lead; unpacked, those bits are the rows, and no
+    # temporary is larger than the counts themselves
+    width = np.min_scalar_type(2**natoms - 1).itemsize
+    counts = np.arange(1, 2**natoms, dtype=f">u{width}")
+    counts <<= 8 * width - natoms
+    rows = counts.view(np.uint8).reshape(-1, width)
+    return np.unpackbits(rows, axis=1, count=natoms).view(bool)
+
+
+def subset_masks(natoms: int, nrandom: int, rng=None) -> np.ndarray:
     """Nonempty index subsets, one bool row each.
 
-    Up to natoms = limit: all of them, counting with atom 0 as the top bit.
-    Beyond: the singletons, the prefixes, then ``nrandom`` seeded draws.
+    All of them when they are no more than a sample would check,
+    2^natoms - 1 <= 2 natoms + nrandom. Otherwise the sample: the
+    singletons, the prefixes, then ``nrandom`` seeded draws.
     """
-    if natoms <= limit:
-        # the counts as big-endian integers of the narrowest width, shifted so
-        # their natoms bits lead; unpacked, those bits are the rows, and no
-        # temporary is larger than the counts themselves
-        width = np.min_scalar_type(2**natoms - 1).itemsize
-        counts = np.arange(1, 2**natoms, dtype=f">u{width}")
-        counts <<= 8 * width - natoms
-        rows = counts.view(np.uint8).reshape(-1, width)
-        return np.unpackbits(rows, axis=1, count=natoms).view(bool)
+    if 2**natoms - 1 <= 2 * natoms + nrandom:
+        return all_subset_masks(natoms)
     rng = np.random.default_rng(0) if rng is None else rng
     rows = [np.eye(natoms, dtype=bool), np.tri(natoms, dtype=bool)]
     need = nrandom
@@ -340,21 +348,22 @@ def verify_perturbed_sum(
     perturbed: OperatorFamily,
     lam: float,
     tol: float = 1e-9,
-    certificate_tol: float = 1e-10,
-    subset_limit: int = 12,
     nrandom: int = 10_000,
     rng=None,
 ):
     """Subset-dominated perturbations keep the operator sum invertible.
 
-    Hypotheses: the base operators sum to the identity, and for every
-    checked index subset I the deviation sum is dominated in the quadratic
-    sense, i.e. lam^2 A_I^* A_I - D_I^* D_I is positive semidefinite where
-    A_I sums the base operators over I and D_I the deviations. That
+    Both families must be raw-mode (ValueError otherwise): the lemma and
+    its conclusion are about the plain sum. Hypotheses: the base operators
+    sum to the identity, and for every checked index subset I the
+    deviation sum is dominated in the quadratic sense, i.e.
+    lam^2 A_I^* A_I - D_I^* D_I is positive semidefinite where A_I sums
+    the base operators over I and D_I the deviations. That
     certificate is exact: it is equivalent to the vector inequality
-    ||D_I f|| <= lam ||A_I f|| for every f. Subsets are exhaustive up to
-    2^subset_limit atoms; beyond that singletons, prefixes and seeded
-    random subsets are sampled and the report says so.
+    ||D_I f|| <= lam ||A_I f|| for every f. Every subset is checked when
+    there are no more than a sample would hold (2^n - 1 <= 2n + nrandom,
+    up to 13 atoms by default); otherwise singletons, prefixes and
+    ``nrandom`` seeded random subsets are sampled, and the report says so.
 
     Only the smallest scaled margin and the first subset holding it are
     reported, and most subsets are settled without an eigensolver: a
@@ -376,34 +385,30 @@ def verify_perturbed_sum(
 
     Returns (report, S).
     """
+    resolution.require_aligned(base, perturbed, SumMode.RAW)
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lam must lie in [0, 1), got {lam}")
-    _require_aligned(base, perturbed, base.natoms)
     report = VerificationReport(check_id="subset_stable_sum")
-    report.tolerances = {
-        "bound_slack": tol,
-        "certificate_floor": certificate_tol,
-    }
+    report.tolerances = {"bound_slack": tol, "certificate_floor": CERTIFICATE_FLOOR}
     d = base.ambient_dim
     basis_res, probe_res, _ = resolution.identity_sum_residual(base)
     report.add_hypothesis(
         "base_identity_sum", max(basis_res, probe_res) <= tol, residual=basis_res
     )
 
-    masks = subset_masks(base.natoms, subset_limit, nrandom, rng)
+    masks = subset_masks(base.natoms, nrandom, rng)
     worst_index, worst, eigensolved = _worst_subset(
         masks, base.operators, base.operators - perturbed.operators, lam
     )
     worst_subset = tuple(np.flatnonzero(masks[worst_index]).tolist())
-    exhaustive = base.natoms <= subset_limit
     report.notes.append(
         f"subset check exhaustive over {len(masks)} subsets"
-        if exhaustive
+        if len(masks) == 2**base.natoms - 1
         else f"subset check sampled ({len(masks)} subsets: singletons, prefixes, random)"
     )
     report.add_hypothesis(
         "subset_domination",
-        worst >= -certificate_tol,
+        worst >= -CERTIFICATE_FLOOR,
         residual=worst,
         detail=f"worst_subset={worst_subset}",
     )
@@ -441,8 +446,6 @@ def verify_perturbed_resolution(
     params: PerturbationParams,
     lam: float,
     tol: float = 1e-9,
-    nprobes: int = 2000,
-    rng=None,
 ):
     """Pointwise-perturbed families normalize back to a resolution with predicted bounds.
 
@@ -457,9 +460,7 @@ def verify_perturbed_resolution(
 
     Returns (report, normalized_family_or_None).
     """
-    if base.sum_mode is not SumMode.RAW or perturbed.sum_mode is not SumMode.RAW:
-        raise ValueError("perturbed-resolution check expects raw-mode families")
-    _require_aligned(base, perturbed, len(params.phi))
+    _require_aligned(base, perturbed, params, SumMode.RAW)
     report = VerificationReport(check_id="perturbed_resolution")
     report.tolerances = {"bound_slack": tol, "identity_residual": tol}
 
@@ -472,7 +473,7 @@ def verify_perturbed_resolution(
     c_const = base_rep.constants["gram_lower"]
     d_const = base_rep.constants["gram_upper"]
 
-    pointwise = check_perturbation(base, perturbed, params, tol, nprobes, rng)
+    pointwise = check_perturbation(base, perturbed, params, tol)
     report.add_hypothesis(
         "pointwise_closeness",
         pointwise.passed,
@@ -494,9 +495,7 @@ def verify_perturbed_resolution(
     singulars = np.linalg.svd(sum_matrix, compute_uv=False)
     sigma_max, sigma_min = float(singulars[0]), float(singulars[-1])
     raw = resolution.resolution_bounds(perturbed)
-    pred_raw_lower, pred_raw_upper = predicted_interval(
-        c_const, d_const, params, phi_l2
-    )
+    pred_raw_lower, pred_raw_upper = predicted_interval(c_const, d_const, params, phi_l2)
     pred_norm_lower, pred_norm_upper = predicted_interval(
         c_const, d_const, params, phi_l2, sigma_min, sigma_max
     )
@@ -518,29 +517,31 @@ def verify_perturbed_resolution(
         "certificate_margin": pointwise.constants["certificate_margin"],
     }
 
-    normalized = None
     ok = raw.lower >= pred_raw_lower - tol and raw.upper <= pred_raw_upper + tol
-    if sigma_min > 1e-12 * max(sigma_max, 1.0):
-        normalized = resolution.normalize_to_identity(perturbed)
-        norm_rep = resolution.verify_resolution(normalized)
-        report.constants.update(
-            {
-                "normalized_lower": norm_rep.constants["gram_lower"],
-                "normalized_upper": norm_rep.constants["gram_upper"],
-                "normalized_identity_residual": norm_rep.constants[
-                    "identity_residual"
-                ],
-            }
-        )
-        ok = ok and (
-            norm_rep.passed
-            and norm_rep.constants["gram_lower"] >= pred_norm_lower - tol
-            and norm_rep.constants["gram_upper"] <= pred_norm_upper + tol
-        )
-    else:
-        ok = False
+    normalized, norm_ok = _normalized_check(perturbed, singulars, report)
+    ok = ok and norm_ok and (
+        report.constants["normalized_lower"] >= pred_norm_lower - tol
+        and report.constants["normalized_upper"] <= pred_norm_upper + tol
+    )
     report.conclude(ok)
     return report, normalized
+
+
+def _normalized_check(family: OperatorFamily, singulars: np.ndarray, report):
+    """Normalize a family by its sum, of descending ``singulars``, and check the result.
+
+    Returns (normalized family, whether it is a resolution), its bounds and
+    identity residual going into ``report.constants``, or (None, False)
+    when the sum is singular.
+    """
+    if not float(singulars[-1]) > SINGULAR_CUT * max(float(singulars[0]), 1.0):
+        return None, False
+    normalized = resolution.normalize_to_identity(family)
+    norm_rep = resolution.verify_resolution(normalized)
+    report.constants["normalized_lower"] = norm_rep.constants["gram_lower"]
+    report.constants["normalized_upper"] = norm_rep.constants["gram_upper"]
+    report.constants["normalized_identity_residual"] = norm_rep.constants["identity_residual"]
+    return normalized, norm_rep.passed
 
 
 def verify_composite_perturbation(
@@ -549,9 +550,6 @@ def verify_composite_perturbation(
     params: PerturbationParams,
     lam: float,
     tol: float = 1e-9,
-    nprobes: int = 2000,
-    nbound_probes: int = 1000,
-    rng=None,
 ) -> VerificationReport:
     """A family nearly inverting a resolution under composition is frame-type.
 
@@ -571,7 +569,7 @@ def verify_composite_perturbation(
     the sum-normalized family passes the resolution checks. The sharper
     denominator variant E (1 + lambda2) is recorded and its failure noted.
     """
-    _require_aligned(base, composed_with, len(params.phi))
+    _require_aligned(base, composed_with, params, SumMode.RAW)
     report = VerificationReport(check_id="composite_perturbation")
     report.tolerances = {"bound_slack": tol, "probe_margin": tol}
     report.notes.append(
@@ -596,7 +594,7 @@ def verify_composite_perturbation(
     )
 
     e_const = base.sup_norm()
-    probes = hilbert.unit_probes(base.ambient_dim, nprobes, rng)
+    probes = hilbert.unit_probes(base.ambient_dim, CLOSENESS_PROBES)
     w = base.weights[:, None, None]
     phi = np.asarray(params.phi)
     t, s = base.operators, composed_with.operators
@@ -614,9 +612,7 @@ def verify_composite_perturbation(
     certificate_margin = float(
         (composite_defects(base, s, params.lambda1, params.lambda2) - phi).max()
     )
-    report.add_hypothesis(
-        "pointwise_composite", probe_margin <= tol, residual=probe_margin
-    )
+    report.add_hypothesis("pointwise_composite", probe_margin <= tol, residual=probe_margin)
     report.add_hypothesis(
         "composition_dominated", composition_margin <= tol, residual=composition_margin
     )
@@ -638,7 +634,7 @@ def verify_composite_perturbation(
     pred_ratio = side / denom_stated if denom_stated > 0 else float("inf")
     pred_ratio_sharp = side / denom_sharp if denom_sharp > 0 else float("inf")
 
-    bound_probes = hilbert.unit_probes(base.ambient_dim, nbound_probes, rng)
+    bound_probes = hilbert.unit_probes(base.ambient_dim, BOUND_PROBES)
     gram_forms = hilbert.quadratic_forms(resolution.resolution_gram(composed_with), bound_probes)
     probe_low = float(np.sqrt(max(np.min(gram_forms, initial=np.inf), 0.0)))
 
@@ -672,17 +668,6 @@ def verify_composite_perturbation(
         and gram_s.upper <= d_const + tol
     )
     singulars = np.linalg.svd(sum_matrix, compute_uv=False)
-    if float(singulars[-1]) > 1e-12 * max(float(singulars[0]), 1.0):
-        norm_rep = resolution.verify_resolution(
-            resolution.normalize_to_identity(composed_with)
-        )
-        report.constants["normalized_identity_residual"] = norm_rep.constants[
-            "identity_residual"
-        ]
-        report.constants["normalized_lower"] = norm_rep.constants["gram_lower"]
-        report.constants["normalized_upper"] = norm_rep.constants["gram_upper"]
-        ok = ok and norm_rep.passed
-    else:
-        ok = False
-    report.conclude(ok)
+    _, norm_ok = _normalized_check(composed_with, singulars, report)
+    report.conclude(ok and norm_ok)
     return report

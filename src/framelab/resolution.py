@@ -20,6 +20,15 @@ from .errors import AtomMismatchError, DimensionMismatchError
 from .hilbert import as_vector, require_finite
 from .reports import VerificationReport
 
+# Random unit probes of the identity sum, besides the canonical basis.
+IDENTITY_PROBES = 10
+
+# T_i f is nonzero when its norm exceeds this fraction of ||f||.
+SUPPORT_TOL = 1e-10
+
+# Largest difference in weights or masses of two families that share their atoms.
+ALIGN_TOL = 1e-12
+
 
 class SumMode(enum.Enum):
     RAW = "raw"
@@ -118,8 +127,8 @@ class ResolutionBounds:
     lower: float
     upper: float
 
-    def is_resolution(self, rel_tol: float = 1e-10) -> bool:
-        return self.lower > rel_tol * max(self.upper, 0.0)
+    def is_resolution(self) -> bool:
+        return self.lower > hilbert.POSITIVITY_REL_TOL * max(self.upper, 0.0)
 
 
 def resolution_gram(family: OperatorFamily) -> np.ndarray:
@@ -138,36 +147,44 @@ def gram_sum(family: OperatorFamily, f) -> float:
     return float(family.gram_coefficients() @ np.sum(np.abs(images) ** 2, axis=1))
 
 
-def identity_sum_residual(family: OperatorFamily, nprobes: int = 10, rng=None):
+def require_aligned(first, second, mode: SumMode | None) -> None:
+    """AtomMismatchError unless two families share atom count, weights and masses.
+
+    Given a ``mode``, also ValueError unless each operator family of the two
+    sums in it; ``first`` may be a subspace family, which has no mode.
+    """
+    if first.natoms != second.natoms:
+        raise AtomMismatchError(f"{first.natoms} atoms vs {second.natoms}")
+    if np.abs(first.weights - second.weights).max() > ALIGN_TOL or (
+        np.abs(first.masses - second.masses).max() > ALIGN_TOL
+    ):
+        raise AtomMismatchError("families must share weights and masses")
+    if mode is not None and any(getattr(f, "sum_mode", mode) is not mode for f in (first, second)):
+        raise ValueError(f"this check expects {mode.value}-mode operator families")
+
+
+def identity_sum_residual(family: OperatorFamily):
     """Residuals of the identity sum: canonical basis, probes, operator norm."""
     d = family.ambient_dim
     dev = np.eye(d) - family.identity_sum_matrix()
     basis_residual = float(np.linalg.norm(dev, axis=0).max())
     op_residual = hilbert.operator_norm(dev)
-    probe_residual = 0.0
-    if nprobes:
-        probes = hilbert.unit_probes(d, nprobes, rng)
-        probe_residual = float(np.linalg.norm(dev @ probes, axis=0).max())
+    probes = hilbert.unit_probes(d, IDENTITY_PROBES)
+    probe_residual = float(np.linalg.norm(dev @ probes, axis=0).max())
     return basis_residual, probe_residual, op_residual
 
 
-def verify_resolution(
-    family: OperatorFamily,
-    identity_tol: float = 1e-9,
-    positivity_rel_tol: float = 1e-10,
-    rng=None,
-) -> VerificationReport:
+def verify_resolution(family: OperatorFamily, identity_tol: float = 1e-9) -> VerificationReport:
     """Check conditions (a), (b), (c) for a resolution of the identity.
 
     (a) is vacuously true at atomic resolution and recorded as such. (b)
     computes the Gram bounds spectrally and requires the lower one to clear
-    positivity_rel_tol times the upper. (c) is checked on the canonical
+    POSITIVITY_REL_TOL times the upper. (c) is checked on the canonical
     basis, on a handful of random probes and in operator norm.
     """
     report = VerificationReport(check_id="resolution_conditions")
     report.tolerances = {
-        "identity_residual": identity_tol,
-        "positivity_rel": positivity_rel_tol,
+        "identity_residual": identity_tol, "positivity_rel": hilbert.POSITIVITY_REL_TOL
     }
     report.add_hypothesis(
         "weak_measurability",
@@ -175,14 +192,14 @@ def verify_resolution(
         detail="vacuously true for an atomic index set",
     )
     bounds = resolution_bounds(family)
-    positive = bounds.is_resolution(positivity_rel_tol)
+    positive = bounds.is_resolution()
     report.add_hypothesis(
         "gram_bounds_positive",
         positive,
         residual=bounds.lower,
         detail=f"gram_lower={bounds.lower:.6e}, gram_upper={bounds.upper:.6e}",
     )
-    basis_res, probe_res, op_res = identity_sum_residual(family, rng=rng)
+    basis_res, probe_res, op_res = identity_sum_residual(family)
     report.add_hypothesis(
         "identity_sum",
         max(basis_res, probe_res) <= identity_tol,
@@ -200,14 +217,14 @@ def verify_resolution(
     return report
 
 
-def support(family: OperatorFamily, f, tol: float = 1e-10) -> tuple:
+def support(family: OperatorFamily, f) -> tuple:
     """Atoms where T_i f is nonzero relative to ||f||; empty for f = 0."""
     f = as_vector(f)
     fnorm = float(np.linalg.norm(f))
     if fnorm == 0.0:
         return ()
     images = np.linalg.norm(family.operators @ f, axis=1)
-    return tuple(np.flatnonzero(images > tol * fnorm).tolist())
+    return tuple(np.flatnonzero(images > SUPPORT_TOL * fnorm).tolist())
 
 
 def normalize_to_identity(family: OperatorFamily) -> OperatorFamily:

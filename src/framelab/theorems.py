@@ -13,11 +13,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fusion, hilbert, resolution
-from .errors import AtomMismatchError
 from .fusion import WeightedSubspaceFamily
 from .hilbert import adjoint, as_vector
 from .reports import VerificationReport
-from .resolution import OperatorFamily, SumMode
+from .resolution import SUPPORT_TOL, OperatorFamily, SumMode
+
+# Largest ||U_i* U_j|| of two orthogonal subspaces.
+ORTHOGONALITY_TOL = 1e-10
+
+# Largest ||T_i P_i - T_i|| and ||P_i T_i - T_i|| over max(1, ||T_i||) of T_i in W_i.
+SANDWICH_TOL = 1e-10
+
+# Random unit probes of the projection-identity frame bound.
+PROJECTION_PROBES = 1000
+
+# Largest relative residual of support reconstruction, and gap of its two orderings.
+RECONSTRUCTION_TOL = 1e-8
+ORDERING_TOL = 1e-9
 
 
 def first_power_residual(family: WeightedSubspaceFamily) -> float:
@@ -107,10 +119,7 @@ def verify_induced_fusion_frame(family: OperatorFamily, tol: float = 1e-9):
 
 
 def verify_operator_family_sandwich(
-    family: WeightedSubspaceFamily,
-    operators: OperatorFamily,
-    tol: float = 1e-9,
-    sandwich_tol: float = 1e-10,
+    family: WeightedSubspaceFamily, operators: OperatorFamily, tol: float = 1e-9
 ) -> VerificationReport:
     """Operators confined to Bessel subspaces inherit two-sided Gram bounds.
 
@@ -125,17 +134,8 @@ def verify_operator_family_sandwich(
     when it fails; it is only valid when E <= 1.
     """
     report = VerificationReport(check_id="operator_family_sandwich")
-    report.tolerances = {"bound_slack": tol, "sandwich_residual": sandwich_tol}
-    if family.natoms != operators.natoms:
-        raise AtomMismatchError(
-            f"{family.natoms} subspace atoms vs {operators.natoms} operator atoms"
-        )
-    if np.abs(family.weights - operators.weights).max() > 1e-12 or (
-        np.abs(family.masses - operators.masses).max() > 1e-12
-    ):
-        raise AtomMismatchError("families must share weights and masses")
-    if operators.sum_mode is not SumMode.WEIGHTED:
-        raise ValueError("sandwich check expects a weighted-mode operator family")
+    report.tolerances = {"bound_slack": tol, "sandwich_residual": SANDWICH_TOL}
+    resolution.require_aligned(family, operators, SumMode.WEIGHTED)
 
     ops = operators.operators
     p = family.projectors()
@@ -143,10 +143,10 @@ def verify_operator_family_sandwich(
     kernel_res = float((hilbert.operator_norms(ops @ p - ops) / scale).max())
     range_res = float((hilbert.operator_norms(p @ ops - ops) / scale).max())
     report.add_hypothesis(
-        "kernel_contains_complement", kernel_res <= sandwich_tol, residual=kernel_res
+        "kernel_contains_complement", kernel_res <= SANDWICH_TOL, residual=kernel_res
     )
     report.add_hypothesis(
-        "range_in_subspace", range_res <= sandwich_tol, residual=range_res
+        "range_in_subspace", range_res <= SANDWICH_TOL, residual=range_res
     )
     basis_res, probe_res, _ = resolution.identity_sum_residual(operators)
     report.add_hypothesis(
@@ -187,10 +187,7 @@ def verify_operator_family_sandwich(
 
 
 def verify_frame_from_projection_identity(
-    family: WeightedSubspaceFamily,
-    tol: float = 1e-9,
-    nprobes: int = 1000,
-    rng=None,
+    family: WeightedSubspaceFamily, tol: float = 1e-9, rng=None
 ) -> VerificationReport:
     """A first-power reconstruction identity forces a positive frame bound.
 
@@ -214,7 +211,7 @@ def verify_frame_from_projection_identity(
     c_const = 1.0 / unweighted_top if unweighted_top > 0 else float("inf")
     bounds = fusion.frame_bounds(family)
 
-    probes = hilbert.unit_probes(family.ambient_dim, nprobes, rng)
+    probes = hilbert.unit_probes(family.ambient_dim, PROJECTION_PROBES, rng)
     sums = hilbert.quadratic_forms(fusion.frame_operator(family), probes)
     worst_margin = float(np.max(c_const - sums, initial=0.0))
     report.constants = {
@@ -230,9 +227,7 @@ def verify_frame_from_projection_identity(
 
 
 def verify_orthogonal_decomposition(
-    family: WeightedSubspaceFamily,
-    tol: float = 1e-9,
-    orthogonality_tol: float = 1e-10,
+    family: WeightedSubspaceFamily, tol: float = 1e-9
 ) -> VerificationReport:
     """Pairwise orthogonal subspaces of a frame reproduce every vector.
 
@@ -242,13 +237,10 @@ def verify_orthogonal_decomposition(
     delegated to the projection-identity check and its outcome recorded.
     """
     report = VerificationReport(check_id="orthogonal_decomposition")
-    report.tolerances = {
-        "decomposition_residual": tol,
-        "orthogonality": orthogonality_tol,
-    }
+    report.tolerances = {"decomposition_residual": tol, "orthogonality": ORTHOGONALITY_TOL}
     cross = orthogonality_defect(family)
     report.add_hypothesis(
-        "pairwise_orthogonal", cross <= orthogonality_tol, residual=cross
+        "pairwise_orthogonal", cross <= ORTHOGONALITY_TOL, residual=cross
     )
     bounds = fusion.frame_bounds(family)
     report.add_hypothesis(
@@ -351,13 +343,7 @@ class SupportReconstruction:
     report: VerificationReport
 
 
-def reconstruct_by_support(
-    family: OperatorFamily,
-    f,
-    support_tol: float = 1e-10,
-    tol: float = 1e-8,
-    ordering_tol: float = 1e-9,
-) -> SupportReconstruction:
+def reconstruct_by_support(family: OperatorFamily, f) -> SupportReconstruction:
     """Reconstruct f from the atoms supporting its coordinate span.
 
     The span of the canonical basis vectors carrying f is located, the
@@ -368,7 +354,7 @@ def reconstruct_by_support(
     recorded as a diagnostic.
     """
     report = VerificationReport(check_id="support_reconstruction")
-    report.tolerances = {"residual": tol, "ordering_gap": ordering_tol}
+    report.tolerances = {"residual": RECONSTRUCTION_TOL, "ordering_gap": ORDERING_TOL}
     if family.sum_mode is not SumMode.RAW:
         raise ValueError("support reconstruction expects a raw-mode family")
     f = as_vector(f)
@@ -388,10 +374,10 @@ def reconstruct_by_support(
         report.conclude(True)
         return SupportReconstruction(zero, zero, report)
 
-    coords = np.flatnonzero(np.abs(f) > support_tol * fnorm)
+    coords = np.flatnonzero(np.abs(f) > SUPPORT_TOL * fnorm)
     q = np.eye(d)[:, coords]
     # atoms acting on the span: T_i e_j is nonzero for some carried coordinate j
-    acting = (np.linalg.norm(family.operators[:, :, coords], axis=1) > support_tol).any(axis=1)
+    acting = (np.linalg.norm(family.operators[:, :, coords], axis=1) > SUPPORT_TOL).any(axis=1)
     support_size = int(np.count_nonzero(acting))
 
     gram = hilbert.stacked_gram(
@@ -399,7 +385,7 @@ def reconstruct_by_support(
     )
     gram_on_span = adjoint(q) @ gram @ q
     spec = hilbert.self_adjoint_spectrum(gram_on_span)
-    positive = float(spec[0]) > 1e-10 * max(float(spec[-1]), 0.0)
+    positive = resolution.ResolutionBounds(float(spec[0]), float(spec[-1])).is_resolution()
     report.add_hypothesis(
         "span_gram_positive", positive, residual=float(spec[0]),
         detail=f"span_dim={len(coords)}, support_size={support_size}",
@@ -435,5 +421,7 @@ def reconstruct_by_support(
         "ordering_gap": gap,
         "span_leakage": leakage,
     }
-    report.conclude(res_first <= tol and res_last <= tol and gap <= ordering_tol)
+    report.conclude(
+        res_first <= RECONSTRUCTION_TOL and res_last <= RECONSTRUCTION_TOL and gap <= ORDERING_TOL
+    )
     return SupportReconstruction(inverse_first, inverse_last, report)

@@ -188,6 +188,25 @@ def test_discretize_finite_space_is_already_atomic(tmp_path, capsys):
     assert "already atomic" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "space, weight, message",
+    [
+        ({"kind": "interval", "a": 0.0, "b": 4.0}, "const:nan", "weight entry 0 is not finite (nan)"),
+        ({"kind": "interval", "a": 0.0, "b": 4.0}, "poly:0,1e308", "weight entry 1 is not finite (inf)"),
+        ({"kind": "interval", "a": 0.0, "b": 4.0}, "table:[1, NaN]", "weight entry 1 is not finite (nan)"),
+        ({"kind": "interval", "a": 0.0, "b": math.inf}, "const:1", "interval needs b > a and a finite length"),
+        ({"kind": "interval", "a": -1e308, "b": 1e308}, "const:1", "interval needs b > a and a finite length"),
+        ({"kind": "circle", "period": math.inf}, "const:1", "circle needs a positive finite period"),
+    ],
+    ids=["nan-const", "overflowing-poly", "nan-table", "infinite-endpoint", "overflowing-length", "infinite-period"],
+)
+def test_discretize_names_non_finite_input(tmp_path, capsys, space, weight, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"space": space, "rule": "midpoint", "n": 2, "weight": weight}))
+    assert run(["discretize", str(path)]) == cli.EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
 def test_sweep_rotating_line(capsys):
     assert run(["sweep", "--scenario", "rotating_line", "--n", "1,8"]) == cli.EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")
@@ -320,19 +339,21 @@ def test_verify_non_finite_resolution_is_a_parse_failure(tmp_path, capsys):
 
 
 def test_overflowing_resolution_is_a_parse_failure(tmp_path):
-    # finite entries whose Gram sum overflows; run as a child process because
-    # this suite turns numpy's overflow RuntimeWarning into an exception
+    # finite entries whose Gram sum overflows; run as a child process, with
+    # numpy's default warning filters, so that any RuntimeWarning numpy
+    # printed would show on stderr: the one line is the finiteness error
     data = json.loads(serialize.dumps_instance(instances.build_scenario("random_resolution")))
     data["operators"] = (1e200 * np.array(data["operators"])).tolist()
     big = tmp_path / "big.json"
     big.write_text(json.dumps(data))
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "framelab.cli", "analyze", str(big)],
-        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
-    )
-    assert proc.returncode == cli.EXIT_PARSE
-    assert "assembled matrix entry (0, 0) is not finite" in proc.stderr
+    for command in ("analyze", "verify"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "framelab.cli", command, str(big)],
+            capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == cli.EXIT_PARSE
+        assert proc.stderr == "error: assembled matrix entry (0, 0) is not finite (inf)\n"
 
 
 def test_verify_non_finite_basis_is_a_parse_failure(tmp_path, capsys):

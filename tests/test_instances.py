@@ -131,3 +131,19 @@ def test_scenario_defaults_match_the_builders():
     assert all(np.array_equal(a.basis, b.basis) for a, b in zip(fam.subspaces, ref.subspaces))
     # arguments a scenario does not take are ignored
     assert instances.build_scenario("mercedes", dim=7, seed=3).natoms == 3
+
+
+@pytest.mark.parametrize("build", [instances.induced_frame_instance, instances.sandwich_instance])
+@pytest.mark.parametrize("dim, atoms", [(2, 1), (3, 1), (7, 1)])
+def test_ranked_builders_reject_sizes_that_cannot_span(build, dim, atoms):
+    # ranks are drawn from [1, dim - 1], so one atom never spans
+    with pytest.raises(ValueError, match=f"1 atoms of rank at most {dim - 1} cannot span"):
+        build(dim, atoms, 0)
+
+
+def test_block_builders_take_a_single_atom():
+    # the exact and scaled variants draw no ranks: one block is the whole space
+    fam = instances.induced_frame_instance(3, 1, 0, exact=True)
+    assert fam.natoms == 1
+    subs, ops = instances.sandwich_instance(3, 1, 0, scaled_orthogonal=True)
+    assert subs.natoms == ops.natoms == 1

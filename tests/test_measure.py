@@ -134,3 +134,32 @@ def test_atomic_measure_validation():
         AtomicMeasure(np.array([0.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         AtomicMeasure(np.array([0.0, 1.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda: ParameterSpace.interval(0.0, math.inf), "interval needs b > a and a finite length"),
+        (lambda: ParameterSpace.interval(-1e308, 1e308), "interval needs b > a and a finite length"),
+        (lambda: ParameterSpace.circle(math.inf), "circle needs a positive finite period"),
+    ],
+    ids=["infinite-endpoint", "overflowing-length", "infinite-period"],
+)
+def test_non_finite_spaces_are_rejected(make, named):
+    with pytest.raises(ValueError, match=named):
+        make()
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("const:nan", r"weight entry 0 is not finite \(nan\)"),
+        ("poly:0,1e308", r"weight entry 1 is not finite \(inf\)"),  # 1e308 * 3 overflows
+        ("table:[1, NaN]", r"weight entry 1 is not finite \(nan\)"),
+    ],
+)
+def test_non_finite_weights_name_their_atom(spec, message):
+    meas = discretize(ParameterSpace.interval(0.0, 4.0), DiscretizationScheme("midpoint", 2))
+    assert meas.points.tolist() == [1.0, 3.0]
+    with pytest.raises(ValueError, match=message):
+        sample_weights(weight_from_spec(spec), meas)

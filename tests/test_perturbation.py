@@ -228,3 +228,24 @@ class TestCompositePerturbation:
         )
         assert not report.passed
         assert "bessel_dominated" in report.failed_hypotheses()
+
+
+def test_stability_checks_take_raw_mode_families_only():
+    # a weighted-mode resolution whose raw sum misses the identity by 0.42:
+    # judged in its own mode the base hypothesis passed while the lemma's
+    # raw sum failed the conclusion with no failed hypothesis
+    fam = instances.induced_frame_instance(3, 4, 0)
+    assert fam.sum_mode is SumMode.WEIGHTED
+    params = PerturbationParams.uniform(0.0, 0.0, 0.0, fam.natoms)
+    calls = [
+        lambda: perturbation.verify_perturbed_sum(fam, fam, 0.3),
+        lambda: perturbation.verify_perturbed_resolution(fam, fam, params, 0.3),
+        lambda: perturbation.verify_composite_perturbation(fam, fam, params, 0.3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="raw-mode"):
+            call()
+    # one raw family of the pair is not enough
+    raw = fam.with_sum_mode(SumMode.RAW)
+    with pytest.raises(ValueError, match="raw-mode"):
+        perturbation.verify_perturbed_sum(raw, fam, 0.3)

@@ -146,9 +146,14 @@ def test_operator_family_core_matches_per_atom_sums(args):
     assert fam.sup_norm() == pytest.approx(sup_ref, rel=REL, abs=0.0)
 
 
-def _reference_subset_masks(natoms, limit, nrandom, rng=None):
-    """The subset enumeration as a generator, one subset at a time."""
-    if natoms <= limit:
+def _reference_subset_masks(natoms, nrandom, rng=None, limit=None):
+    """The subset enumeration as a generator, one subset at a time.
+
+    Every subset when 2^natoms - 1 <= 2 natoms + nrandom, or, given
+    ``limit``, when natoms <= limit (the fixed rule before the count rule);
+    otherwise the sample.
+    """
+    if (2**natoms - 1 <= 2 * natoms + nrandom) if limit is None else natoms <= limit:
         for mask in itertools.product((False, True), repeat=natoms):
             if any(mask):
                 yield np.array(mask)
@@ -176,19 +181,39 @@ def _reference_subset_masks(natoms, limit, nrandom, rng=None):
 )
 def test_subset_masks_reproduce_the_enumeration(natoms, limit, nrandom):
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-    masks = perturbation.subset_masks(natoms, limit, nrandom, rng)
-    ref = np.array(list(_reference_subset_masks(natoms, limit, nrandom, ref_rng)))
+    masks = perturbation.subset_masks(natoms, nrandom, rng)
+    ref = np.array(list(_reference_subset_masks(natoms, nrandom, ref_rng)))
     assert masks.dtype == bool
     assert np.array_equal(masks, ref)
     # the sampled path leaves the generator where the enumeration left it
     assert rng.random() == ref_rng.random()
+    # away from 13 atoms the count rule picks what the fixed limit 12 picked
+    old = np.array(list(_reference_subset_masks(natoms, nrandom, np.random.default_rng(7), limit)))
+    assert np.array_equal(masks, old)
 
 
-def _reference_margins(base, perturbed, lam, limit, nrandom, rng):
+@pytest.mark.parametrize(
+    "natoms, nrandom, exhaustive",
+    [
+        (12, 10_000, True), (13, 10_000, True), (14, 10_000, False), (13, 300, False),
+        (1, 0, True), (2, 0, True), (3, 0, False), (8, 239, True), (8, 238, False),
+    ],
+)
+def test_subset_count_rule_at_its_boundary(natoms, nrandom, exhaustive):
+    masks = perturbation.subset_masks(natoms, nrandom, np.random.default_rng(3))
+    if exhaustive:
+        assert np.array_equal(masks, perturbation.all_subset_masks(natoms))
+    else:
+        assert len(masks) == 2 * natoms + nrandom < 2**natoms - 1
+    ref = _reference_subset_masks(natoms, nrandom, np.random.default_rng(3))
+    assert np.array_equal(masks, np.array(list(ref)))
+
+
+def _reference_margins(base, perturbed, lam, nrandom, rng):
     """Every subset's margin and scale, the scale from the SVD of its sum."""
     margins, scales = [], []
     deviations = base.operators - perturbed.operators
-    for mask in _reference_subset_masks(base.natoms, limit, nrandom, rng):
+    for mask in _reference_subset_masks(base.natoms, nrandom, rng):
         a = base.operators[mask].sum(axis=0)
         dev = deviations[mask].sum(axis=0)
         cert = hilbert.hermitian_part(lam * lam * (adjoint(a) @ a) - adjoint(dev) @ dev)
@@ -197,14 +222,14 @@ def _reference_margins(base, perturbed, lam, limit, nrandom, rng):
     return np.array(margins), np.array(scales)
 
 
-def _reference_worst_margin(base, perturbed, lam, limit, nrandom, rng):
-    margins, _ = _reference_margins(base, perturbed, lam, limit, nrandom, rng)
+def _reference_worst_margin(base, perturbed, lam, nrandom, rng):
+    margins, _ = _reference_margins(base, perturbed, lam, nrandom, rng)
     return float(margins.min()), len(margins)
 
 
 def _reference_exact_lam(base_ops, deviations):
     worst = 0.0
-    for mask in _reference_subset_masks(len(base_ops), len(base_ops), 0):
+    for mask in _reference_subset_masks(len(base_ops), 0, limit=len(base_ops)):
         a = base_ops[mask].sum(axis=0)
         dev = deviations[mask].sum(axis=0)
         svals = np.linalg.svd(a, compute_uv=False)
@@ -240,7 +265,7 @@ def _same_as_full_scan(masks, operators, deviations, lam, report=None):
 def _full_svd_exact_lam(base_ops, deviations):
     """The additive builder's constant with an SVD of every subset, over the same chunks."""
     worst = 0.0
-    masks = perturbation.subset_masks(len(base_ops), len(base_ops), 0)
+    masks = perturbation.all_subset_masks(len(base_ops))
     for _, (a, dev) in perturbation.subset_sums(masks, base_ops, deviations):
         svals = np.linalg.svd(a, compute_uv=False)
         if np.any(svals[:, -1] <= 1e-10 * np.maximum(svals[:, 0], 1.0)):
@@ -282,20 +307,21 @@ def test_subset_scanner_spans_several_chunks(complex_):
 
 def _check_scanner(seed, dim, atoms, complex_, lam, sampled):
     base, perturbed, deviations = _perturbed_sum_pair(seed, dim, atoms, complex_, lam)
-    limit = atoms - 1 if sampled else 12
-    nrandom = 50
+    # the largest nrandom that still samples; one or two atoms are always
+    # scanned in full
+    sampled = sampled and atoms >= 3
+    nrandom = 2**atoms - 2 * atoms - 2 if sampled else 10_000
     report, total = perturbation.verify_perturbed_sum(
-        base, perturbed, lam, subset_limit=limit, nrandom=nrandom,
-        rng=np.random.default_rng(seed),
+        base, perturbed, lam, nrandom=nrandom, rng=np.random.default_rng(seed)
     )
     worst, checked = _reference_worst_margin(
-        base, perturbed, lam, limit, nrandom, np.random.default_rng(seed)
+        base, perturbed, lam, nrandom, np.random.default_rng(seed)
     )
     assert report.constants["subsets_checked"] == checked
     assert report.constants["worst_subset_margin"] == pytest.approx(worst, rel=REL, abs=1e-14)
     assert any(("sampled" if sampled else "exhaustive") in note for note in report.notes)
     assert 1 <= report.constants["subsets_eigensolved"] <= checked
-    masks = perturbation.subset_masks(atoms, limit, nrandom, np.random.default_rng(seed))
+    masks = perturbation.subset_masks(atoms, nrandom, np.random.default_rng(seed))
     _same_as_full_scan(masks, base.operators, base.operators - perturbed.operators, lam, report)
     sigmas = np.linalg.svd(total, compute_uv=False)
     verdict = (
@@ -327,9 +353,9 @@ def test_subset_scale_above_one_shares_a_chunk_with_scale_one(complex_):
     base, perturbed = (
         OperatorFamily(stack, np.ones(7), np.ones(7), SumMode.RAW) for stack in (ops, ops + noise)
     )
-    masks = perturbation.subset_masks(7, 12, 0)
+    masks = perturbation.all_subset_masks(7)
     assert len(masks) <= perturbation._SUBSET_CHUNK
-    want, scales = _reference_margins(base, perturbed, lam, 12, 0, None)
+    want, scales = _reference_margins(base, perturbed, lam, 10_000, None)
     assert np.any(scales > 1.0) and np.any(scales == 1.0)
     [(_, cert, scale)] = perturbation._subset_certificates(masks, ops, -noise, lam)
     _close(scale, scales)
@@ -343,7 +369,7 @@ def test_subset_scale_above_one_shares_a_chunk_with_scale_one(complex_):
     _close(np.linalg.eigvalsh(cert[cand])[:, 0] / scale[cand], want[cand])
     assert int(np.argmin(want)) in cand
     report, _ = perturbation.verify_perturbed_sum(base, perturbed, lam)
-    worst, checked = _reference_worst_margin(base, perturbed, lam, 12, 0, None)
+    worst, checked = _reference_worst_margin(base, perturbed, lam, 10_000, None)
     assert report.constants["subsets_checked"] == checked
     assert report.constants["worst_subset_margin"] == pytest.approx(worst, rel=REL, abs=1e-14)
     _same_as_full_scan(masks, ops, base.operators - perturbed.operators, lam, report)
@@ -363,7 +389,7 @@ def test_tied_worst_subsets_resolve_to_the_first_index(complex_, zero_atoms):
     noise = 0.02 * _draw(rng, (atoms, dim, dim), complex_) / atoms
     ops[list(zero_atoms)] = 0.0
     noise[list(zero_atoms)] = 0.0
-    masks = perturbation.subset_masks(atoms, 12, 0)
+    masks = perturbation.all_subset_masks(atoms)
     index, margins = _same_as_full_scan(masks, ops, noise, lam)
     tied = np.flatnonzero(margins == 0.0)
     assert len(tied) == 3 and margins.min() == 0.0
@@ -379,7 +405,7 @@ def test_overflowing_certificates_report_the_first_nan_subset():
     base, perturbed = (
         OperatorFamily(stack, np.ones(2), np.ones(2), SumMode.RAW) for stack in (ops, ops + 1e150)
     )
-    masks = perturbation.subset_masks(2, 12, 0)
+    masks = perturbation.all_subset_masks(2)
     deviations = base.operators - perturbed.operators
     with np.errstate(all="ignore"):
         margins = _full_scan(masks, base.operators, deviations, 0.5)
@@ -421,7 +447,7 @@ def test_cholesky_tier_prunes_what_gershgorin_cannot(complex_):
     # and the scan as a whole eigensolves only what the bounds leave
     base, perturbed, deviations = _perturbed_sum_pair(5, 6, 10, complex_, 0.5)
     report, _ = perturbation.verify_perturbed_sum(base, perturbed, 0.5)
-    masks = perturbation.subset_masks(10, 12, 0)
+    masks = perturbation.all_subset_masks(10)
     _same_as_full_scan(masks, base.operators, base.operators - perturbed.operators, 0.5, report)
     assert report.constants["subsets_eigensolved"] < len(masks)
 
@@ -489,7 +515,7 @@ def _traced_peak(fn):
 
 
 def test_subset_masks_peak_stays_near_the_kept_matrix():
-    masks, peak = _traced_peak(lambda: perturbation.subset_masks(18, 18, 0))
+    masks, peak = _traced_peak(lambda: perturbation.all_subset_masks(18))
     assert masks.shape == (2**18 - 1, 18)
     assert peak <= 2 * masks.nbytes
 
