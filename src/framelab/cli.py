@@ -329,29 +329,17 @@ def cmd_perturb(args) -> int:
     params = PerturbationParams(scenario["lambda1"], scenario["lambda2"], phi)
     lam = scenario["lam"]
 
-    reports = []
-    reports.append(perturbation.check_perturbation(base, perturbed, params, tol))
-    subset_report, _ = perturbation.verify_perturbed_sum(base, perturbed, lam, tol)
-    reports.append(subset_report)
-    resolution_report, _ = perturbation.verify_perturbed_resolution(
-        base, perturbed, params, lam, tol
-    )
-    reports.append(resolution_report)
+    *reports, composite = perturbation.perturbation_reports(base, perturbed, params, lam, tol)
     for report in reports:
         print(report.summary_line())
-
-    d_const = resolution.resolution_bounds(base).upper
-    s_upper = resolution.resolution_bounds(perturbed).upper
-    if s_upper <= d_const + tol:
-        composite = perturbation.verify_composite_perturbation(
-            base, perturbed, params, lam, tol
-        )
+    if composite is not None:
         reports.append(composite)
         print(composite.summary_line())
     else:
+        constants = reports[-1].constants
         print(
-            "composite_perturbation: SKIP (composing family exceeds the base"
-            f" upper bound: {s_upper:.6g} > {d_const:.6g})"
+            "composite_perturbation: SKIP (composing family exceeds the base upper bound:"
+            f" {constants['perturbed_upper']:.6g} > {constants['gram_upper']:.6g})"
         )
 
     if args.out:

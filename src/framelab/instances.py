@@ -10,7 +10,7 @@ tests, docs and the CLI all build from here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -480,13 +480,7 @@ def perturbed_sum_instance(
         ops = (1.0 + deltas)[:, None, None] * base.operators
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    perturbed = OperatorFamily(
-        operators=ops,
-        weights=base.weights,
-        masses=base.masses,
-        sum_mode=SumMode.RAW,
-    )
-    return base, perturbed, lam
+    return base, replace(base, operators=ops), lam
 
 
 def _exact_subset_lam(base_ops, deviations) -> float:
@@ -556,21 +550,13 @@ def perturbed_resolution_instance(
         return base, base, params, 0.0
     if kind == "uniform":
         eps = 0.1
-        perturbed = OperatorFamily(
-            operators=(1.0 - eps) * base.operators,
-            weights=base.weights, masses=base.masses,
-            sum_mode=SumMode.RAW,
-        )
+        perturbed = replace(base, operators=(1.0 - eps) * base.operators)
         return base, perturbed, PerturbationParams(eps, 0.0, zeros), eps
     if kind == "left":
         g = rng.standard_normal((dim, dim))
         g /= operator_norms(g)
         eps = 0.15
-        perturbed = OperatorFamily(
-            operators=(np.eye(dim) + eps * g) @ base.operators,
-            weights=base.weights, masses=base.masses,
-            sum_mode=SumMode.RAW,
-        )
+        perturbed = replace(base, operators=(np.eye(dim) + eps * g) @ base.operators)
         lam = min(eps * (1.0 + 1e-9), 0.95)
         return base, perturbed, PerturbationParams(lam, 0.0, zeros), lam
     if kind != "additive":
@@ -593,11 +579,7 @@ def perturbed_resolution_instance(
             noise = noise_at(budget)
             lam = lam_exact * (1.0 + 1e-9) + 1e-15
             phi = base.weights * operator_norms(noise) * (1.0 + 1e-12)
-            perturbed = OperatorFamily(
-                operators=base.operators + noise,
-                weights=base.weights, masses=base.masses,
-                sum_mode=SumMode.RAW,
-            )
+            perturbed = replace(base, operators=base.operators + noise)
             return base, perturbed, PerturbationParams(0.0, 0.0, phi), lam
         budget *= 0.5
         lam_exact *= 0.5
@@ -665,10 +647,7 @@ def composite_instance(
             np.linalg.norm(phi)
         )
         if side > 1e-6 and lam < 0.95:
-            family = OperatorFamily(
-                operators=s_ops, weights=base.weights, masses=base.masses,
-                sum_mode=SumMode.RAW,
-            )
+            family = replace(base, operators=s_ops)
             return base, family, PerturbationParams(lambda1, lambda2, phi), lam
         eps = eps * 0.5
         eta *= 0.5

@@ -237,8 +237,12 @@ def subset_masks(natoms: int, nrandom: int, rng=None) -> np.ndarray:
 
 def subset_sums(masks: np.ndarray, *stacks: np.ndarray):
     """Yield (offset, [mask rows @ stack for each stack]): every subset's sum, a chunk at a time."""
+    # cast once, not per chunk: the products are the BLAS ones a bool
+    # tensordot makes, so the sums agree with it bit for bit
+    rows = masks.astype(np.finfo(np.result_type(*stacks)).dtype)
     for lo in range(0, len(masks), _SUBSET_CHUNK):
-        yield lo, [np.tensordot(masks[lo : lo + _SUBSET_CHUNK], s, axes=1) for s in stacks]
+        chunk = rows[lo : lo + _SUBSET_CHUNK]
+        yield lo, [(chunk @ s.reshape(len(s), -1)).reshape(-1, *s.shape[1:]) for s in stacks]
 
 
 def _margin_bounds(cert: np.ndarray, scale: np.ndarray):
@@ -440,6 +444,27 @@ def verify_perturbed_sum(
     return report, total
 
 
+def perturbation_reports(
+    base: OperatorFamily,
+    perturbed: OperatorFamily,
+    params: PerturbationParams,
+    lam: float,
+    tol: float = 1e-9,
+):
+    """The four perturbation checks of one family, each shared piece computed once.
+
+    Returns the reports of check_perturbation, verify_perturbed_sum,
+    verify_perturbed_resolution and verify_composite_perturbation, equal to
+    the standalone checks'. The last is None where its Bessel hypothesis
+    fails: the perturbed Gram upper bound exceeds the base one by over ``tol``.
+    """
+    shared = _SharedPieces(base, perturbed, params, lam, tol)
+    pointwise = check_perturbation(base, perturbed, params, tol)
+    resolution_report, _ = shared.resolution_report(pointwise)
+    composite = shared.composite_report() if shared.bessel_dominated() else None
+    return pointwise, shared.subset_report, resolution_report, composite
+
+
 def verify_perturbed_resolution(
     base: OperatorFamily,
     perturbed: OperatorFamily,
@@ -460,88 +485,8 @@ def verify_perturbed_resolution(
 
     Returns (report, normalized_family_or_None).
     """
-    _require_aligned(base, perturbed, params, SumMode.RAW)
-    report = VerificationReport(check_id="perturbed_resolution")
-    report.tolerances = {"bound_slack": tol, "identity_residual": tol}
-
-    base_rep = resolution.verify_resolution(base)
-    report.add_hypothesis(
-        "base_resolution",
-        base_rep.passed,
-        residual=base_rep.constants["identity_residual"],
-    )
-    c_const = base_rep.constants["gram_lower"]
-    d_const = base_rep.constants["gram_upper"]
-
-    pointwise = check_perturbation(base, perturbed, params, tol)
-    report.add_hypothesis(
-        "pointwise_closeness",
-        pointwise.passed,
-        residual=pointwise.constants["probe_margin"],
-    )
-
-    subset_report, sum_matrix = verify_perturbed_sum(base, perturbed, lam, tol=tol)
-    report.add_hypothesis(
-        "subset_stable_sum",
-        subset_report.passed,
-        residual=subset_report.constants["worst_subset_margin"],
-        detail=f"deviation_norm={subset_report.constants['deviation_norm']:.6e}",
-    )
-
-    phi_l2 = params.phi_l2(base.masses)
-    side = (1.0 - params.lambda1) * np.sqrt(max(c_const, 0.0)) - phi_l2
-    report.add_hypothesis("side_condition", side > 0.0, residual=side)
-
-    singulars = np.linalg.svd(sum_matrix, compute_uv=False)
-    sigma_max, sigma_min = float(singulars[0]), float(singulars[-1])
-    raw = resolution.resolution_bounds(perturbed)
-    pred_raw_lower, pred_raw_upper = predicted_interval(c_const, d_const, params, phi_l2)
-    pred_norm_lower, pred_norm_upper = predicted_interval(
-        c_const, d_const, params, phi_l2, sigma_min, sigma_max
-    )
-    report.constants = {
-        "gram_lower": c_const,
-        "gram_upper": d_const,
-        "phi_l2": phi_l2,
-        "lambda1": params.lambda1,
-        "lambda2": params.lambda2,
-        "lam": lam,
-        "perturbed_lower": raw.lower,
-        "perturbed_upper": raw.upper,
-        "predicted_raw_lower": pred_raw_lower,
-        "predicted_raw_upper": pred_raw_upper,
-        "predicted_lower": pred_norm_lower,
-        "predicted_upper": pred_norm_upper,
-        "sum_sigma_min": sigma_min,
-        "sum_sigma_max": sigma_max,
-        "certificate_margin": pointwise.constants["certificate_margin"],
-    }
-
-    ok = raw.lower >= pred_raw_lower - tol and raw.upper <= pred_raw_upper + tol
-    normalized, norm_ok = _normalized_check(perturbed, singulars, report)
-    ok = ok and norm_ok and (
-        report.constants["normalized_lower"] >= pred_norm_lower - tol
-        and report.constants["normalized_upper"] <= pred_norm_upper + tol
-    )
-    report.conclude(ok)
-    return report, normalized
-
-
-def _normalized_check(family: OperatorFamily, singulars: np.ndarray, report):
-    """Normalize a family by its sum, of descending ``singulars``, and check the result.
-
-    Returns (normalized family, whether it is a resolution), its bounds and
-    identity residual going into ``report.constants``, or (None, False)
-    when the sum is singular.
-    """
-    if not float(singulars[-1]) > SINGULAR_CUT * max(float(singulars[0]), 1.0):
-        return None, False
-    normalized = resolution.normalize_to_identity(family)
-    norm_rep = resolution.verify_resolution(normalized)
-    report.constants["normalized_lower"] = norm_rep.constants["gram_lower"]
-    report.constants["normalized_upper"] = norm_rep.constants["gram_upper"]
-    report.constants["normalized_identity_residual"] = norm_rep.constants["identity_residual"]
-    return normalized, norm_rep.passed
+    shared = _SharedPieces(base, perturbed, params, lam, tol)
+    return shared.resolution_report(check_perturbation(base, perturbed, params, tol))
 
 
 def verify_composite_perturbation(
@@ -569,105 +514,203 @@ def verify_composite_perturbation(
     the sum-normalized family passes the resolution checks. The sharper
     denominator variant E (1 + lambda2) is recorded and its failure noted.
     """
-    _require_aligned(base, composed_with, params, SumMode.RAW)
-    report = VerificationReport(check_id="composite_perturbation")
-    report.tolerances = {"bound_slack": tol, "probe_margin": tol}
-    report.notes.append(
-        "auxiliary constant K in the Bessel hypothesis is ignored; the base "
-        "Gram upper bound D is used directly"
-    )
+    return _SharedPieces(base, composed_with, params, lam, tol).composite_report()
 
-    base_rep = resolution.verify_resolution(base)
-    report.add_hypothesis(
-        "base_resolution",
-        base_rep.passed,
-        residual=base_rep.constants["identity_residual"],
-    )
-    d_const = base_rep.constants["gram_upper"]
 
-    gram_s = resolution.resolution_bounds(composed_with)
-    report.add_hypothesis(
-        "bessel_dominated",
-        gram_s.upper <= d_const + tol,
-        residual=gram_s.upper - d_const,
-        detail=f"bessel={gram_s.upper:.6e}",
-    )
+class _SharedPieces:
+    """The pieces the resolution and composite checks share, each computed once.
 
-    e_const = base.sup_norm()
-    probes = hilbert.unit_probes(base.ambient_dim, CLOSENESS_PROBES)
-    w = base.weights[:, None, None]
-    phi = np.asarray(params.phi)
-    t, s = base.operators, composed_with.operators
-    ts = t @ s
-    defect = w * np.eye(base.ambient_dim) - w * w * ts
-    ts_norms = _probe_norms(ts, probes)
-    lhs = _probe_norms(defect, probes)
-    rhs = (
-        params.lambda1 * _probe_norms(w * t, probes)
-        + params.lambda2 * base.weights[:, None] ** 2 * ts_norms
-        + phi[:, None]
-    )
-    probe_margin = float((lhs - rhs).max())
-    composition_margin = float((ts_norms - e_const * _probe_norms(s, probes)).max())
-    certificate_margin = float(
-        (composite_defects(base, s, params.lambda1, params.lambda2) - phi).max()
-    )
-    report.add_hypothesis("pointwise_composite", probe_margin <= tol, residual=probe_margin)
-    report.add_hypothesis(
-        "composition_dominated", composition_margin <= tol, residual=composition_margin
-    )
+    The family normalized by its sum and its resolution report are None
+    when the sum is singular, sigma_min <= SINGULAR_CUT max(1, sigma_max).
+    """
 
-    subset_report, sum_matrix = verify_perturbed_sum(base, composed_with, lam, tol=tol)
-    report.add_hypothesis(
-        "subset_stable_sum",
-        subset_report.passed,
-        residual=subset_report.constants["worst_subset_margin"],
-    )
+    def __init__(self, base, perturbed, params, lam, tol):
+        _require_aligned(base, perturbed, params, SumMode.RAW)
+        self.base = base
+        self.perturbed = perturbed
+        self.params = params
+        self.lam = lam
+        self.tol = tol
+        self.base_report = resolution.verify_resolution(base, identity_tol=tol)
+        self.subset_report, sum_matrix = verify_perturbed_sum(base, perturbed, lam, tol)
+        self.singulars = np.linalg.svd(sum_matrix, compute_uv=False)
+        self.bounds = resolution.resolution_bounds(perturbed)
+        self.normalized = self.normalized_report = None
+        if float(self.singulars[-1]) > SINGULAR_CUT * max(float(self.singulars[0]), 1.0):
+            self.normalized = resolution.normalize_to_identity(perturbed)
+            self.normalized_report = resolution.verify_resolution(self.normalized, identity_tol=tol)
 
-    phi_l2 = params.phi_l2(base.masses)
-    weight_mass = float(np.sqrt(np.sum(base.weights**2 * base.masses)))
-    side = weight_mass - params.lambda1 * np.sqrt(max(d_const, 0.0)) - phi_l2
-    report.add_hypothesis("side_condition", side > 0.0, residual=side)
+    def bessel_dominated(self) -> bool:
+        """The perturbed Gram upper bound is at most the base one, to ``tol``."""
+        return self.bounds.upper <= self.base_report.constants["gram_upper"] + self.tol
 
-    denom_stated = e_const * (1.0 + np.sqrt(params.lambda2))
-    denom_sharp = e_const * (1.0 + params.lambda2)
-    pred_ratio = side / denom_stated if denom_stated > 0 else float("inf")
-    pred_ratio_sharp = side / denom_sharp if denom_sharp > 0 else float("inf")
+    def _report(self, check_id: str, tolerances: dict) -> VerificationReport:
+        """A report whose first hypothesis is that the base family is a resolution."""
+        report = VerificationReport(check_id=check_id, tolerances=tolerances)
+        report.add_hypothesis(
+            "base_resolution",
+            self.base_report.passed,
+            residual=self.base_report.constants["identity_residual"],
+        )
+        return report
 
-    bound_probes = hilbert.unit_probes(base.ambient_dim, BOUND_PROBES)
-    gram_forms = hilbert.quadratic_forms(resolution.resolution_gram(composed_with), bound_probes)
-    probe_low = float(np.sqrt(max(np.min(gram_forms, initial=np.inf), 0.0)))
+    def _record_normalized(self, report: VerificationReport) -> bool:
+        """Record the normalized bounds and identity residual; whether it is a resolution."""
+        if self.normalized_report is None:
+            return False
+        constants = self.normalized_report.constants
+        report.constants["normalized_lower"] = constants["gram_lower"]
+        report.constants["normalized_upper"] = constants["gram_upper"]
+        report.constants["normalized_identity_residual"] = constants["identity_residual"]
+        return self.normalized_report.passed
 
-    sharp_holds = gram_s.lower >= pred_ratio_sharp**2 - tol
-    report.constants = {
-        "gram_upper": d_const,
-        "sup_norm": e_const,
-        "weight_mass": weight_mass,
-        "phi_l2": phi_l2,
-        "lambda1": params.lambda1,
-        "lambda2": params.lambda2,
-        "lam": lam,
-        "lower": gram_s.lower,
-        "upper": gram_s.upper,
-        "predicted_lower": pred_ratio**2,
-        "predicted_lower_sharp": pred_ratio_sharp**2,
-        "sharp_form_holds": float(sharp_holds),
-        "probe_lower": probe_low,
-        "probe_margin": probe_margin,
-        "certificate_margin": certificate_margin,
-    }
-    if not sharp_holds:
-        report.notes.append(
-            "sharper denominator variant (1 + lambda2) fails on this instance; "
-            "the asserted bound uses (1 + sqrt(lambda2))"
+    def resolution_report(self, pointwise: VerificationReport):
+        """verify_perturbed_resolution's (report, normalized family), given the pointwise report."""
+        params, tol = self.params, self.tol
+        report = self._report(
+            "perturbed_resolution", {"bound_slack": tol, "identity_residual": tol}
+        )
+        c_const = self.base_report.constants["gram_lower"]
+        d_const = self.base_report.constants["gram_upper"]
+        report.add_hypothesis(
+            "pointwise_closeness",
+            pointwise.passed,
+            residual=pointwise.constants["probe_margin"],
+        )
+        report.add_hypothesis(
+            "subset_stable_sum",
+            self.subset_report.passed,
+            residual=self.subset_report.constants["worst_subset_margin"],
+            detail=f"deviation_norm={self.subset_report.constants['deviation_norm']:.6e}",
         )
 
-    ok = (
-        probe_low >= pred_ratio - tol
-        and gram_s.lower >= pred_ratio**2 - tol
-        and gram_s.upper <= d_const + tol
-    )
-    singulars = np.linalg.svd(sum_matrix, compute_uv=False)
-    _, norm_ok = _normalized_check(composed_with, singulars, report)
-    report.conclude(ok and norm_ok)
-    return report
+        phi_l2 = params.phi_l2(self.base.masses)
+        side = (1.0 - params.lambda1) * np.sqrt(max(c_const, 0.0)) - phi_l2
+        report.add_hypothesis("side_condition", side > 0.0, residual=side)
+
+        sigma_max, sigma_min = float(self.singulars[0]), float(self.singulars[-1])
+        raw = self.bounds
+        pred_raw_lower, pred_raw_upper = predicted_interval(c_const, d_const, params, phi_l2)
+        pred_norm_lower, pred_norm_upper = predicted_interval(
+            c_const, d_const, params, phi_l2, sigma_min, sigma_max
+        )
+        report.constants = {
+            "gram_lower": c_const,
+            "gram_upper": d_const,
+            "phi_l2": phi_l2,
+            "lambda1": params.lambda1,
+            "lambda2": params.lambda2,
+            "lam": self.lam,
+            "perturbed_lower": raw.lower,
+            "perturbed_upper": raw.upper,
+            "predicted_raw_lower": pred_raw_lower,
+            "predicted_raw_upper": pred_raw_upper,
+            "predicted_lower": pred_norm_lower,
+            "predicted_upper": pred_norm_upper,
+            "sum_sigma_min": sigma_min,
+            "sum_sigma_max": sigma_max,
+            "certificate_margin": pointwise.constants["certificate_margin"],
+        }
+
+        ok = raw.lower >= pred_raw_lower - tol and raw.upper <= pred_raw_upper + tol
+        norm_ok = self._record_normalized(report)
+        ok = ok and norm_ok and (
+            report.constants["normalized_lower"] >= pred_norm_lower - tol
+            and report.constants["normalized_upper"] <= pred_norm_upper + tol
+        )
+        report.conclude(ok)
+        return report, self.normalized
+
+    def composite_report(self) -> VerificationReport:
+        """verify_composite_perturbation's report: the shared pieces plus its probes."""
+        base, composed_with, params, tol = self.base, self.perturbed, self.params, self.tol
+        report = self._report("composite_perturbation", {"bound_slack": tol, "probe_margin": tol})
+        report.notes.append(
+            "auxiliary constant K in the Bessel hypothesis is ignored; the base "
+            "Gram upper bound D is used directly"
+        )
+        d_const = self.base_report.constants["gram_upper"]
+        gram_s = self.bounds
+        report.add_hypothesis(
+            "bessel_dominated",
+            self.bessel_dominated(),
+            residual=gram_s.upper - d_const,
+            detail=f"bessel={gram_s.upper:.6e}",
+        )
+
+        e_const = base.sup_norm()
+        probes = hilbert.unit_probes(base.ambient_dim, CLOSENESS_PROBES)
+        w = base.weights[:, None, None]
+        phi = np.asarray(params.phi)
+        t, s = base.operators, composed_with.operators
+        ts = t @ s
+        defect = w * np.eye(base.ambient_dim) - w * w * ts
+        ts_norms = _probe_norms(ts, probes)
+        lhs = _probe_norms(defect, probes)
+        rhs = (
+            params.lambda1 * _probe_norms(w * t, probes)
+            + params.lambda2 * base.weights[:, None] ** 2 * ts_norms
+            + phi[:, None]
+        )
+        probe_margin = float((lhs - rhs).max())
+        composition_margin = float((ts_norms - e_const * _probe_norms(s, probes)).max())
+        certificate_margin = float(
+            (composite_defects(base, s, params.lambda1, params.lambda2) - phi).max()
+        )
+        report.add_hypothesis("pointwise_composite", probe_margin <= tol, residual=probe_margin)
+        report.add_hypothesis(
+            "composition_dominated", composition_margin <= tol, residual=composition_margin
+        )
+        report.add_hypothesis(
+            "subset_stable_sum",
+            self.subset_report.passed,
+            residual=self.subset_report.constants["worst_subset_margin"],
+        )
+
+        phi_l2 = params.phi_l2(base.masses)
+        weight_mass = float(np.sqrt(np.sum(base.weights**2 * base.masses)))
+        side = weight_mass - params.lambda1 * np.sqrt(max(d_const, 0.0)) - phi_l2
+        report.add_hypothesis("side_condition", side > 0.0, residual=side)
+
+        denom_stated = e_const * (1.0 + np.sqrt(params.lambda2))
+        denom_sharp = e_const * (1.0 + params.lambda2)
+        pred_ratio = side / denom_stated if denom_stated > 0 else float("inf")
+        pred_ratio_sharp = side / denom_sharp if denom_sharp > 0 else float("inf")
+
+        bound_probes = hilbert.unit_probes(base.ambient_dim, BOUND_PROBES)
+        gram = resolution.resolution_gram(composed_with)
+        gram_forms = hilbert.quadratic_forms(gram, bound_probes)
+        probe_low = float(np.sqrt(max(np.min(gram_forms, initial=np.inf), 0.0)))
+
+        sharp_holds = gram_s.lower >= pred_ratio_sharp**2 - tol
+        report.constants = {
+            "gram_upper": d_const,
+            "sup_norm": e_const,
+            "weight_mass": weight_mass,
+            "phi_l2": phi_l2,
+            "lambda1": params.lambda1,
+            "lambda2": params.lambda2,
+            "lam": self.lam,
+            "lower": gram_s.lower,
+            "upper": gram_s.upper,
+            "predicted_lower": pred_ratio**2,
+            "predicted_lower_sharp": pred_ratio_sharp**2,
+            "sharp_form_holds": float(sharp_holds),
+            "probe_lower": probe_low,
+            "probe_margin": probe_margin,
+            "certificate_margin": certificate_margin,
+        }
+        if not sharp_holds:
+            report.notes.append(
+                "sharper denominator variant (1 + lambda2) fails on this instance; "
+                "the asserted bound uses (1 + sqrt(lambda2))"
+            )
+
+        ok = (
+            probe_low >= pred_ratio - tol
+            and gram_s.lower >= pred_ratio**2 - tol
+            and self.bessel_dominated()
+        )
+        norm_ok = self._record_normalized(report)
+        report.conclude(ok and norm_ok)
+        return report

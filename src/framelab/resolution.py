@@ -11,7 +11,7 @@ A family {T_i} with weights and masses resolves the identity when
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,13 +113,7 @@ class OperatorFamily:
         return float(self.operator_norms().max())
 
     def with_sum_mode(self, mode: SumMode) -> "OperatorFamily":
-        return OperatorFamily(
-            operators=self.operators,
-            weights=self.weights,
-            masses=self.masses,
-            sum_mode=mode,
-            points=self.points,
-        )
+        return replace(self, sum_mode=mode)
 
 
 @dataclass(frozen=True)
@@ -234,13 +228,7 @@ def normalize_to_identity(family: OperatorFamily) -> OperatorFamily:
     Raises numpy.linalg.LinAlgError when the sum is singular.
     """
     inv = np.linalg.inv(family.identity_sum_matrix())
-    return OperatorFamily(
-        operators=family.operators @ inv,
-        weights=family.weights,
-        masses=family.masses,
-        sum_mode=family.sum_mode,
-        points=family.points,
-    )
+    return replace(family, operators=family.operators @ inv)
 
 
 def from_orthonormal_basis(dim: int) -> OperatorFamily:

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from framelab import cli, instances, serialize
+from framelab import cli, instances, perturbation, resolution, serialize
 from framelab.perturbation import PerturbationParams
 
 
@@ -232,9 +233,12 @@ def test_sweep_json_format(capsys):
 
 
 def _write_perturbation_fixture(tmp_path, kind="additive", seed=0):
-    base, perturbed, params, lam = instances.perturbed_resolution_instance(
-        3, 4, seed, kind
+    return _write_scenario(
+        tmp_path, *instances.perturbed_resolution_instance(3, 4, seed, kind)
     )
+
+
+def _write_scenario(tmp_path, base, perturbed, params, lam):
     (tmp_path / "base.json").write_text(serialize.dumps_operator_family(base))
     (tmp_path / "pert.json").write_text(serialize.dumps_operator_family(perturbed))
     phi = "table:[" + ",".join(repr(p) for p in params.phi) + "]"
@@ -258,6 +262,36 @@ def test_perturb_passing_scenario(tmp_path, capsys):
     assert "pointwise_perturbation: PASS" in out
     assert "subset_stable_sum: PASS" in out
     assert "perturbed_resolution: PASS" in out
+
+
+def test_perturb_runs_each_shared_piece_once(tmp_path, monkeypatch, capsys):
+    # a composite instance, so the composite check runs beside the other three
+    path = _write_scenario(tmp_path, *instances.composite_instance(4, 6, 0))
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(perturbation, "_worst_subset")
+    count(perturbation, "check_perturbation")
+    count(resolution, "verify_resolution")
+    count(resolution, "resolution_bounds")
+    run(["perturb", str(path)])
+    assert "composite_perturbation: PASS" in capsys.readouterr().out
+    # verify_resolution runs on the base and the normalized family; each of
+    # those takes the Gram bounds, and the perturbed family's make the third
+    assert calls == {
+        "_worst_subset": 1,
+        "check_perturbation": 1,
+        "verify_resolution": 2,
+        "resolution_bounds": 3,
+    }
 
 
 def test_perturb_failing_scenario_gives_exit_one(tmp_path, capsys):

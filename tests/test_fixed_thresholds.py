@@ -24,6 +24,9 @@ SIGNATURES = {
     perturbation.verify_perturbed_sum: [
         ("base", _), ("perturbed", _), ("lam", _), ("tol", 1e-9), ("nrandom", 10_000), ("rng", None),
     ],
+    perturbation.perturbation_reports: [
+        ("base", _), ("perturbed", _), ("params", _), ("lam", _), ("tol", 1e-9),
+    ],
     perturbation.subset_masks: [("natoms", _), ("nrandom", _), ("rng", None)],
     resolution.identity_sum_residual: [("family", _)],
     resolution.verify_resolution: [("family", _), ("identity_tol", 1e-9)],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framelab import instances, perturbation, resolution
+from framelab import instances, perturbation, resolution, serialize
 from framelab.perturbation import PerturbationParams, predicted_interval
 from framelab.resolution import OperatorFamily, SumMode
 
@@ -249,3 +249,55 @@ def test_stability_checks_take_raw_mode_families_only():
     raw = fam.with_sum_mode(SumMode.RAW)
     with pytest.raises(ValueError, match="raw-mode"):
         perturbation.verify_perturbed_sum(raw, fam, 0.3)
+
+
+def _pipeline_instances():
+    for seed in range(5):
+        yield instances.perturbed_resolution_instance(4, 6, seed, "additive")
+        yield instances.perturbed_resolution_instance(4, 6, seed, "left")
+        yield instances.composite_instance(4, 6, seed)
+
+
+def test_pipeline_reports_equal_the_standalone_checks():
+    composites = []
+    for base, perturbed, params, lam in _pipeline_instances():
+        *reports, composite = perturbation.perturbation_reports(base, perturbed, params, lam)
+        standalone = [
+            perturbation.check_perturbation(base, perturbed, params),
+            perturbation.verify_perturbed_sum(base, perturbed, lam)[0],
+            perturbation.verify_perturbed_resolution(base, perturbed, params, lam)[0],
+        ]
+        assert [serialize.dumps_reports([r]) for r in reports] == [
+            serialize.dumps_reports([r]) for r in standalone
+        ]
+        alone = perturbation.verify_composite_perturbation(base, perturbed, params, lam)
+        # the pipeline skips the composite check exactly where its Bessel hypothesis fails
+        bessel = next(h for h in alone.hypotheses if h.name == "bessel_dominated")
+        assert (composite is None) == (not bessel.passed)
+        if composite is not None:
+            assert serialize.dumps_reports([composite]) == serialize.dumps_reports([alone])
+        composites.append(composite is not None)
+    assert any(composites) and not all(composites)
+
+
+def test_tol_reaches_the_base_resolution_sub_checks():
+    # the base misses the identity sum by 1e-8: outside the default tolerance, inside 1e-6
+    base, perturbed, params, lam = instances.perturbed_resolution_instance(4, 6, 0, "additive")
+    ops = np.array(base.operators)
+    ops[0, 0, 0] += 1e-8
+    off = OperatorFamily(operators=ops, weights=base.weights, masses=base.masses)
+    checks = [
+        lambda tol: perturbation.verify_perturbed_resolution(off, perturbed, params, lam, tol)[0],
+        lambda tol: perturbation.verify_composite_perturbation(off, perturbed, params, lam, tol),
+    ]
+    for check in checks:
+        for tol, passed in ((1e-9, False), (1e-6, True)):
+            report = check(tol)
+            hypothesis = report.hypotheses[0]
+            assert hypothesis.name == "base_resolution"
+            assert hypothesis.residual == pytest.approx(1e-8, rel=1e-6)
+            assert hypothesis.passed is passed
+            assert report.tolerances["bound_slack"] == tol
+    # the subset check has judged the same residual by tol all along
+    report, _ = perturbation.verify_perturbed_sum(off, perturbed, lam, 1e-6)
+    assert report.hypotheses[0].name == "base_identity_sum" and report.hypotheses[0].passed

@@ -239,6 +239,26 @@ def _reference_exact_lam(base_ops, deviations):
     return worst
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("natoms, sampled", [(6, False), (13, False), (20, True)])
+def test_subset_sums_match_a_bool_tensordot_bit_for_bit(natoms, sampled, complex_):
+    rng = np.random.default_rng(natoms)
+    masks = (
+        perturbation.subset_masks(natoms, 300) if sampled
+        else perturbation.all_subset_masks(natoms)
+    )
+    # a stack of the drawn scalar type, and a real one beside it
+    stacks = (_draw(rng, (natoms, 3, 3), complex_), rng.standard_normal((natoms, 3, 3)))
+    offsets = []
+    for lo, sums in perturbation.subset_sums(masks, *stacks):
+        offsets.append(lo)
+        chunk = masks[lo : lo + len(sums[0])]
+        for got, stack in zip(sums, stacks):
+            want = np.tensordot(chunk, stack, axes=1)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert offsets == list(range(0, len(masks), perturbation._SUBSET_CHUNK))
+
+
 def _full_scan(masks, operators, deviations, lam):
     """Every subset's margin from one eigensolve per subset, over the scan's own chunks."""
     return np.concatenate([
