@@ -146,7 +146,11 @@ def _probe_vector(args, dim: int) -> np.ndarray:
     if raw is not None:
         import json
 
-        vec = hilbert.require_finite(np.asarray(json.loads(raw), dtype=float), "--vector")
+        try:
+            vec = np.asarray(json.loads(raw), dtype=float)
+        except TypeError:
+            raise ValueError("--vector must be a JSON list of numbers") from None
+        vec = hilbert.require_finite(vec, "--vector")
         if vec.shape != (dim,):
             raise ValueError(f"vector must have {dim} entries, got shape {vec.shape}")
         return vec

@@ -1,6 +1,7 @@
 """Stability of operator resolutions under pointwise and subset perturbations."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,8 +197,10 @@ def composite_defects(
 
 
 # Subsets summed at once by subset_sums; bounds each temporary stack of
-# subset sums to _SUBSET_CHUNK x d x d entries.
-_SUBSET_CHUNK = 128
+# subset sums to _SUBSET_CHUNK x d x d entries. A power of two, so that in
+# counting order the subsets of a chunk share their top atoms (_PairBounds).
+_CHUNK_BITS = 7
+_SUBSET_CHUNK = 2**_CHUNK_BITS
 
 
 def all_subset_masks(natoms: int) -> np.ndarray:
@@ -237,12 +240,21 @@ def subset_masks(natoms: int, nrandom: int, rng=None) -> np.ndarray:
 
 def subset_sums(masks: np.ndarray, *stacks: np.ndarray):
     """Yield (offset, [mask rows @ stack for each stack]): every subset's sum, a chunk at a time."""
+    rows = _mask_rows(masks, stacks)
+    for lo in range(0, len(masks), _SUBSET_CHUNK):
+        yield lo, _row_sums(rows[lo : lo + _SUBSET_CHUNK], stacks)
+
+
+def _mask_rows(masks: np.ndarray, stacks) -> np.ndarray:
+    """The masks as 0/1 rows of the stacks' real dtype."""
     # cast once, not per chunk: the products are the BLAS ones a bool
     # tensordot makes, so the sums agree with it bit for bit
-    rows = masks.astype(np.finfo(np.result_type(*stacks)).dtype)
-    for lo in range(0, len(masks), _SUBSET_CHUNK):
-        chunk = rows[lo : lo + _SUBSET_CHUNK]
-        yield lo, [(chunk @ s.reshape(len(s), -1)).reshape(-1, *s.shape[1:]) for s in stacks]
+    return masks.astype(np.finfo(np.result_type(*stacks)).dtype)
+
+
+def _row_sums(rows: np.ndarray, stacks) -> list:
+    """[rows @ stack for each stack]: one chunk's subset sums."""
+    return [(rows @ s.reshape(len(s), -1)).reshape(-1, *s.shape[1:]) for s in stacks]
 
 
 def _margin_bounds(cert: np.ndarray, scale: np.ndarray):
@@ -300,26 +312,163 @@ def _candidates(cert: np.ndarray, scale: np.ndarray, worst: float) -> np.ndarray
     return keep[:0]
 
 
-def _subset_certificates(
-    masks: np.ndarray, operators: np.ndarray, deviations: np.ndarray, lam: float
-):
-    """Yield (offset, cert, scale) a chunk of subsets at a time.
+def _certificates(a: np.ndarray, dev: np.ndarray, lam: float):
+    """(cert, scale) of a stack of subset sums A_I (``a``) and D_I (``dev``).
 
-    With A_I and D_I the subset sums of ``operators`` and ``deviations``,
     cert is lam^2 A_I^* A_I - D_I^* D_I and scale is max(1, lam^2 ||A_I||^2);
-    a subset's margin is lambda_min(cert) / scale.
+    a subset's margin is lambda_min(cert) / scale. Each subset's pair is
+    computed matrix by matrix, whatever else the stack holds.
     """
-    for lo, (a, dev) in subset_sums(masks, operators, deviations):
-        g = lam * lam * (adjoint(a) @ a)
-        cert = hilbert.hermitian_part(g - adjoint(dev) @ dev)
-        # the scale is max(1, lambda_max(g)), and lambda_max(g) <= trace(g):
-        # where the trace stays a rounding margin below 1 the scale is
-        # exactly 1 and needs no eigenvalue
-        scale = np.ones(len(a))
-        big = np.einsum("ijj->i", g).real > 1.0 - 1e-8
-        if big.any():
-            scale[big] = np.maximum(1.0, np.linalg.eigvalsh(g[big])[:, -1])
-        yield lo, cert, scale
+    g = lam * lam * (adjoint(a) @ a)
+    cert = hilbert.hermitian_part(g - adjoint(dev) @ dev)
+    # the scale is max(1, lambda_max(g)), and lambda_max(g) <= trace(g):
+    # where the trace stays a rounding margin below 1 the scale is
+    # exactly 1 and needs no eigenvalue
+    scale = np.ones(len(a))
+    big = np.einsum("ijj->i", g).real > 1.0 - 1e-8
+    if big.any():
+        scale[big] = np.maximum(1.0, np.linalg.eigvalsh(g[big])[:, -1])
+    return cert, scale
+
+
+@functools.lru_cache(maxsize=16)
+def _bit_rows(k: int):
+    """(rows, pairs) over all 2^k subsets of k atoms: the empty one, then all_subset_masks(k).
+
+    rows holds each subset's 0/1 indicator m, pairs its products m_i m_j;
+    both are read-only float arrays.
+    """
+    rows = np.concatenate([np.zeros((1, k), dtype=bool), all_subset_masks(k)]).astype(float)
+    pairs = (rows[:, :, None] * rows[:, None, :]).reshape(len(rows), k * k)
+    rows.flags.writeable = pairs.flags.writeable = False
+    return rows, pairs
+
+
+@functools.lru_cache(maxsize=1)
+def _chunk_bits():
+    """(rows, pairs) of the bottom _CHUNK_BITS atoms of a chunk's subsets, one column each.
+
+    Row k of a chunk is subset count lo + k + 1, so its bottom atoms are
+    the bits of (k + 1) mod _SUBSET_CHUNK, the same in every chunk. Two
+    rows follow the bits in ``rows``: 1 where the subset keeps the chunk's
+    top atoms, and 1 for the full chunk's last subset (bits 0), which is
+    the next top set alone.
+    """
+    bits, pairs = (np.roll(t, -1, axis=0).T for t in _bit_rows(_CHUNK_BITS))
+    last = bits.sum(axis=0) == 0
+    rows = np.vstack([bits, ~last, last])
+    rows.flags.writeable = False
+    return rows, np.ascontiguousarray(pairs)
+
+
+class _PairBounds:
+    """Tier 0 of an exhaustive scan: every subset's margin bounded from one table of atom pairs.
+
+    With M_ij = lam^2 A_i^* A_j - D_i^* D_j, a subset's certificate is
+    C_I = sum_{i,j in I} M_ij. Gershgorin's discs and the triangle
+    inequality, with m the subset's 0/1 indicator, give
+
+        min_r m^T X_r m <= lambda_min(C_I) <= min_r m^T Y_r m,
+
+    X_ij,r = Re(M_ij)_rr - sum_{s != r} |(M_ij)_rs| and Y_ij,r = Re(M_ij)_rr.
+    The scale lies in [1, max(1, lam^2 alpha_I^2)], with alpha_I =
+    sum_I ||A_i||_F >= ||A_I||; each bound is divided by whichever end of
+    that range keeps it on its side.
+
+    Rounding: with delta_I = sum_I ||D_i||_F and kappa_I = lam^2 alpha_I^2
+    + delta_I^2, the blocks M_ij over I x I sum to at most kappa_I in
+    Frobenius norm. The computed certificate is off C_I by the rounding of
+    the subset sums (gamma_n in each factor) and of its products (gamma_d),
+    at most (2n + d + 4) eps kappa_I in 2-norm; eigvalsh adds 8 d^2 eps
+    kappa_I (as in _margin_bounds); this table's products and the sums of
+    its forms, n^2 + 2n terms each at most sqrt(d) ||M_ij||_F, add
+    (n^2 + 2n + d + 3) sqrt(d) eps kappa_I. Those, and the rounding of the
+    scale and of the quotient, stay below tau_I = 16 (n + d)^2 d eps kappa_I;
+    the largest scale is widened by the same relative factor. tau_I is a
+    quadratic form in m too, so the table carries X - tau and Y + tau; the
+    pair term tiny keeps it above underflow's absolute errors.
+
+    Overflow: with lam < 1, every entry and partial sum of every certificate
+    is at most (sum ||A_i||_F)^2 + (sum ||D_i||_F)^2 over all atoms, times
+    1 + O((n + d) eps); where that reaches a quarter of the largest float
+    ``of_scan`` gives no tier 0, so no margin it drops can be NaN.
+
+    Counting order puts atom 0 on the top bit, so the subsets of a chunk
+    share their top n - _CHUNK_BITS atoms, but for a full chunk's last
+    subset, which is the next top set alone. m^T Z m is then a top, a
+    cross and a bottom term: the bottom terms are the same in every chunk,
+    and one ((_CHUNK_BITS + 2) x chunk) product adds the others. Subsets
+    run along the last axis of the chunk's forms, where numpy reduces the
+    short axis of length d fastest.
+    """
+
+    def __init__(self, operators: np.ndarray, deviations: np.ndarray, lam: float, alpha, delta):
+        n, d = operators.shape[0], operators.shape[-1]
+        eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+        # [lam A_1 ... lam A_n; D_1 ... D_n] against itself with its lower
+        # half negated: block (i, j) of this (nd x nd) product is M_ij
+        g = np.concatenate([lam * operators, deviations], axis=1).transpose(1, 0, 2)
+        g = g.reshape(2 * d, n * d)
+        pairs = adjoint(g) @ (g * np.repeat([1.0, -1.0], d)[:, None])
+        diag = pairs.reshape(n, d, n, d).diagonal(axis1=1, axis2=3)  # (n, n, d): (M_ij)_rr
+        rows = (np.abs(pairs).reshape(-1, d) @ np.ones(d)).reshape(n, d, n).transpose(0, 2, 1)
+        coeff = 16.0 * (n + d) ** 2 * d * eps
+        scaled = lam * lam * np.outer(alpha, alpha)
+        tau = coeff * (scaled + np.outer(delta, delta) + tiny)[:, :, None]
+        # z[i, j] holds X_ij - tau, Y_ij + tau, then the widened lam^2 alpha_I^2 term
+        z = np.concatenate(
+            [diag.real + np.abs(diag) - rows - tau, diag.real + tau,
+             (1.0 + coeff) * scaled[:, :, None]],
+            axis=2,
+        )
+        top, width = n - _CHUNK_BITS, z.shape[2]
+        top_rows, top_pairs = _bit_rows(top)
+        top_forms = top_pairs @ z[:top, :top].reshape(top * top, width)
+        cross = z[:top, top:] + z[top:, :top].transpose(1, 0, 2)
+        # per top set, the (width x (_CHUNK_BITS + 2)) factor of _chunk_bits'
+        # rows: its cross terms, its own top form and the next top set's
+        self.blocks = np.zeros((len(top_rows), width, _CHUNK_BITS + 2))
+        self.blocks[:, :, :-2] = (top_rows @ cross.reshape(top, -1)).reshape(
+            len(top_rows), _CHUNK_BITS, width
+        ).transpose(0, 2, 1)
+        self.blocks[:, :, -2] = top_forms
+        self.blocks[:-1, :, -1] = top_forms[1:]
+        bottom = z[top:, top:].reshape(_CHUNK_BITS**2, width)
+        self.bottom_forms = bottom.T @ _chunk_bits()[1]
+        self.d = d
+
+    @classmethod
+    def of_scan(cls, masks, operators, deviations, lam):
+        """Tier 0 for an exhaustive scan of more than one chunk, or None.
+
+        The scan is exhaustive when it has 2^n - 1 masks, all_subset_masks(n).
+        """
+        if len(masks) != 2 ** len(operators) - 1 or len(masks) <= _SUBSET_CHUNK:
+            return None
+        alpha = np.linalg.norm(operators.reshape(len(operators), -1), axis=1)
+        delta = np.linalg.norm(deviations.reshape(len(deviations), -1), axis=1)
+        if not alpha.sum() ** 2 + delta.sum() ** 2 < np.finfo(float).max / 4.0:
+            return None
+        return cls(operators, deviations, lam, alpha, delta)
+
+    def bounds(self, lo: int, count: int):
+        """Certified (lower, upper) for each computed margin of the chunk at ``lo``."""
+        rows = _chunk_bits()[0][:, :count]
+        forms = self.blocks[lo >> _CHUNK_BITS] @ rows + self.bottom_forms[:, :count]
+        d = self.d
+        scale = np.maximum(1.0, forms[-1])
+        lower = forms[:d].min(axis=0)
+        upper = forms[d:-1].min(axis=0)
+        return np.minimum(lower, lower / scale), np.maximum(upper, upper / scale)
+
+    def survivors(self, lo: int, count: int, worst: float) -> np.ndarray:
+        """Rows of the chunk at ``lo`` whose margin may be its minimum and at most ``worst``.
+
+        Every other row's computed margin lies strictly above both ``worst``
+        and the margin of the row holding the chunk's smallest upper bound.
+        """
+        lower, upper = self.bounds(lo, count)
+        return np.flatnonzero(~(lower > min(worst, upper.min())))
 
 
 def _worst_subset(
@@ -327,13 +476,34 @@ def _worst_subset(
 ):
     """(worst_index, worst_margin, eigensolved): the smallest scaled domination margin.
 
-    Only the _candidates of each chunk reach the eigensolver (``eigensolved``
-    counts them); every other subset is proved to lie strictly above the
-    minimum, so the result is the np.argmin over all subsets' margins,
-    ties going to the first index.
+    On an exhaustive scan of more than one chunk, _PairBounds first drops
+    the subsets that lie above the running worst or the chunk's smallest
+    upper bound, and skips a chunk none of whose subsets is left; a chunk
+    with survivors is still summed whole, since a product over fewer rows
+    rounds differently. After a chunk where the pair bounds drop nothing,
+    the rest of the scan goes without them: where they are too loose to
+    help, they cost one chunk's bounds. Only the _candidates among the
+    survivors reach the eigensolver (``eigensolved`` counts them); every
+    other subset is proved to lie strictly above the minimum, so the result
+    is the np.argmin over all subsets' margins, ties going to the first
+    index.
     """
+    stacks = (operators, deviations)
+    rows = _mask_rows(masks, stacks)
+    pairs = _PairBounds.of_scan(masks, operators, deviations, lam)
     worst, worst_index, eigensolved = np.inf, 0, 0
-    for lo, cert, scale in _subset_certificates(masks, operators, deviations, lam):
+    for lo in range(0, len(masks), _SUBSET_CHUNK):
+        chunk = rows[lo : lo + _SUBSET_CHUNK]
+        kept = slice(None)
+        if pairs is not None:
+            kept = pairs.survivors(lo, len(chunk), worst)
+            if len(kept) == 0:
+                continue
+            if len(kept) == len(chunk):
+                kept, pairs = slice(None), None  # the rest of the scan goes without them
+        index = np.arange(lo, lo + len(chunk))[kept]
+        a, dev = _row_sums(chunk, stacks)
+        cert, scale = _certificates(a[kept], dev[kept], lam)
         cand = _candidates(cert, scale, worst)
         if len(cand) == 0:
             continue
@@ -341,7 +511,7 @@ def _worst_subset(
         margins = np.linalg.eigvalsh(cert[cand])[:, 0] / scale[cand]
         k = int(np.argmin(margins))
         if margins[k] < worst or np.isnan(margins[k]):
-            worst, worst_index = float(margins[k]), lo + int(cand[k])
+            worst, worst_index = float(margins[k]), int(index[cand[k]])
             if np.isnan(worst):
                 break  # np.argmin stops at the first NaN
     return worst_index, worst, eigensolved
@@ -370,7 +540,9 @@ def verify_perturbed_sum(
     ``nrandom`` seeded random subsets are sampled, and the report says so.
 
     Only the smallest scaled margin and the first subset holding it are
-    reported, and most subsets are settled without an eigensolver: a
+    reported, and most subsets are settled without an eigensolver: on an
+    exhaustive scan of more than one chunk, bounds from one table of atom
+    pairs drop subsets, and whole chunks, before they are summed; a
     Gershgorin lower bound above the running bound drops a subset, one
     Cholesky of the shifted certificates drops the rest of a chunk at once,
     and eigvalsh runs only on what is left (``subsets_eigensolved``). The

@@ -78,9 +78,19 @@ def _parse(text: str):
 
 
 def _require(obj: dict, key: str, where: str):
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {json.dumps(obj)}")
     if key not in obj:
         raise ValueError(f"{where} is missing required key {key!r}")
     return obj[key]
+
+
+def _number(value, what: str, kind=float):
+    """``kind(value)``, or a ValueError naming ``what`` when the value is no number."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be a number, got {json.dumps(value)}") from None
 
 
 def dumps_fusion_family(family: WeightedSubspaceFamily) -> str:
@@ -97,9 +107,12 @@ def dumps_fusion_family(family: WeightedSubspaceFamily) -> str:
     return dumps_canonical({"ambient_dim": family.ambient_dim, "atoms": atoms})
 
 
-def _matrix(raw) -> np.ndarray:
+def _matrix(raw, what: str) -> np.ndarray:
     """A matrix from nested number lists; a third axis of length 2 holds [re, im] pairs."""
-    mat = np.asarray(raw, dtype=float)
+    try:
+        mat = np.asarray(raw, dtype=float)
+    except TypeError:
+        raise ValueError(f"{what} must hold nested lists of numbers") from None
     if mat.ndim == 3 and mat.shape[-1] == 2:
         return mat.view(complex)[..., 0]
     return mat
@@ -107,7 +120,7 @@ def _matrix(raw) -> np.ndarray:
 
 def _basis_from_rows(rows, dim: int, where: str) -> np.ndarray:
     """One atom's d x r basis, re-orthonormalized when its rows drift past BASIS_KEEP_TOL."""
-    mat = _matrix(rows)
+    mat = _matrix(rows, f"{where}: basis")
     if mat.shape == (0,):  # a rank-0 atom
         mat = mat.reshape(0, dim)
     if mat.ndim != 2 or mat.shape[1] != dim:
@@ -129,7 +142,7 @@ def _basis_from_rows(rows, dim: int, where: str) -> np.ndarray:
 
 
 def _family_from_obj(data: dict) -> WeightedSubspaceFamily:
-    dim = int(_require(data, "ambient_dim", "fusion family"))
+    dim = _number(_require(data, "ambient_dim", "fusion family"), "ambient_dim", int)
     raw_atoms = _require(data, "atoms", "fusion family")
     if not isinstance(raw_atoms, list) or not raw_atoms:
         raise ValueError("fusion family needs a nonempty atoms list")
@@ -137,8 +150,8 @@ def _family_from_obj(data: dict) -> WeightedSubspaceFamily:
     for i, atom in enumerate(raw_atoms):
         where = f"atom {i}"
         subs.append(_basis_from_rows(_require(atom, "basis", where), dim, where))
-        weights.append(float(_require(atom, "weight", where)))
-        masses.append(float(_require(atom, "mass", where)))
+        weights.append(_number(_require(atom, "weight", where), f"{where}: weight"))
+        masses.append(_number(_require(atom, "mass", where), f"{where}: mass"))
         points.append(_require(atom, "point", where))
     return WeightedSubspaceFamily(
         subspaces=tuple(subs),
@@ -172,7 +185,7 @@ def dumps_operator_family(family: OperatorFamily) -> str:
 
 
 def _resolution_from_obj(data: dict) -> OperatorFamily:
-    dim = int(_require(data, "ambient_dim", "resolution"))
+    dim = _number(_require(data, "ambient_dim", "resolution"), "ambient_dim", int)
     mode = SumMode(_require(data, "sum_mode", "resolution"))
     raw_atoms = _require(data, "atoms", "resolution")
     raw_ops = _require(data, "operators", "resolution")
@@ -185,7 +198,7 @@ def _resolution_from_obj(data: dict) -> OperatorFamily:
         )
     operators = []
     for i, block in enumerate(raw_ops):
-        mat = _matrix(block)
+        mat = _matrix(block, f"operator {i}")
         if mat.shape != (dim, dim):
             raise ValueError(
                 f"operator {i} must be {dim}x{dim}, got shape {mat.shape}"
@@ -194,8 +207,8 @@ def _resolution_from_obj(data: dict) -> OperatorFamily:
     weights, masses, points = [], [], []
     for i, atom in enumerate(raw_atoms):
         where = f"atom {i}"
-        weights.append(float(_require(atom, "weight", where)))
-        masses.append(float(_require(atom, "mass", where)))
+        weights.append(_number(_require(atom, "weight", where), f"{where}: weight"))
+        masses.append(_number(_require(atom, "mass", where), f"{where}: mass"))
         points.append(_require(atom, "point", where))
     return OperatorFamily(
         operators=tuple(operators),
@@ -245,21 +258,22 @@ def loads_measure_spec(text: str):
     kind = _require(space_obj, "kind", "space")
     if kind == "interval":
         space = ParameterSpace.interval(
-            float(_require(space_obj, "a", "interval space")),
-            float(_require(space_obj, "b", "interval space")),
+            _number(_require(space_obj, "a", "interval space"), "interval space: a"),
+            _number(_require(space_obj, "b", "interval space"), "interval space: b"),
         )
     elif kind == "circle":
         space = ParameterSpace.circle(
-            period=float(space_obj.get("period", 2.0 * math.pi))
+            period=_number(space_obj.get("period", 2.0 * math.pi), "circle space: period")
         )
     elif kind == "finite":
-        space = ParameterSpace.finite(
-            tuple(_require(space_obj, "labels", "finite space"))
-        )
+        labels = _require(space_obj, "labels", "finite space")
+        if not isinstance(labels, list):
+            raise ValueError(f"finite space: labels must be a list, got {json.dumps(labels)}")
+        space = ParameterSpace.finite(tuple(labels))
     else:
         raise ValueError(f"unknown space kind {kind!r}")
     scheme = DiscretizationScheme(
-        str(data.get("rule", "midpoint")), int(data.get("n", 1))
+        str(data.get("rule", "midpoint")), _number(data.get("n", 1), "n", int)
     )
     weight = weight_from_spec(str(_require(data, "weight", "measure spec")))
     return space, scheme, weight
@@ -293,9 +307,9 @@ def loads_perturbation_scenario(text: str) -> dict:
     return {
         "base": str(_require(data, "base", "perturbation scenario")),
         "perturbed": str(_require(data, "perturbed", "perturbation scenario")),
-        "lam": float(_require(data, "lambda", "perturbation scenario")),
-        "lambda1": float(data.get("lambda1", 0.0)),
-        "lambda2": float(data.get("lambda2", 0.0)),
+        "lam": _number(_require(data, "lambda", "perturbation scenario"), "lambda"),
+        "lambda1": _number(data.get("lambda1", 0.0), "lambda1"),
+        "lambda2": _number(data.get("lambda2", 0.0), "lambda2"),
         "phi_spec": phi_spec,
     }
 
@@ -310,7 +324,9 @@ def sample_envelope(phi_spec: str, points, count: int) -> tuple:
                 f" {count} atoms"
             )
         return tuple(float(v) for v in weight.table)
-    return tuple(float(weight(float(p))) for p in points)
+    return tuple(
+        float(weight(_number(p, f"atom {i}: point"))) for i, p in enumerate(points)
+    )
 
 
 def dumps_reports(reports) -> str:

@@ -139,6 +139,13 @@ def test_reconstruct_rejects_a_non_finite_vector(capsys, monkeypatch):
     assert "--vector entry 1 is not finite (nan)" in capsys.readouterr().err
 
 
+def test_reconstruct_rejects_a_vector_of_objects(capsys):
+    assert run([
+        "reconstruct", "--scenario", "mercedes", "--vector", '[{"a": 1}, 2]',
+    ]) == cli.EXIT_PARSE
+    assert "--vector must be a JSON list of numbers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--dim", "--atoms"])
 @pytest.mark.parametrize("scenario", sorted(instances.SCENARIOS))
 def test_gen_rejects_sizes_below_one(scenario, flag, capsys):
@@ -206,6 +213,54 @@ def test_discretize_names_non_finite_input(tmp_path, capsys, space, weight, mess
     path.write_text(json.dumps({"space": space, "rule": "midpoint", "n": 2, "weight": weight}))
     assert run(["discretize", str(path)]) == cli.EXIT_PARSE
     assert message in capsys.readouterr().err
+
+
+def _malformed(tmp_path, command, scenario, edit):
+    """The argv of ``command`` on a generated file after ``edit`` changed its JSON."""
+    gen = tmp_path / "gen.json"
+    run(["gen", "--scenario", scenario, "--atoms", "3", "--out", str(gen)])
+    data = json.loads(gen.read_text())
+    if command == "perturb":
+        data = {"base": "gen.json", "perturbed": "gen.json", "lambda": 0.5}
+    elif command == "discretize":
+        data = {"space": {"kind": "interval", "a": 0, "b": 1}, "n": 2, "weight": "const:1"}
+    edit(data)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return [command, str(path)]
+
+
+@pytest.mark.parametrize(
+    "command, scenario, edit, field",
+    [
+        ("analyze", "random_resolution", lambda d: d.update(atoms=[1, 2, 3]), "atom 0"),
+        ("analyze", "random_fusion", lambda d: d.update(atoms=[1, 2, 3]), "atom 0"),
+        ("analyze", "random_resolution", lambda d: d["atoms"][1].update(weight=None), "atom 1: weight"),
+        ("analyze", "random_fusion", lambda d: d["atoms"][2].update(mass=[1.0]), "atom 2: mass"),
+        ("analyze", "random_resolution", lambda d: d.update(ambient_dim=None), "ambient_dim"),
+        ("analyze", "random_fusion", lambda d: d.update(ambient_dim=None), "ambient_dim"),
+        ("analyze", "random_resolution", lambda d: d["operators"].__setitem__(0, {}), "operator 0"),
+        ("perturb", "random_resolution", lambda d: d.update({"lambda": None}), "lambda"),
+        ("perturb", "random_resolution", lambda d: d.update({"lambda": [0.5]}), "lambda"),
+        ("perturb", "random_resolution", lambda d: d.update(lambda2={}), "lambda2"),
+        ("discretize", "axes", lambda d: d.update(space=5), "space"),
+        ("discretize", "axes", lambda d: d.update(n=None), "n must be"),
+        ("discretize", "axes", lambda d: d["space"].update(b=None), "interval space: b"),
+        ("discretize", "axes", lambda d: d.update(space={"kind": "finite", "labels": 5}), "labels"),
+    ],
+    ids=[
+        "resolution-atoms", "fusion-atoms", "null-weight", "list-mass", "resolution-null-dim",
+        "fusion-null-dim", "object-operator", "null-lambda", "list-lambda", "object-lambda2",
+        "number-space", "null-n", "null-endpoint", "number-labels",
+    ],
+)
+def test_malformed_fields_are_parse_failures(tmp_path, capsys, command, scenario, edit, field):
+    # parseable JSON of the wrong shape names its field and exits 2, never 3
+    argv = _malformed(tmp_path, command, scenario, edit)
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_PARSE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
 
 
 def test_sweep_rotating_line(capsys):

@@ -263,8 +263,16 @@ def _full_scan(masks, operators, deviations, lam):
     """Every subset's margin from one eigensolve per subset, over the scan's own chunks."""
     return np.concatenate([
         np.linalg.eigvalsh(cert)[:, 0] / scale
-        for _, cert, scale in perturbation._subset_certificates(masks, operators, deviations, lam)
+        for cert, scale in _chunk_certificates(masks, operators, deviations, lam)
     ])
+
+
+def _chunk_certificates(masks, operators, deviations, lam):
+    """(cert, scale) of every subset, a whole chunk at a time."""
+    return [
+        perturbation._certificates(a, dev, lam)
+        for _, (a, dev) in perturbation.subset_sums(masks, operators, deviations)
+    ]
 
 
 def _same_as_full_scan(masks, operators, deviations, lam, report=None):
@@ -377,7 +385,7 @@ def test_subset_scale_above_one_shares_a_chunk_with_scale_one(complex_):
     assert len(masks) <= perturbation._SUBSET_CHUNK
     want, scales = _reference_margins(base, perturbed, lam, 10_000, None)
     assert np.any(scales > 1.0) and np.any(scales == 1.0)
-    [(_, cert, scale)] = perturbation._subset_certificates(masks, ops, -noise, lam)
+    [(cert, scale)] = _chunk_certificates(masks, ops, -noise, lam)
     _close(scale, scales)
     _close(np.linalg.eigvalsh(cert)[:, 0] / scale, want)
     # every subset's certified bounds hold its margin (soundness), and the
@@ -500,6 +508,138 @@ def test_margin_bounds_hold_where_gershgorin_is_tight(complex_):
     margins = np.linalg.eigvalsh(cert)[:, 0] / scale
     lower, upper, _ = perturbation._margin_bounds(cert, scale)
     assert np.all(lower <= margins) and np.all(margins <= upper)
+
+
+def _assert_pair_bounds_hold(masks, operators, deviations, lam):
+    """Every subset's tier-0 bounds hold its computed margin."""
+    pairs = perturbation._PairBounds.of_scan(masks, operators, deviations, lam)
+    assert pairs is not None
+    margins = _full_scan(masks, operators, deviations, lam)
+    for lo in range(0, len(masks), perturbation._SUBSET_CHUNK):
+        count = min(perturbation._SUBSET_CHUNK, len(masks) - lo)
+        lower, upper = pairs.bounds(lo, count)
+        got = margins[lo : lo + count]
+        assert np.all(lower <= got) and np.all(got <= upper)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(8, 10), st.booleans(),
+    st.floats(0.0, 0.95), st.sampled_from([0.05, 1.0, 3.0]), st.sampled_from([0.01, 0.3, 3.0]),
+)
+def test_pair_bounds_hold_every_computed_margin(seed, dim, atoms, complex_, lam, size, noise):
+    # atoms of size 3 give scales above 1, noise of size 3 negative margins;
+    # zeroed atoms make certificates whose discs are exact
+    rng = np.random.default_rng(seed)
+    ops = size * _draw(rng, (atoms, dim, dim), complex_)
+    deviations = noise * size * _draw(rng, (atoms, dim, dim), complex_)
+    ops[rng.random(atoms) < 0.2] = 0.0
+    masks = perturbation.all_subset_masks(atoms)
+    _assert_pair_bounds_hold(masks, ops, deviations, lam)
+    _same_as_full_scan(masks, ops, deviations, lam)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_pair_bounds_hold_with_scales_above_one_across_chunks(complex_):
+    # atoms 3I and -2I as in the single-chunk case, now among 8 small atoms:
+    # 1023 subsets over eight chunks, with scales above 1 and exactly 1
+    rng = np.random.default_rng(12)
+    dim, lam = 3, 0.9
+    small = 0.05 * _draw(rng, (8, dim, dim), complex_)
+    ops = np.concatenate([[3.0 * np.eye(dim), -2.0 * np.eye(dim)], small])
+    noise = 0.01 * _draw(rng, ops.shape, complex_)
+    masks = perturbation.all_subset_masks(10)
+    scales = np.concatenate([scale for _, scale in _chunk_certificates(masks, ops, -noise, lam)])
+    assert np.any(scales > 1.0) and np.any(scales == 1.0)
+    _assert_pair_bounds_hold(masks, ops, -noise, lam)
+    base, perturbed = (
+        OperatorFamily(stack, np.ones(10), np.ones(10), SumMode.RAW)
+        for stack in (ops, ops + noise)
+    )
+    report, _ = perturbation.verify_perturbed_sum(base, perturbed, lam)
+    _same_as_full_scan(masks, ops, base.operators - perturbed.operators, lam, report)
+
+
+def test_overflowing_certificates_across_chunks_report_the_first_nan_subset():
+    # the two huge atoms are atoms 0 and 1, the top bits: the 63 subsets of
+    # the six small atoms come first with finite margins, every later subset
+    # overflows. Tier 0 stays off, and the scan stops at the first NaN
+    rng = np.random.default_rng(2)
+    ops = np.concatenate(
+        [[1e160 * np.eye(2), (1.0 - 1e160) * np.eye(2)], 0.1 * rng.standard_normal((6, 2, 2))]
+    )
+    deviations = np.full(ops.shape, -1e150)
+    deviations[2:] = 0.01 * rng.standard_normal((6, 2, 2))
+    masks = perturbation.all_subset_masks(8)
+    with np.errstate(all="ignore"):
+        margins = _full_scan(masks, ops, deviations, 0.5)
+        assert perturbation._PairBounds.of_scan(masks, ops, deviations, 0.5) is None
+        index, worst, _ = perturbation._worst_subset(masks, ops, deviations, 0.5)
+    assert np.all(np.isfinite(margins[:63])) and np.isnan(margins[63])
+    assert np.isnan(worst) and index == int(np.argmin(margins)) == 63
+
+
+def test_pair_bounds_run_only_on_exhaustive_multi_chunk_scans():
+    rng = np.random.default_rng(6)
+    for atoms, nrandom in ((7, 10_000), (8, 10_000), (8, 100), (14, 10_000)):
+        ops = rng.standard_normal((atoms, 2, 2))
+        masks = perturbation.subset_masks(atoms, nrandom)
+        pairs = perturbation._PairBounds.of_scan(masks, ops, 0.1 * ops, 0.5)
+        # exhaustive and more than one chunk: 8 atoms at the default nrandom
+        assert (pairs is not None) == (atoms == 8 and nrandom == 10_000)
+
+
+@pytest.mark.parametrize(
+    "kind, dim, atoms",
+    [("composite", 2 + atoms % 4, atoms) for atoms in range(8, 13)]
+    + [("additive", dim, 8) for dim in range(2, 6)],
+)
+def test_multi_chunk_scans_match_the_full_scan(kind, dim, atoms):
+    for seed in (0, 1):
+        if kind == "composite":
+            base, perturbed, _, lam = instances.composite_instance(dim, atoms, seed)
+        else:
+            base, perturbed, _, lam = instances.perturbed_resolution_instance(dim, atoms, seed, kind)
+        report, _ = perturbation.verify_perturbed_sum(base, perturbed, lam)
+        masks = perturbation.all_subset_masks(atoms)
+        deviations = base.operators - perturbed.operators
+        _assert_pair_bounds_hold(masks, base.operators, deviations, lam)
+        _same_as_full_scan(masks, base.operators, deviations, lam, report)
+
+
+def test_pair_bounds_skip_whole_chunks(monkeypatch):
+    # composite_instance(8, 12, 0) spans 32 chunks; tier 0 leaves all but a
+    # few unsummed, and the result is still the full scan's
+    base, comp, _, lam = instances.composite_instance(8, 12, 0)
+    masks = perturbation.all_subset_masks(12)
+    deviations = base.operators - comp.operators
+    margins = _full_scan(masks, base.operators, deviations, lam)
+    summed = []
+    row_sums = perturbation._row_sums
+    monkeypatch.setattr(
+        perturbation, "_row_sums", lambda rows, stacks: summed.append(1) or row_sums(rows, stacks)
+    )
+    index, worst, _ = perturbation._worst_subset(masks, base.operators, deviations, lam)
+    assert index == int(np.argmin(margins)) and worst == margins[index]
+    assert len(masks) == 32 * perturbation._SUBSET_CHUNK - 1
+    assert 1 <= len(summed) <= 4
+
+
+def test_pair_bounds_stop_after_a_chunk_they_leave_whole(monkeypatch):
+    # every margin of a coordinate family is 0 in exact arithmetic, so the
+    # pair bounds drop nothing from the first chunk and the second goes
+    # without them
+    base, perturbed, lam = instances.perturbed_sum_instance(8, 0, "columns")
+    masks = perturbation.all_subset_masks(8)
+    calls = []
+    survivors = perturbation._PairBounds.survivors
+    monkeypatch.setattr(
+        perturbation._PairBounds, "survivors",
+        lambda self, *args: calls.append(args) or survivors(self, *args),
+    )
+    report, _ = perturbation.verify_perturbed_sum(base, perturbed, lam)
+    assert [lo for lo, _, _ in calls] == [0]
+    _same_as_full_scan(masks, base.operators, base.operators - perturbed.operators, lam, report)
 
 
 def test_exact_subset_lam_is_infinite_when_a_subset_sum_is_singular():
