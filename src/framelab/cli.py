@@ -8,12 +8,13 @@ when --tol is absent.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 
 import numpy as np
 
-from . import fusion, hilbert, instances, perturbation, resolution, serialize, theorems
+from . import fusion, hilbert, instances, measure, perturbation, resolution, serialize, theorems
 from .errors import FrameLabError, NotAFrameError
 from .fusion import WeightedSubspaceFamily
 from .perturbation import PerturbationParams
@@ -28,21 +29,25 @@ DEFAULT_TOL = 1e-9
 TOL_ENV_VAR = "FRAMELAB_TOL"
 
 
-def default_tolerance() -> float:
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw is None:
-        return DEFAULT_TOL
+def _tolerance(raw, source: str) -> float:
+    """``raw`` as a tolerance in (0, 1), or a ValueError naming where it came from."""
     try:
         value = float(raw)
     except ValueError:
-        raise ValueError(f"{TOL_ENV_VAR} must be a number, got {raw!r}") from None
+        raise ValueError(f"{source} must be a number, got {raw!r}") from None
     if not 0.0 < value < 1.0:
-        raise ValueError(f"{TOL_ENV_VAR} must lie in (0, 1), got {value}")
+        raise ValueError(f"{source} must lie in (0, 1), got {value}")
     return value
 
 
+def default_tolerance() -> float:
+    raw = os.environ.get(TOL_ENV_VAR)
+    return DEFAULT_TOL if raw is None else _tolerance(raw, TOL_ENV_VAR)
+
+
 def _resolve_tol(args) -> float:
-    return args.tol if getattr(args, "tol", None) is not None else default_tolerance()
+    tol = getattr(args, "tol", None)
+    return default_tolerance() if tol is None else _tolerance(tol, "--tol")
 
 
 def _read(path: str) -> str:
@@ -87,11 +92,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_discretize(args) -> int:
-    from . import measure as measure_mod
-
     space, scheme, weight = serialize.loads_measure_spec(_read(args.input))
-    meas = measure_mod.discretize(space, scheme)
-    sampled = measure_mod.sample_weights(weight, meas)
+    meas = measure.discretize(space, scheme)
+    sampled = measure.sample_weights(weight, meas)
     if sampled.zero_atoms:
         print(
             f"note: {len(sampled.zero_atoms)} atoms carry zero weight",
@@ -144,8 +147,6 @@ def cmd_analyze(args) -> int:
 def _probe_vector(args, dim: int) -> np.ndarray:
     raw = getattr(args, "vector", None)
     if raw is not None:
-        import json
-
         try:
             vec = np.asarray(json.loads(raw), dtype=float)
         except TypeError:
@@ -195,56 +196,43 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK if outcome.report.passed else EXIT_CHECK_FAILED
 
 
-def _projector_checks(family: WeightedSubspaceFamily, tol: float) -> list:
-    """Gated checks on projector sums, as ("run", report) or ("skip", line)."""
-    entries = []
+def _projector_checks(family: WeightedSubspaceFamily, tol: float):
+    """Gated checks on projector sums: each yields its report or a SKIP line."""
     resid = theorems.first_power_residual(family)
     if resid <= tol:
-        entries.append(
-            ("run", theorems.verify_frame_from_projection_identity(family, tol))
-        )
+        yield theorems.verify_frame_from_projection_identity(family, tol)
     else:
-        entries.append(
-            (
-                "skip",
-                "projection_identity_frame: SKIP (first-power projector sum"
-                f" misses the identity by {resid:.3e})",
-            )
+        yield (
+            "projection_identity_frame: SKIP (first-power projector sum"
+            f" misses the identity by {resid:.3e})"
         )
     defect = theorems.orthogonality_defect(family)
     if defect <= theorems.ORTHOGONALITY_TOL:
-        entries.append(("run", theorems.verify_orthogonal_decomposition(family, tol)))
+        yield theorems.verify_orthogonal_decomposition(family, tol)
     else:
-        entries.append(
-            (
-                "skip",
-                "orthogonal_decomposition: SKIP (subspaces are not pairwise"
-                f" orthogonal; defect {defect:.3e})",
-            )
+        yield (
+            "orthogonal_decomposition: SKIP (subspaces are not pairwise"
+            f" orthogonal; defect {defect:.3e})"
         )
-    return entries
 
 
-def _fusion_checks(family: WeightedSubspaceFamily, tol: float) -> list:
+def _fusion_checks(family: WeightedSubspaceFamily, tol: float):
     """Run every check whose structural preconditions the family meets."""
-    entries = [("run", fusion.verify_characterization(family, tol))]
-    entries.extend(_projector_checks(family, tol))
-    return entries
+    yield fusion.verify_characterization(family, tol)
+    yield from _projector_checks(family, tol)
 
 
-def _resolution_checks(family: OperatorFamily, tol: float) -> list:
-    entries = [("run", resolution.verify_resolution(family, tol))]
+def _resolution_checks(family: OperatorFamily, tol: float):
+    yield resolution.verify_resolution(family, tol)
     d = family.ambient_dim
 
     weighted = family.with_sum_mode(SumMode.WEIGHTED)
     _, _, w_resid = resolution.identity_sum_residual(weighted)
     if w_resid <= tol:
         report, induced = theorems.verify_induced_fusion_frame(weighted, tol)
-        entries.append(("run", report))
-        entries.append(
-            ("run", theorems.verify_operator_family_sandwich(induced, weighted, tol))
-        )
-        entries.extend(_projector_checks(induced, tol))
+        yield report
+        yield theorems.verify_operator_family_sandwich(induced, weighted, tol)
+        yield from _projector_checks(induced, tol)
     else:
         reason = (
             "SKIP (weighted operator sum misses the identity by"
@@ -256,24 +244,19 @@ def _resolution_checks(family: OperatorFamily, tol: float) -> list:
             "projection_identity_frame",
             "orthogonal_decomposition",
         ):
-            entries.append(("skip", f"{name}: {reason}"))
+            yield f"{name}: {reason}"
 
     raw = family.with_sum_mode(SumMode.RAW)
     _, _, r_resid = resolution.identity_sum_residual(raw)
     if r_resid <= tol:
-        basis_seq = tuple(np.eye(d))
-        entries.append(
-            ("run", theorems.verify_induced_vector_frame(raw, basis_seq, tol))
-        )
+        yield theorems.verify_induced_vector_frame(raw, tuple(np.eye(d)), tol)
         ones = np.ones(d) / np.sqrt(d)
         for probe in (np.eye(d)[:, 0], ones):
-            outcome = theorems.reconstruct_by_support(raw, probe)
-            entries.append(("run", outcome.report))
+            yield theorems.reconstruct_by_support(raw, probe).report
     else:
         reason = f"SKIP (raw operator sum misses the identity by {r_resid:.3e})"
         for name in ("induced_vector_frame", "support_reconstruction"):
-            entries.append(("skip", f"{name}: {reason}"))
-    return entries
+            yield f"{name}: {reason}"
 
 
 def cmd_verify(args) -> int:
@@ -288,25 +271,20 @@ def cmd_verify(args) -> int:
     if not targets:
         raise ValueError("need at least one input file or --scenario")
 
-    reports = []
-    all_ok = True
+    # every check runs before the first line is printed, so a check that
+    # raises leaves stdout empty
+    items = []
     for label, obj in targets:
         if len(targets) > 1:
-            print(f"-- {label} --")
-        if isinstance(obj, WeightedSubspaceFamily):
-            entries = _fusion_checks(obj, tol)
-        else:
-            entries = _resolution_checks(obj, tol)
-        for kind, item in entries:
-            if kind == "skip":
-                print(item)
-            else:
-                print(item.summary_line())
-                reports.append(item)
-                all_ok = all_ok and item.passed
+            items.append(f"-- {label} --")
+        checks = _fusion_checks if isinstance(obj, WeightedSubspaceFamily) else _resolution_checks
+        items.extend(checks(obj, tol))
+    reports = [item for item in items if not isinstance(item, str)]
+    for item in items:
+        print(item if isinstance(item, str) else item.summary_line())
     if args.out:
         _emit(serialize.dumps_reports(reports), args.out)
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
 
 
 def cmd_perturb(args) -> int:
@@ -458,9 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = subs.add_parser("sweep", help="bounds across refinement levels")
     sweep.add_argument("--scenario", required=True)
     sweep.add_argument("--n", default="8,16,32,64")
-    sweep.add_argument("--dim", type=int, default=None)
-    sweep.add_argument("--atoms", type=int, default=None)
-    sweep.add_argument("--seed", type=int, default=None)
+    _add_instance_flags(sweep, with_n=False)
     sweep.add_argument("--format", choices=("json", "csv"), default="csv")
     sweep.add_argument("--out", default=None)
     sweep.set_defaults(func=cmd_sweep)

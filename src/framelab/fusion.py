@@ -108,27 +108,15 @@ class WeightedSubspaceFamily:
 
     def __init__(self, subspaces, weights, masses, points=()):
         subs = tuple(subspaces)
-        w = require_finite(np.array(weights, dtype=float), "weights")
-        m = require_finite(np.array(masses, dtype=float), "masses")
         if not subs:
             raise ValueError("a family needs at least one atom")
-        if w.shape != (len(subs),) or m.shape != (len(subs),):
-            raise AtomMismatchError(
-                f"{len(subs)} subspaces vs weights {w.shape} and masses {m.shape}"
-            )
+        w, m, pts = hilbert.atom_arrays(weights, masses, points, len(subs), "subspaces")
         basis, ranks = _stack(subs)
-        if not np.all(w > 0):
-            raise ValueError("weights must be strictly positive (zero-weight atoms are excluded upstream)")
-        if not np.all(m > 0):
-            raise ValueError("masses must be strictly positive")
         if ranks.max() < 1:
             raise ValueError("at least one subspace must have rank >= 1")
-        pts = tuple(points) if points else tuple(range(len(subs)))
-        if len(pts) != len(subs):
-            raise AtomMismatchError(f"{len(pts)} points for {len(subs)} atoms")
         column_atom = np.repeat(np.arange(len(subs)), ranks)
         _check_bases(basis, column_atom, ranks)
-        for a in (basis, column_atom, w, m):
+        for a in (basis, column_atom):
             a.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "masses", m)

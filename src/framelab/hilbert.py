@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    AtomMismatchError,
     DimensionMismatchError,
     NotPositiveDefiniteError,
     NotSelfAdjointError,
@@ -87,6 +88,26 @@ def require_finite(a, what: str) -> np.ndarray:
     index = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
     where = index[0] if len(index) == 1 else index
     raise ValueError(f"{what} entry {where} is not finite ({a[index]})")
+
+
+def atom_arrays(weights, masses, points, natoms: int, what: str):
+    """The per-atom data of a family of ``natoms`` ``what``: (weights, masses, points).
+
+    Weights and masses become read-only copies, finite and strictly positive
+    floats of shape (natoms,); empty ``points`` default to 0, ..., natoms - 1.
+    """
+    w = require_finite(np.array(weights, dtype=float), "weights")
+    m = require_finite(np.array(masses, dtype=float), "masses")
+    if w.shape != (natoms,) or m.shape != (natoms,):
+        raise AtomMismatchError(f"{natoms} {what} vs weights {w.shape} and masses {m.shape}")
+    for name, a in (("weights", w), ("masses", m)):
+        if not np.all(a > 0):
+            raise ValueError(f"{name} must be strictly positive")
+        a.flags.writeable = False
+    pts = tuple(points) if points else tuple(range(natoms))
+    if len(pts) != natoms:
+        raise AtomMismatchError(f"{len(pts)} points for {natoms} atoms")
+    return w, m, pts
 
 
 def gram_coefficients(weights, masses) -> np.ndarray:

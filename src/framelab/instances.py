@@ -10,7 +10,8 @@ tests, docs and the CLI all build from here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -50,12 +51,19 @@ def _orthogonal_blocks(dim: int, blocks: int, rng=None) -> tuple:
     return tuple(np.split(q, ends[:-1], axis=1))
 
 
-def _top_rank(dim: int, atoms: int) -> int:
-    """max(dim, 2) - 1, the largest rank of a random atom; ValueError if atoms cannot span."""
+def _spanning_ranks(rng, dim: int, atoms: int):
+    """Yield the rank draws, of 200 tries, whose ranks sum to at least ``dim``.
+
+    Each try draws ``atoms`` ranks from [1, max(dim, 2) - 1]; ValueError
+    when even the largest ranks cannot span.
+    """
     top_rank = max(dim, 2) - 1
     if atoms * top_rank < dim:
         raise ValueError(f"{atoms} atoms of rank at most {top_rank} cannot span dimension {dim}")
-    return top_rank
+    for _ in range(200):
+        ranks = rng.integers(1, top_rank + 1, size=atoms)
+        if ranks.sum() >= dim:
+            yield ranks
 
 
 def _projectors(bases) -> np.ndarray:
@@ -119,12 +127,8 @@ def random_fusion_family(
     Ranks are drawn from [1, dim - 1] (1 when dim is 1), so ``atoms`` of
     them must be able to reach ``dim``; otherwise ValueError.
     """
-    top_rank = _top_rank(dim, atoms)
     rng = np.random.default_rng(seed)
-    for _ in range(200):
-        ranks = rng.integers(1, top_rank + 1, size=atoms)
-        if ranks.sum() < dim:
-            continue
+    for ranks in _spanning_ranks(rng, dim, atoms):
         fam = WeightedSubspaceFamily(
             subspaces=tuple(_random_basis(rng, dim, int(r)) for r in ranks),
             weights=rng.uniform(0.5, 2.0, atoms),
@@ -210,74 +214,64 @@ def block_resolution_family(
 
 @dataclass(frozen=True)
 class Scenario:
-    """Registry entry: a named builder plus closed-form limits when known."""
+    """Registry entry: a named builder plus closed-form limits when known.
+
+    ``defaults`` holds the keyword arguments the builder takes, with their
+    defaults.
+    """
 
     name: str
     kind: str  # "fusion" | "resolution" | "continuous"
     description: str
+    builder: Callable
+    defaults: dict = field(compare=False)  # keeps entries hashable
     limit_bounds: tuple | None = None
 
     def build(self, dim=None, atoms=None, seed=None, n=None):
-        if self.name not in _BUILDERS:
-            raise ValueError(f"scenario {self.name!r} has no builder")
-        builder, defaults = _BUILDERS[self.name]
+        """Build with the given sizes; an argument the builder does not take is ignored."""
         given = {"dim": dim, "atoms": atoms, "seed": seed, "n": n}
         small = [k for k in ("dim", "atoms", "n") if given[k] is not None and int(given[k]) < 1]
         if small:
             raise ValueError(f"--{small[0]} must be at least 1, got {given[small[0]]}")
-        return builder(**{
+        return self.builder(**{
             key: default if given[key] is None else int(given[key])
-            for key, default in defaults.items()
+            for key, default in self.defaults.items()
         })
-
-
-# Builder of each scenario and the keyword arguments it takes, with their
-# defaults; an argument a scenario does not take is ignored.
-_BUILDERS = {
-    "axes": (axes_family, {"dim": 3}),
-    "mercedes": (mercedes_family, {}),
-    "equiangular": (equiangular_family, {"atoms": 5}),
-    "orthogonal_blocks": (orthogonal_blocks_family, {"dim": 4, "atoms": 2, "seed": 0}),
-    "random_fusion": (random_fusion_family, {"dim": 4, "atoms": 6, "seed": 0}),
-    "rotating_line": (rotating_line_family, {"n": 64}),
-    "basis_resolution": (resolution.from_orthonormal_basis, {"dim": 4}),
-    "random_resolution": (random_resolution_family, {"dim": 4, "atoms": 6, "seed": 0}),
-    "block_resolution": (block_resolution_family, {"dim": 4, "atoms": 3, "seed": 0}),
-}
 
 
 SCENARIOS = {
     s.name: s
     for s in (
-        Scenario("axes", "fusion", "coordinate axes, tight with A = B = 1"),
-        Scenario("mercedes", "fusion", "three equiangular lines, A = B = 1.5"),
+        Scenario("axes", "fusion", "coordinate axes, tight with A = B = 1", axes_family, {"dim": 3}),
+        Scenario("mercedes", "fusion", "three equiangular lines, A = B = 1.5", mercedes_family, {}),
         Scenario(
-            "equiangular", "fusion", "atoms equiangular lines, A = B = atoms/2"
+            "equiangular", "fusion", "atoms equiangular lines, A = B = atoms/2",
+            equiangular_family, {"atoms": 5},
         ),
         Scenario(
-            "orthogonal_blocks",
-            "fusion",
-            "random orthogonal decomposition, A = B = 1",
-        ),
-        Scenario("random_fusion", "fusion", "seeded random frame of subspaces"),
-        Scenario(
-            "rotating_line",
-            "continuous",
-            "line rotating through [0, pi), midpoint-discretized",
-            limit_bounds=(math.pi / 2.0, math.pi / 2.0),
+            "orthogonal_blocks", "fusion", "random orthogonal decomposition, A = B = 1",
+            orthogonal_blocks_family, {"dim": 4, "atoms": 2, "seed": 0},
         ),
         Scenario(
-            "basis_resolution",
-            "resolution",
-            "rank-one coordinate projectors, raw identity",
+            "random_fusion", "fusion", "seeded random frame of subspaces",
+            random_fusion_family, {"dim": 4, "atoms": 6, "seed": 0},
         ),
         Scenario(
-            "random_resolution", "resolution", "seeded random raw-mode resolution"
+            "rotating_line", "continuous", "line rotating through [0, pi), midpoint-discretized",
+            rotating_line_family, {"n": 64}, limit_bounds=(math.pi / 2.0, math.pi / 2.0),
         ),
         Scenario(
-            "block_resolution",
-            "resolution",
+            "basis_resolution", "resolution", "rank-one coordinate projectors, raw identity",
+            resolution.from_orthonormal_basis, {"dim": 4},
+        ),
+        Scenario(
+            "random_resolution", "resolution", "seeded random raw-mode resolution",
+            random_resolution_family, {"dim": 4, "atoms": 6, "seed": 0},
+        ),
+        Scenario(
+            "block_resolution", "resolution",
             "block-diagonal resolution with genuinely local supports",
+            block_resolution_family, {"dim": 4, "atoms": 3, "seed": 0},
         ),
     )
 }
@@ -317,13 +311,9 @@ def induced_frame_instance(
             masses=masses,
             sum_mode=SumMode.WEIGHTED,
         )
-    top_rank = _top_rank(dim, atoms)
     weights = rng.uniform(0.5, 2.0, atoms)
     masses = rng.uniform(0.5, 2.0, atoms)
-    for _ in range(200):
-        ranks = rng.integers(1, top_rank + 1, size=atoms)
-        if ranks.sum() < dim:
-            continue
+    for ranks in _spanning_ranks(rng, dim, atoms):
         projectors = _projectors(_random_basis(rng, dim, int(r)) for r in ranks)
         directions = projectors @ _unit_norm(rng.standard_normal((atoms, dim, dim)))
         eps = 0.3
@@ -375,13 +365,9 @@ def sandwich_instance(
             operators=ops, weights=weights, masses=masses,
             sum_mode=SumMode.WEIGHTED,
         )
-    top_rank = _top_rank(dim, atoms)
     weights = rng.uniform(0.5, 2.0, atoms)
     masses = rng.uniform(0.5, 2.0, atoms)
-    for _ in range(200):
-        ranks = rng.integers(1, top_rank + 1, size=atoms)
-        if ranks.sum() < dim:
-            continue
+    for ranks in _spanning_ranks(rng, dim, atoms):
         bases = [_random_basis(rng, dim, int(r)) for r in ranks]
         g = _unit_norm(hermitian_part(rng.standard_normal((atoms, dim, dim))))
         p = _projectors(bases)

@@ -240,20 +240,16 @@ def subset_masks(natoms: int, nrandom: int, rng=None) -> np.ndarray:
 
 def subset_sums(masks: np.ndarray, *stacks: np.ndarray):
     """Yield (offset, [mask rows @ stack for each stack]): every subset's sum, a chunk at a time."""
-    rows = _mask_rows(masks, stacks)
     for lo in range(0, len(masks), _SUBSET_CHUNK):
-        yield lo, _row_sums(rows[lo : lo + _SUBSET_CHUNK], stacks)
+        yield lo, _row_sums(masks[lo : lo + _SUBSET_CHUNK], stacks)
 
 
-def _mask_rows(masks: np.ndarray, stacks) -> np.ndarray:
-    """The masks as 0/1 rows of the stacks' real dtype."""
-    # cast once, not per chunk: the products are the BLAS ones a bool
-    # tensordot makes, so the sums agree with it bit for bit
-    return masks.astype(np.finfo(np.result_type(*stacks)).dtype)
-
-
-def _row_sums(rows: np.ndarray, stacks) -> list:
-    """[rows @ stack for each stack]: one chunk's subset sums."""
+def _row_sums(masks: np.ndarray, stacks) -> list:
+    """[masks @ stack for each stack]: one chunk's subset sums."""
+    # the chunk's masks as 0/1 rows of the stacks' real dtype, cast here so
+    # that a chunk the pair bounds skip is never cast; the products are the
+    # BLAS ones a bool tensordot makes, so the sums agree with it bit for bit
+    rows = masks.astype(np.finfo(np.result_type(*stacks)).dtype)
     return [(rows @ s.reshape(len(s), -1)).reshape(-1, *s.shape[1:]) for s in stacks]
 
 
@@ -489,11 +485,10 @@ def _worst_subset(
     index.
     """
     stacks = (operators, deviations)
-    rows = _mask_rows(masks, stacks)
     pairs = _PairBounds.of_scan(masks, operators, deviations, lam)
     worst, worst_index, eigensolved = np.inf, 0, 0
     for lo in range(0, len(masks), _SUBSET_CHUNK):
-        chunk = rows[lo : lo + _SUBSET_CHUNK]
+        chunk = masks[lo : lo + _SUBSET_CHUNK]
         kept = slice(None)
         if pairs is not None:
             kept = pairs.survivors(lo, len(chunk), worst)

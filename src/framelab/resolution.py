@@ -63,23 +63,12 @@ class OperatorFamily:
                 f"operators must be square matrices of one size, got stacked shape {ops.shape}"
             )
         ops = require_finite(ops.astype(np.result_type(float, ops.dtype), copy=False), "operators")
-        w = require_finite(np.array(self.weights, dtype=float), "weights")
-        m = require_finite(np.array(self.masses, dtype=float), "masses")
-        if w.shape != (len(ops),) or m.shape != (len(ops),):
-            raise AtomMismatchError(
-                f"{len(ops)} operators vs weights {w.shape} and masses {m.shape}"
-            )
-        if not np.all(w > 0):
-            raise ValueError("weights must be strictly positive")
-        if not np.all(m > 0):
-            raise ValueError("masses must be strictly positive")
-        pts = tuple(self.points) if self.points else tuple(range(len(ops)))
-        if len(pts) != len(ops):
-            raise AtomMismatchError(f"{len(pts)} points for {len(ops)} atoms")
+        w, m, pts = hilbert.atom_arrays(
+            self.weights, self.masses, self.points, len(ops), "operators"
+        )
         if not isinstance(self.sum_mode, SumMode):
             raise ValueError(f"sum_mode must be a SumMode, got {self.sum_mode!r}")
-        for a in (ops, w, m):
-            a.flags.writeable = False
+        ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "masses", m)

@@ -93,17 +93,27 @@ def _number(value, what: str, kind=float):
         raise ValueError(f"{what} must be a number, got {json.dumps(value)}") from None
 
 
+def _atom_record(family, i: int) -> dict:
+    """The JSON fields atom ``i`` carries in either family type."""
+    return {"point": family.points[i], "mass": family.masses[i], "weight": family.weights[i]}
+
+
+def _atom_fields(raw_atoms: list) -> tuple:
+    """(weights, masses, points) read back from the atom records of an instance file."""
+    weights, masses, points = [], [], []
+    for i, atom in enumerate(raw_atoms):
+        where = f"atom {i}"
+        weights.append(_number(_require(atom, "weight", where), f"{where}: weight"))
+        masses.append(_number(_require(atom, "mass", where), f"{where}: mass"))
+        points.append(_require(atom, "point", where))
+    return weights, masses, points
+
+
 def dumps_fusion_family(family: WeightedSubspaceFamily) -> str:
-    atoms = []
-    for i, sub in enumerate(family.subspaces):
-        atoms.append(
-            {
-                "point": family.points[i],
-                "mass": family.masses[i],
-                "weight": family.weights[i],
-                "basis": sub.basis.T.tolist(),
-            }
-        )
+    atoms = [
+        {**_atom_record(family, i), "basis": sub.basis.T.tolist()}
+        for i, sub in enumerate(family.subspaces)
+    ]
     return dumps_canonical({"ambient_dim": family.ambient_dim, "atoms": atoms})
 
 
@@ -146,19 +156,12 @@ def _family_from_obj(data: dict) -> WeightedSubspaceFamily:
     raw_atoms = _require(data, "atoms", "fusion family")
     if not isinstance(raw_atoms, list) or not raw_atoms:
         raise ValueError("fusion family needs a nonempty atoms list")
-    subs, weights, masses, points = [], [], [], []
-    for i, atom in enumerate(raw_atoms):
-        where = f"atom {i}"
-        subs.append(_basis_from_rows(_require(atom, "basis", where), dim, where))
-        weights.append(_number(_require(atom, "weight", where), f"{where}: weight"))
-        masses.append(_number(_require(atom, "mass", where), f"{where}: mass"))
-        points.append(_require(atom, "point", where))
-    return WeightedSubspaceFamily(
-        subspaces=tuple(subs),
-        weights=np.asarray(weights),
-        masses=np.asarray(masses),
-        points=tuple(points),
-    )
+    weights, masses, points = _atom_fields(raw_atoms)
+    subs = [
+        _basis_from_rows(_require(atom, "basis", f"atom {i}"), dim, f"atom {i}")
+        for i, atom in enumerate(raw_atoms)
+    ]
+    return WeightedSubspaceFamily(subs, weights, masses, points)
 
 
 def loads_fusion_family(text: str) -> WeightedSubspaceFamily:
@@ -166,14 +169,7 @@ def loads_fusion_family(text: str) -> WeightedSubspaceFamily:
 
 
 def dumps_operator_family(family: OperatorFamily) -> str:
-    atoms = [
-        {
-            "point": family.points[i],
-            "mass": family.masses[i],
-            "weight": family.weights[i],
-        }
-        for i in range(family.natoms)
-    ]
+    atoms = [_atom_record(family, i) for i in range(family.natoms)]
     return dumps_canonical(
         {
             "ambient_dim": family.ambient_dim,
@@ -204,19 +200,8 @@ def _resolution_from_obj(data: dict) -> OperatorFamily:
                 f"operator {i} must be {dim}x{dim}, got shape {mat.shape}"
             )
         operators.append(mat)
-    weights, masses, points = [], [], []
-    for i, atom in enumerate(raw_atoms):
-        where = f"atom {i}"
-        weights.append(_number(_require(atom, "weight", where), f"{where}: weight"))
-        masses.append(_number(_require(atom, "mass", where), f"{where}: mass"))
-        points.append(_require(atom, "point", where))
-    return OperatorFamily(
-        operators=tuple(operators),
-        weights=np.asarray(weights),
-        masses=np.asarray(masses),
-        sum_mode=mode,
-        points=tuple(points),
-    )
+    weights, masses, points = _atom_fields(raw_atoms)
+    return OperatorFamily(operators, weights, masses, mode, points)
 
 
 def loads_operator_family(text: str) -> OperatorFamily:

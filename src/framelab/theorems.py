@@ -295,7 +295,7 @@ def verify_induced_vector_frame(
     if not vectors:
         raise ValueError("frame_seq must be nonempty")
 
-    res_report = resolution.verify_resolution(family)
+    res_report = resolution.verify_resolution(family, identity_tol=tol)
     report.add_hypothesis(
         "base_resolution",
         res_report.passed,

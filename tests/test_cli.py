@@ -409,8 +409,44 @@ def test_tolerance_env_var_is_honored(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv(cli.TOL_ENV_VAR, "not-a-number")
     assert run(["verify", "--scenario", "basis_resolution"]) == cli.EXIT_PARSE
     assert cli.TOL_ENV_VAR in capsys.readouterr().err
+    # a valid flag takes precedence over the variable
+    assert run(["verify", "--scenario", "basis_resolution", "--tol", "1e-6"]) == cli.EXIT_OK
     monkeypatch.setenv(cli.TOL_ENV_VAR, "1e-6")
     assert run(["verify", "--scenario", "basis_resolution"]) == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("value", ["inf", "5", "1", "0", "-1", "nan", "x"])
+def test_tol_flag_outside_the_unit_interval_is_a_parse_failure(value, capsys):
+    # the same (0, 1) check as FRAMELAB_TOL, named after the flag; a value
+    # argparse cannot read as a float fails in the parser, also with exit 2
+    assert run(["verify", "--scenario", "random_resolution", "--tol", value]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err
+
+
+@pytest.mark.parametrize("target, check", [
+    ("", "verify_induced_vector_frame"),
+    # the second target raises: the first target's lines are not printed either
+    ("mercedes.json", "orthogonality_defect"),
+])
+def test_verify_check_that_raises_prints_nothing(target, check, tmp_path, monkeypatch, capsys):
+    # every check runs before the first line is printed, so no PASS line of
+    # an earlier check reaches stdout when a later check raises
+    argv = ["verify", "--scenario", "random_resolution"]
+    if target:
+        path = tmp_path / target
+        path.write_text(serialize.dumps_instance(instances.build_scenario("mercedes")))
+        argv.append(str(path))
+
+    def broken(*args):
+        raise RuntimeError("check blew up")
+
+    monkeypatch.setattr(cli.theorems, check, broken)
+    assert run(argv) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "check blew up" in captured.err
 
 
 def test_help_exits_cleanly(capsys):

@@ -607,6 +607,24 @@ def test_multi_chunk_scans_match_the_full_scan(kind, dim, atoms):
         _same_as_full_scan(masks, base.operators, deviations, lam, report)
 
 
+def test_exhaustive_scan_casts_only_the_chunks_it_sums():
+    # 13 atoms: 8,191 subsets, whose mask rows as float64 would take 852 KB;
+    # tier 0 leaves most chunks unsummed, and only a summed chunk is cast
+    base, comp, _, lam = instances.composite_instance(8, 13, 0)
+    masks = perturbation.all_subset_masks(13)
+    deviations = base.operators - comp.operators
+    float_masks = masks.size * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        index, worst, _ = perturbation._worst_subset(masks, base.operators, deviations, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < float_masks
+    margins = _full_scan(masks, base.operators, deviations, lam)
+    assert index == int(np.argmin(margins)) and worst == margins[index]
+
+
 def test_pair_bounds_skip_whole_chunks(monkeypatch):
     # composite_instance(8, 12, 0) spans 32 chunks; tier 0 leaves all but a
     # few unsummed, and the result is still the full scan's

@@ -149,6 +149,20 @@ class TestInducedVectorFrame:
         assert report.constants["span_dim"] == 2.0
         assert report.passed, report.summary_line()
 
+    def test_tol_reaches_the_base_resolution_sub_check(self):
+        # the raw identity sum misses by 1e-8: outside the default tolerance, inside 1e-6
+        fam, vectors = instances.vector_frame_instance(4, 5, 0)
+        ops = np.array(fam.operators)
+        ops[0, 0, 0] += 1e-8
+        off = OperatorFamily(operators=ops, weights=fam.weights, masses=fam.masses)
+        for tol, passed in ((1e-9, False), (1e-6, True)):
+            report = theorems.verify_induced_vector_frame(off, vectors, tol)
+            hypothesis = report.hypotheses[0]
+            assert hypothesis.name == "base_resolution"
+            assert hypothesis.residual == pytest.approx(1e-8, rel=1e-6)
+            assert hypothesis.passed is passed
+            assert report.passed is passed
+
 
 class TestSupportReconstruction:
     def test_block_supported_vectors_reconstruct_exactly(self):
@@ -203,7 +217,8 @@ class TestComplexFamilies:
     def test_cli_gate_runs_on_complex_orthogonal_lines(self):
         # (1, i) and (1, -i) are orthogonal, but their plain transpose product is 1
         fam = self._lines(np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0))
-        entries = cli._projector_checks(fam, 1e-9)
-        assert [kind for kind, _ in entries] == ["run", "run"]
-        assert all(report.passed for _, report in entries)
+        entries = list(cli._projector_checks(fam, 1e-9))
+        # a check that runs yields its report, a skipped one its SKIP line
+        assert [isinstance(entry, str) for entry in entries] == [False, False]
+        assert all(report.passed for report in entries)
         assert theorems.orthogonality_defect(fam) <= 1e-15
