@@ -1,125 +1,60 @@
-"""Frames of subspaces: discretization, bounds, reconstruction, verification."""
+"""Frames of subspaces: discretization, bounds, reconstruction, verification.
 
-from .errors import (
-    AtomMismatchError,
-    CoefficientError,
-    DimensionMismatchError,
-    FrameLabError,
-    NotAFrameError,
-    NotPositiveDefiniteError,
-    NotSelfAdjointError,
-)
-from .fusion import (
-    Coefficients,
-    FrameBounds,
-    Reconstruction,
-    WeightedSubspaceFamily,
-    analysis,
-    apply_frame_operator,
-    frame_bounds,
-    frame_operator,
-    frame_sum,
-    reconstruct,
-    synthesis,
-    synthesis_matrix,
-    verify_characterization,
-)
-from .hilbert import Subspace, column_space, orthonormal_basis
-from .measure import (
-    AtomicMeasure,
-    DiscretizationScheme,
-    ParameterSpace,
-    WeightFunction,
-    discretize,
-    quadrature,
-    sample_weights,
-    weight_from_spec,
-)
-from .perturbation import (
-    PerturbationParams,
-    check_perturbation,
-    perturbation_reports,
-    predicted_interval,
-    verify_composite_perturbation,
-    verify_perturbed_resolution,
-    verify_perturbed_sum,
-)
-from .reports import VerificationReport
-from .resolution import (
-    OperatorFamily,
-    ResolutionBounds,
-    SumMode,
-    gram_sum,
-    normalize_to_identity,
-    resolution_bounds,
-    resolution_gram,
-    verify_resolution,
-)
-from .theorems import (
-    SupportReconstruction,
-    reconstruct_by_support,
-    verify_frame_from_projection_identity,
-    verify_induced_fusion_frame,
-    verify_induced_vector_frame,
-    verify_operator_family_sandwich,
-    verify_orthogonal_decomposition,
-)
+``import framelab`` loads no submodule. A submodule loads on first access
+to it or to one of the names below (PEP 562), so a CLI subcommand pays
+only for the modules it runs.
+"""
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AtomMismatchError",
-    "AtomicMeasure",
-    "Coefficients",
-    "CoefficientError",
-    "DimensionMismatchError",
-    "DiscretizationScheme",
-    "FrameBounds",
-    "FrameLabError",
-    "NotAFrameError",
-    "NotPositiveDefiniteError",
-    "NotSelfAdjointError",
-    "OperatorFamily",
-    "ParameterSpace",
-    "PerturbationParams",
-    "Reconstruction",
-    "ResolutionBounds",
-    "Subspace",
-    "SumMode",
-    "SupportReconstruction",
-    "VerificationReport",
-    "WeightFunction",
-    "WeightedSubspaceFamily",
-    "analysis",
-    "apply_frame_operator",
-    "check_perturbation",
-    "column_space",
-    "discretize",
-    "frame_bounds",
-    "frame_operator",
-    "frame_sum",
-    "gram_sum",
-    "normalize_to_identity",
-    "orthonormal_basis",
-    "perturbation_reports",
-    "predicted_interval",
-    "quadrature",
-    "reconstruct",
-    "reconstruct_by_support",
-    "resolution_bounds",
-    "resolution_gram",
-    "sample_weights",
-    "synthesis",
-    "synthesis_matrix",
-    "verify_characterization",
-    "verify_composite_perturbation",
-    "verify_frame_from_projection_identity",
-    "verify_induced_fusion_frame",
-    "verify_induced_vector_frame",
-    "verify_operator_family_sandwich",
-    "verify_orthogonal_decomposition",
-    "verify_perturbed_resolution",
-    "verify_perturbed_sum",
-    "verify_resolution",
-    "weight_from_spec",
-]
+# every submodule, with the public names the package hands out from it
+_EXPORTS = {
+    "cli": (),
+    "errors": (
+        "AtomMismatchError", "CoefficientError", "DimensionMismatchError", "FrameLabError",
+        "NotAFrameError", "NotPositiveDefiniteError", "NotSelfAdjointError",
+    ),
+    "fusion": (
+        "Coefficients", "FrameBounds", "Reconstruction", "WeightedSubspaceFamily", "analysis",
+        "apply_frame_operator", "frame_bounds", "frame_operator", "frame_sum", "reconstruct",
+        "synthesis", "synthesis_matrix", "verify_characterization",
+    ),
+    "hilbert": ("Subspace", "column_space", "orthonormal_basis"),
+    "instances": (),
+    "measure": (
+        "AtomicMeasure", "DiscretizationScheme", "ParameterSpace", "WeightFunction",
+        "discretize", "quadrature", "sample_weights", "weight_from_spec",
+    ),
+    "perturbation": (
+        "PerturbationParams", "check_perturbation", "perturbation_reports", "predicted_interval",
+        "verify_composite_perturbation", "verify_perturbed_resolution", "verify_perturbed_sum",
+    ),
+    "reports": ("VerificationReport",),
+    "resolution": (
+        "OperatorFamily", "ResolutionBounds", "SumMode", "gram_sum", "normalize_to_identity",
+        "resolution_bounds", "resolution_gram", "verify_resolution",
+    ),
+    "serialize": (),
+    "theorems": (
+        "SupportReconstruction", "reconstruct_by_support", "verify_frame_from_projection_identity",
+        "verify_induced_fusion_frame", "verify_induced_vector_frame",
+        "verify_operator_family_sandwich", "verify_orthogonal_decomposition",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # not cached: the answer always follows the submodule's current attribute
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name in _HOME:
+        return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *__all__})

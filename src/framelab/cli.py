@@ -4,6 +4,9 @@ Exit codes: 0 when everything passes, 1 when a hypothesis or conclusion
 check fails (a report is still emitted), 2 on unreadable or malformed
 input, 3 on internal errors. FRAMELAB_TOL overrides the default tolerance
 when --tol is absent.
+
+Each command imports the framelab modules it runs inside its own function,
+so a process loads only those.
 """
 from __future__ import annotations
 
@@ -14,11 +17,7 @@ import sys
 
 import numpy as np
 
-from . import fusion, hilbert, instances, measure, perturbation, resolution, serialize, theorems
 from .errors import FrameLabError, NotAFrameError
-from .fusion import WeightedSubspaceFamily
-from .perturbation import PerturbationParams
-from .resolution import OperatorFamily, SumMode
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -64,13 +63,7 @@ def _emit(text: str, out) -> None:
 
 
 def _build_kwargs(args) -> dict:
-    n = getattr(args, "n", None)
-    return {
-        "dim": getattr(args, "dim", None),
-        "atoms": getattr(args, "atoms", None),
-        "seed": getattr(args, "seed", None),
-        "n": None if n is None else int(n),
-    }
+    return {key: getattr(args, key, None) for key in ("dim", "atoms", "seed", "n")}
 
 
 def _load_or_build(args):
@@ -79,19 +72,27 @@ def _load_or_build(args):
     if path and scenario:
         raise ValueError("give either an input file or --scenario, not both")
     if path:
+        from . import serialize
+
         return serialize.loads_instance(_read(path)), path
     if scenario:
+        from . import instances
+
         return instances.build_scenario(scenario, **_build_kwargs(args)), scenario
     raise ValueError("need an input file or --scenario")
 
 
 def cmd_gen(args) -> int:
+    from . import instances, serialize
+
     obj = instances.build_scenario(args.scenario, **_build_kwargs(args))
     _emit(serialize.dumps_instance(obj), args.out)
     return EXIT_OK
 
 
 def cmd_discretize(args) -> int:
+    from . import measure, serialize
+
     space, scheme, weight = serialize.loads_measure_spec(_read(args.input))
     meas = measure.discretize(space, scheme)
     sampled = measure.sample_weights(weight, meas)
@@ -105,7 +106,9 @@ def cmd_discretize(args) -> int:
 
 
 def _bounds_summary(obj) -> dict:
-    if isinstance(obj, WeightedSubspaceFamily):
+    from . import fusion, resolution
+
+    if isinstance(obj, fusion.WeightedSubspaceFamily):
         bounds = fusion.frame_bounds(obj)
         kind = "fusion_frame"
         extra = {}
@@ -128,6 +131,8 @@ def _bounds_summary(obj) -> dict:
 
 
 def cmd_analyze(args) -> int:
+    from . import serialize
+
     obj, _ = _load_or_build(args)
     summary = _bounds_summary(obj)
     if args.format == "csv":
@@ -145,6 +150,8 @@ def cmd_analyze(args) -> int:
 
 
 def _probe_vector(args, dim: int) -> np.ndarray:
+    from . import hilbert
+
     raw = getattr(args, "vector", None)
     if raw is not None:
         try:
@@ -155,16 +162,20 @@ def _probe_vector(args, dim: int) -> np.ndarray:
         if vec.shape != (dim,):
             raise ValueError(f"vector must have {dim} entries, got shape {vec.shape}")
         return vec
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     rng = np.random.default_rng(args.seed or 0)
     vec = rng.standard_normal(dim)
     return vec / np.linalg.norm(vec)
 
 
 def cmd_reconstruct(args) -> int:
+    from . import fusion, resolution, serialize
+
     tol = _resolve_tol(args)
     obj, _ = _load_or_build(args)
     f = _probe_vector(args, obj.ambient_dim)
-    if isinstance(obj, WeightedSubspaceFamily):
+    if isinstance(obj, fusion.WeightedSubspaceFamily):
         try:
             rec = fusion.reconstruct(obj, f)
         except NotAFrameError as exc:
@@ -179,10 +190,12 @@ def cmd_reconstruct(args) -> int:
         }
         _emit(serialize.dumps_canonical(result), args.out)
         return EXIT_OK if rec.residual <= max(tol, 1e-8) else EXIT_CHECK_FAILED
-    if obj.sum_mode is not SumMode.RAW:
+    if obj.sum_mode is not resolution.SumMode.RAW:
         raise ValueError(
             "reconstruct needs a fusion family or a raw-mode resolution"
         )
+    from . import theorems
+
     outcome = theorems.reconstruct_by_support(obj, f)
     print(outcome.report.summary_line())
     result = {
@@ -196,8 +209,10 @@ def cmd_reconstruct(args) -> int:
     return EXIT_OK if outcome.report.passed else EXIT_CHECK_FAILED
 
 
-def _projector_checks(family: WeightedSubspaceFamily, tol: float):
-    """Gated checks on projector sums: each yields its report or a SKIP line."""
+def _projector_checks(family, tol: float):
+    """Gated checks on a fusion family's projector sums: each yields a report or a SKIP line."""
+    from . import theorems
+
     resid = theorems.first_power_residual(family)
     if resid <= tol:
         yield theorems.verify_frame_from_projection_identity(family, tol)
@@ -216,17 +231,21 @@ def _projector_checks(family: WeightedSubspaceFamily, tol: float):
         )
 
 
-def _fusion_checks(family: WeightedSubspaceFamily, tol: float):
-    """Run every check whose structural preconditions the family meets."""
+def _fusion_checks(family, tol: float):
+    """Run every check whose structural preconditions the fusion family meets."""
+    from . import fusion
+
     yield fusion.verify_characterization(family, tol)
     yield from _projector_checks(family, tol)
 
 
-def _resolution_checks(family: OperatorFamily, tol: float):
+def _resolution_checks(family, tol: float):
+    from . import resolution, theorems
+
     yield resolution.verify_resolution(family, tol)
     d = family.ambient_dim
 
-    weighted = family.with_sum_mode(SumMode.WEIGHTED)
+    weighted = family.with_sum_mode(resolution.SumMode.WEIGHTED)
     _, _, w_resid = resolution.identity_sum_residual(weighted)
     if w_resid <= tol:
         report, induced = theorems.verify_induced_fusion_frame(weighted, tol)
@@ -246,7 +265,7 @@ def _resolution_checks(family: OperatorFamily, tol: float):
         ):
             yield f"{name}: {reason}"
 
-    raw = family.with_sum_mode(SumMode.RAW)
+    raw = family.with_sum_mode(resolution.SumMode.RAW)
     _, _, r_resid = resolution.identity_sum_residual(raw)
     if r_resid <= tol:
         yield theorems.verify_induced_vector_frame(raw, tuple(np.eye(d)), tol)
@@ -260,9 +279,13 @@ def _resolution_checks(family: OperatorFamily, tol: float):
 
 
 def cmd_verify(args) -> int:
+    from . import fusion, serialize
+
     tol = _resolve_tol(args)
     targets = []
     if getattr(args, "scenario", None):
+        from . import instances
+
         targets.append(
             (args.scenario, instances.build_scenario(args.scenario, **_build_kwargs(args)))
         )
@@ -277,7 +300,8 @@ def cmd_verify(args) -> int:
     for label, obj in targets:
         if len(targets) > 1:
             items.append(f"-- {label} --")
-        checks = _fusion_checks if isinstance(obj, WeightedSubspaceFamily) else _resolution_checks
+        fused = isinstance(obj, fusion.WeightedSubspaceFamily)
+        checks = _fusion_checks if fused else _resolution_checks
         items.extend(checks(obj, tol))
     reports = [item for item in items if not isinstance(item, str)]
     for item in items:
@@ -288,16 +312,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_perturb(args) -> int:
+    from . import perturbation, resolution, serialize
+
     tol = _resolve_tol(args)
     scenario = serialize.loads_perturbation_scenario(_read(args.scenario_file))
     basedir = os.path.dirname(os.path.abspath(args.scenario_file))
 
-    def load_resolution(rel: str) -> OperatorFamily:
+    def load_resolution(rel: str):
         path = rel if os.path.isabs(rel) else os.path.join(basedir, rel)
         obj = serialize.loads_instance(_read(path))
-        if not isinstance(obj, OperatorFamily):
+        if not isinstance(obj, resolution.OperatorFamily):
             raise ValueError(f"{path} does not hold a resolution")
-        if obj.sum_mode is not SumMode.RAW:
+        if obj.sum_mode is not resolution.SumMode.RAW:
             raise ValueError(
                 f"{path}: perturbation checks need raw-mode resolutions"
             )
@@ -308,7 +334,7 @@ def cmd_perturb(args) -> int:
     phi = serialize.sample_envelope(
         scenario["phi_spec"], base.points, base.natoms
     )
-    params = PerturbationParams(scenario["lambda1"], scenario["lambda2"], phi)
+    params = perturbation.PerturbationParams(scenario["lambda1"], scenario["lambda2"], phi)
     lam = scenario["lam"]
 
     *reports, composite = perturbation.perturbation_reports(base, perturbed, params, lam, tol)
@@ -337,6 +363,8 @@ def sweep_discretization(
     Rows carry the bounds and, when the scenario registers a closed-form
     limit, the absolute errors against it.
     """
+    from . import fusion, instances
+
     entry = instances.get_scenario(scenario)
     if entry.kind != "continuous":
         raise ValueError(
@@ -362,7 +390,14 @@ def sweep_discretization(
 
 
 def cmd_sweep(args) -> int:
-    n_values = [int(part) for part in str(args.n).split(",") if part.strip()]
+    from . import serialize
+
+    try:
+        n_values = [int(part) for part in str(args.n).split(",") if part.strip()]
+    except ValueError:
+        raise ValueError(
+            f"--n must be a comma-separated list of integers, got {args.n!r}"
+        ) from None
     if not n_values:
         raise ValueError(f"could not parse any level from --n {args.n!r}")
     rows = sweep_discretization(
@@ -381,7 +416,7 @@ def _add_instance_flags(sub, with_n=True):
     sub.add_argument("--atoms", type=int, default=None)
     sub.add_argument("--seed", type=int, default=None)
     if with_n:
-        sub.add_argument("--n", default=None, help="refinement level")
+        sub.add_argument("--n", type=int, default=None, help="refinement level")
 
 
 def _build_parser() -> argparse.ArgumentParser:

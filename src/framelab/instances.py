@@ -18,8 +18,6 @@ import numpy as np
 from . import fusion, resolution
 from .fusion import WeightedSubspaceFamily
 from .hilbert import adjoint, hermitian_part, operator_norms, range_bases
-from .measure import DiscretizationScheme, ParameterSpace, discretize
-from .perturbation import PerturbationParams, all_subset_masks, composite_defects, subset_sums
 from .resolution import OperatorFamily, SumMode
 
 
@@ -147,6 +145,8 @@ def rotating_line_family(n: int = 64) -> WeightedSubspaceFamily:
     A = B = pi/2; the projector entries are trigonometric polynomials of
     period pi, making the uniform midpoint rule exact up to roundoff.
     """
+    from .measure import DiscretizationScheme, ParameterSpace, discretize
+
     space = ParameterSpace.circle(period=math.pi)
     meas = discretize(space, DiscretizationScheme("midpoint", n))
     return WeightedSubspaceFamily(
@@ -230,9 +230,9 @@ class Scenario:
     def build(self, dim=None, atoms=None, seed=None, n=None):
         """Build with the given sizes; an argument the builder does not take is ignored."""
         given = {"dim": dim, "atoms": atoms, "seed": seed, "n": n}
-        small = [k for k in ("dim", "atoms", "n") if given[k] is not None and int(given[k]) < 1]
-        if small:
-            raise ValueError(f"--{small[0]} must be at least 1, got {given[small[0]]}")
+        for key, least in (("dim", 1), ("atoms", 1), ("n", 1), ("seed", 0)):
+            if given[key] is not None and int(given[key]) < least:
+                raise ValueError(f"--{key} must be at least {least}, got {given[key]}")
         return self.builder(**{
             key: default if given[key] is None else int(given[key])
             for key, default in self.defaults.items()
@@ -482,6 +482,8 @@ def _exact_subset_lam(base_ops, deviations) -> float:
     the one an SVD of every subset gives, bit for bit. A chunk whose
     inverse fails is decided by SVDs alone.
     """
+    from .perturbation import all_subset_masks, subset_sums
+
     base_ops, deviations = np.asarray(base_ops), np.asarray(deviations)
     n, d = base_ops.shape[:2]
     if n > 14:
@@ -528,6 +530,8 @@ def perturbed_resolution_instance(
 
     Returns (base, perturbed, params, lam).
     """
+    from .perturbation import PerturbationParams
+
     base = random_resolution_family(dim, atoms, seed)
     rng = np.random.default_rng([seed, 1])
     zeros = (0.0,) * atoms
@@ -586,6 +590,8 @@ def composite_instance(
 
     Returns (base, composed_with, params, lam).
     """
+    from .perturbation import PerturbationParams, composite_defects
+
     rng = np.random.default_rng([seed, 2])
     if kind == "identity":
         eye = np.eye(max(dim, 1))

@@ -16,12 +16,6 @@ import numpy as np
 
 from .fusion import WeightedSubspaceFamily
 from .hilbert import adjoint, range_bases, require_finite
-from .measure import (
-    DiscretizationScheme,
-    ParameterSpace,
-    WeightFunction,
-    weight_from_spec,
-)
 from .resolution import OperatorFamily, SumMode
 
 BASIS_KEEP_TOL = 1e-12
@@ -236,6 +230,8 @@ def loads_measure_spec(text: str):
 
     Returns (space, scheme, weight_function).
     """
+    from .measure import DiscretizationScheme, ParameterSpace, weight_from_spec
+
     data = _parse(text)
     if not isinstance(data, dict):
         raise ValueError("measure spec must hold a JSON object")
@@ -284,6 +280,8 @@ def loads_perturbation_scenario(text: str) -> dict:
 
     Path resolution and file loading stay with the caller.
     """
+    from .measure import weight_from_spec
+
     data = _parse(text)
     if not isinstance(data, dict):
         raise ValueError("perturbation scenario must hold a JSON object")
@@ -301,6 +299,8 @@ def loads_perturbation_scenario(text: str) -> dict:
 
 def sample_envelope(phi_spec: str, points, count: int) -> tuple:
     """Evaluate an envelope spec at the atom points, positionally for tables."""
+    from .measure import weight_from_spec
+
     weight = weight_from_spec(phi_spec)
     if weight.table:
         if len(weight.table) != count:

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from framelab import cli, instances, perturbation, resolution, serialize
+from framelab import cli, fusion, instances, perturbation, resolution, serialize, theorems
 from framelab.perturbation import PerturbationParams
 
 
@@ -132,7 +132,7 @@ def test_reconstruct_tight_family(capsys):
 
 
 def test_reconstruct_rejects_a_non_finite_vector(capsys, monkeypatch):
-    monkeypatch.setattr(cli.fusion, "reconstruct", None)  # fails before any work
+    monkeypatch.setattr(fusion, "reconstruct", None)  # fails before any work
     assert run([
         "reconstruct", "--scenario", "mercedes", "--vector", "[1.0, NaN]",
     ]) == cli.EXIT_PARSE
@@ -151,6 +151,26 @@ def test_reconstruct_rejects_a_vector_of_objects(capsys):
 def test_gen_rejects_sizes_below_one(scenario, flag, capsys):
     assert run(["gen", "--scenario", scenario, flag, "0"]) == cli.EXIT_PARSE
     assert f"{flag} must be at least 1, got 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--scenario", "random_fusion", "--seed", "-1"], "--seed must be at least 0, got -1"),
+    (["analyze", "--scenario", "random_fusion", "--seed", "-3"], "--seed must be at least 0, got -3"),
+    (["reconstruct", "--scenario", "mercedes", "--seed", "-2"], "--seed must be at least 0, got -2"),
+    (["sweep", "--scenario", "rotating_line", "--n", "a"], "--n must be a comma-separated list"),
+    (["sweep", "--scenario", "rotating_line", "--n", "8,x"], "--n must be a comma-separated list"),
+    (["gen", "--scenario", "rotating_line", "--n", "a"], "argument --n: invalid int value: 'a'"),
+])
+def test_malformed_size_flags_name_the_flag(argv, message, capsys):
+    assert run(argv) == cli.EXIT_PARSE
+    assert message in capsys.readouterr().err
+
+
+def test_negative_probe_seed_of_a_file_names_the_flag(tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    path.write_text(serialize.dumps_instance(instances.build_scenario("mercedes")))
+    assert run(["reconstruct", str(path), "--seed", "-1"]) == cli.EXIT_PARSE
+    assert "--seed must be at least 0, got -1" in capsys.readouterr().err
 
 
 def test_gen_random_fusion_too_few_atoms_to_span_is_a_parse_failure(capsys, monkeypatch):
@@ -442,7 +462,7 @@ def test_verify_check_that_raises_prints_nothing(target, check, tmp_path, monkey
     def broken(*args):
         raise RuntimeError("check blew up")
 
-    monkeypatch.setattr(cli.theorems, check, broken)
+    monkeypatch.setattr(theorems, check, broken)
     assert run(argv) == cli.EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
