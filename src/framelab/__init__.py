@@ -16,11 +16,11 @@ _EXPORTS = {
         "NotAFrameError", "NotPositiveDefiniteError", "NotSelfAdjointError",
     ),
     "fusion": (
-        "Coefficients", "FrameBounds", "Reconstruction", "WeightedSubspaceFamily", "analysis",
+        "Coefficients", "Reconstruction", "WeightedSubspaceFamily", "analysis",
         "apply_frame_operator", "frame_bounds", "frame_operator", "frame_sum", "reconstruct",
         "synthesis", "synthesis_matrix", "verify_characterization",
     ),
-    "hilbert": ("Subspace", "column_space", "orthonormal_basis"),
+    "hilbert": ("SpectralBounds", "Subspace", "column_space", "orthonormal_basis"),
     "instances": (),
     "measure": (
         "AtomicMeasure", "DiscretizationScheme", "ParameterSpace", "WeightFunction",
@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     "reports": ("VerificationReport",),
     "resolution": (
-        "OperatorFamily", "ResolutionBounds", "SumMode", "gram_sum", "normalize_to_identity",
+        "OperatorFamily", "SumMode", "gram_sum", "normalize_to_identity",
         "resolution_bounds", "resolution_gram", "verify_resolution",
     ),
     "serialize": (),

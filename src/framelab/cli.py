@@ -113,11 +113,10 @@ def _bounds_summary(obj) -> dict:
         kind = "fusion_frame"
         extra = {}
     else:
-        rbounds = resolution.resolution_bounds(obj)
-        bounds = rbounds
+        bounds = resolution.resolution_bounds(obj)
         kind = "resolution"
         extra = {"sup_norm": obj.sup_norm(), "sum_mode": obj.sum_mode.value}
-    condition = bounds.upper / bounds.lower if bounds.lower > 0 else None
+    condition = bounds.condition() if bounds.lower > 0 else None
     summary = {
         "kind": kind,
         "ambient_dim": obj.ambient_dim,

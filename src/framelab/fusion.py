@@ -210,27 +210,9 @@ class Coefficients:
         return self.masses @ np.sum(other.blocks.conj() * self.blocks, axis=1)
 
 
-@dataclass(frozen=True)
-class FrameBounds:
-    lower: float
-    upper: float
-
-    def is_frame(self) -> bool:
-        return self.lower > hilbert.POSITIVITY_REL_TOL * max(self.upper, 0.0)
-
-    def condition(self) -> float:
-        if self.lower <= 0:
-            return float("inf")
-        return self.upper / self.lower
-
-
 def analysis(family: WeightedSubspaceFamily, f) -> Coefficients:
     """Analysis map: f -> (omega_i * P_i f)_i."""
-    f = as_vector(f)
-    if f.shape[0] != family.ambient_dim:
-        raise DimensionMismatchError(
-            f"vector of dim {f.shape[0]} vs ambient dim {family.ambient_dim}"
-        )
+    f = as_vector(f, family.ambient_dim)
     copies = np.broadcast_to(f[:, None], (f.shape[0], family.natoms))
     projections = family.project(copies) * family.weights
     return Coefficients(blocks=projections.T, masses=family.masses)
@@ -269,22 +251,21 @@ def frame_operator(family: WeightedSubspaceFamily) -> np.ndarray:
 
 def apply_frame_operator(family: WeightedSubspaceFamily, f) -> np.ndarray:
     """S f computed from the stacked basis, without assembling S."""
-    f = as_vector(f)
+    f = as_vector(f, family.ambient_dim)
     u = family.basis
     return u @ (family.gram_coefficients()[family.column_atom] * (adjoint(u) @ f))
 
 
 def frame_sum(family: WeightedSubspaceFamily, f) -> float:
     """Direct quadratic form sum omega_i^2 mu_i ||P_i f||^2."""
-    f = as_vector(f)
+    f = as_vector(f, family.ambient_dim)
     coords = adjoint(family.basis) @ f
     return float(family.gram_coefficients()[family.column_atom] @ np.abs(coords) ** 2)
 
 
-def frame_bounds(family: WeightedSubspaceFamily) -> FrameBounds:
+def frame_bounds(family: WeightedSubspaceFamily) -> hilbert.SpectralBounds:
     """Optimal bounds: extreme eigenvalues of the frame operator."""
-    spec = hilbert.self_adjoint_spectrum(frame_operator(family))
-    return FrameBounds(lower=float(spec[0]), upper=float(spec[-1]))
+    return hilbert.spectral_bounds(frame_operator(family))
 
 
 def synthesis_matrix(family: WeightedSubspaceFamily) -> np.ndarray:
@@ -323,7 +304,7 @@ def verify_characterization(
         "synthesis_norm_equals_sqrt_upper", norm_gap <= tol, residual=norm_gap
     )
 
-    lower_positive = bounds.is_frame()
+    lower_positive = bounds.is_positive()
     surjective = injective = rank == d
     report.add_hypothesis(
         "analysis_injective_iff_lower_positive",
@@ -351,7 +332,7 @@ def verify_characterization(
 class Reconstruction:
     vector: np.ndarray
     residual: float
-    bounds: FrameBounds
+    bounds: hilbert.SpectralBounds
 
 
 def reconstruct(family: WeightedSubspaceFamily, f) -> Reconstruction:
@@ -362,12 +343,11 @@ def reconstruct(family: WeightedSubspaceFamily, f) -> Reconstruction:
     lower bound is zero within POSITIVITY_REL_TOL of the upper bound. S is assembled
     once; one eigendecomposition gives both the bounds and the solve.
     """
-    f = as_vector(f)
+    f = as_vector(f, family.ambient_dim)
     s_mat = frame_operator(family)
     eigh = hilbert.self_adjoint_eigh(s_mat)
-    spectrum = eigh[0]
-    bounds = FrameBounds(lower=float(spectrum[0]), upper=float(spectrum[-1]))
-    if not bounds.is_frame():
+    bounds = hilbert.SpectralBounds.of_spectrum(eigh[0])
+    if not bounds.is_positive():
         raise NotAFrameError(
             f"family is not a frame (bounds {bounds.lower:.3e}, {bounds.upper:.3e})",
             lower=bounds.lower,

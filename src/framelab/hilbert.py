@@ -35,19 +35,20 @@ MEMBERSHIP_TOL = 1e-10
 POSITIVITY_REL_TOL = 1e-10
 
 
-def as_vector(f) -> np.ndarray:
+def as_vector(f, dim: int | None = None) -> np.ndarray:
+    """``f`` as a finite 1-d array; given ``dim``, DimensionMismatchError unless it has that length."""
     f = np.asarray(f)
     if f.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-d vector, got shape {f.shape}")
-    return f
+    if dim is not None and f.shape[0] != dim:
+        raise DimensionMismatchError(f"vector of dim {f.shape[0]} vs ambient dim {dim}")
+    return require_finite(f, "vector")
 
 
 def inner(f, g):
     """Inner product, linear in the first argument."""
-    f, g = as_vector(f), as_vector(g)
-    if f.shape != g.shape:
-        raise DimensionMismatchError(f"shapes {f.shape} and {g.shape} differ")
-    return np.vdot(g, f)
+    f = as_vector(f)
+    return np.vdot(as_vector(g, f.shape[0]), f)
 
 
 def norm(f) -> float:
@@ -187,11 +188,7 @@ class Subspace:
         return self.basis @ adjoint(self.basis)
 
     def project(self, f) -> np.ndarray:
-        f = as_vector(f)
-        if f.shape[0] != self.ambient_dim:
-            raise DimensionMismatchError(
-                f"vector of dim {f.shape[0]} vs ambient dim {self.ambient_dim}"
-            )
+        f = as_vector(f, self.ambient_dim)
         if not self.rank:
             return np.zeros_like(f)
         return self.basis @ (adjoint(self.basis) @ f)
@@ -259,6 +256,32 @@ def self_adjoint_spectrum(a: np.ndarray) -> np.ndarray:
     return self_adjoint_eigh(a)[0]
 
 
+@dataclass(frozen=True)
+class SpectralBounds:
+    """The extreme eigenvalues of a positive operator: a frame's or a resolution's bounds."""
+
+    lower: float
+    upper: float
+
+    @classmethod
+    def of_spectrum(cls, spectrum) -> "SpectralBounds":
+        """The first and last entries of an ascending spectrum."""
+        return cls(lower=float(spectrum[0]), upper=float(spectrum[-1]))
+
+    def is_positive(self) -> bool:
+        """The lower bound exceeds POSITIVITY_REL_TOL times the upper one."""
+        return self.lower > POSITIVITY_REL_TOL * max(self.upper, 0.0)
+
+    def condition(self) -> float:
+        """upper / lower, or inf when the lower bound is not positive."""
+        return self.upper / self.lower if self.lower > 0 else float("inf")
+
+
+def spectral_bounds(a: np.ndarray) -> SpectralBounds:
+    """The bounds of a self-adjoint matrix: its extreme eigenvalues."""
+    return SpectralBounds.of_spectrum(self_adjoint_spectrum(a))
+
+
 # Distinct (dim, count) pairs whose seed-0 probes are kept. The checks'
 # probe counts are 2000, 1000 and 10, so dims 2-8 need 21 pairs;
 # one pair at dim 8 and 2000 probes holds 128 KB.
@@ -299,18 +322,13 @@ def solve_positive(a: np.ndarray, f) -> np.ndarray:
 
 def solve_positive_eigh(a: np.ndarray, eigh, f) -> np.ndarray:
     """solve_positive with the eigendecomposition ``eigh = (w, v)`` of A already at hand."""
-    f = as_vector(f)
     w, v = eigh
-    if f.shape[0] != w.shape[0]:
-        raise DimensionMismatchError(
-            f"matrix of size {w.shape[0]} vs vector of dim {f.shape[0]}"
-        )
-    lam_min = float(w[0])
-    lam_max = float(w[-1])
-    if lam_min <= RANK_TOL * max(lam_max, 0.0) or lam_max <= 0.0:
+    f = as_vector(f, w.shape[0])
+    bounds = SpectralBounds.of_spectrum(w)
+    if bounds.lower <= RANK_TOL * max(bounds.upper, 0.0) or bounds.upper <= 0.0:
         raise NotPositiveDefiniteError(
-            f"matrix is singular or indefinite (lambda_min={lam_min:.6e})",
-            lambda_min=lam_min,
+            f"matrix is singular or indefinite (lambda_min={bounds.lower:.6e})",
+            lambda_min=bounds.lower,
         )
     def apply_inverse(y):
         return v @ ((adjoint(v) @ y) / w)

@@ -701,7 +701,8 @@ class _SharedPieces:
         self.base_report = resolution.verify_resolution(base, identity_tol=tol)
         self.subset_report, sum_matrix = verify_perturbed_sum(base, perturbed, lam, tol)
         self.singulars = np.linalg.svd(sum_matrix, compute_uv=False)
-        self.bounds = resolution.resolution_bounds(perturbed)
+        self.gram = resolution.resolution_gram(perturbed)
+        self.bounds = hilbert.spectral_bounds(self.gram)
         self.normalized = self.normalized_report = None
         if float(self.singulars[-1]) > SINGULAR_CUT * max(float(self.singulars[0]), 1.0):
             self.normalized = resolution.normalize_to_identity(perturbed)
@@ -805,7 +806,7 @@ class _SharedPieces:
             detail=f"bessel={gram_s.upper:.6e}",
         )
 
-        e_const = base.sup_norm()
+        e_const = self.base_report.constants["sup_norm"]
         probes = hilbert.unit_probes(base.ambient_dim, CLOSENESS_PROBES)
         w = base.weights[:, None, None]
         phi = np.asarray(params.phi)
@@ -845,8 +846,7 @@ class _SharedPieces:
         pred_ratio_sharp = side / denom_sharp if denom_sharp > 0 else float("inf")
 
         bound_probes = hilbert.unit_probes(base.ambient_dim, BOUND_PROBES)
-        gram = resolution.resolution_gram(composed_with)
-        gram_forms = hilbert.quadratic_forms(gram, bound_probes)
+        gram_forms = hilbert.quadratic_forms(self.gram, bound_probes)
         probe_low = float(np.sqrt(max(np.min(gram_forms, initial=np.inf), 0.0)))
 
         sharp_holds = gram_s.lower >= pred_ratio_sharp**2 - tol

@@ -105,28 +105,18 @@ class OperatorFamily:
         return replace(self, sum_mode=mode)
 
 
-@dataclass(frozen=True)
-class ResolutionBounds:
-    lower: float
-    upper: float
-
-    def is_resolution(self) -> bool:
-        return self.lower > hilbert.POSITIVITY_REL_TOL * max(self.upper, 0.0)
-
-
 def resolution_gram(family: OperatorFamily) -> np.ndarray:
     """Gram operator M = sum omega_i^2 mu_i T_i* T_i (positive semidefinite)."""
     return hilbert.stacked_gram(family.operators, family.gram_coefficients())
 
 
-def resolution_bounds(family: OperatorFamily) -> ResolutionBounds:
-    spec = hilbert.self_adjoint_spectrum(resolution_gram(family))
-    return ResolutionBounds(lower=float(spec[0]), upper=float(spec[-1]))
+def resolution_bounds(family: OperatorFamily) -> hilbert.SpectralBounds:
+    return hilbert.spectral_bounds(resolution_gram(family))
 
 
 def gram_sum(family: OperatorFamily, f) -> float:
     """Direct quadratic form sum omega_i^2 mu_i ||T_i f||^2."""
-    images = family.operators @ as_vector(f)
+    images = family.operators @ as_vector(f, family.ambient_dim)
     return float(family.gram_coefficients() @ np.sum(np.abs(images) ** 2, axis=1))
 
 
@@ -175,7 +165,7 @@ def verify_resolution(family: OperatorFamily, identity_tol: float = 1e-9) -> Ver
         detail="vacuously true for an atomic index set",
     )
     bounds = resolution_bounds(family)
-    positive = bounds.is_resolution()
+    positive = bounds.is_positive()
     report.add_hypothesis(
         "gram_bounds_positive",
         positive,
@@ -202,7 +192,7 @@ def verify_resolution(family: OperatorFamily, identity_tol: float = 1e-9) -> Ver
 
 def support(family: OperatorFamily, f) -> tuple:
     """Atoms where T_i f is nonzero relative to ||f||; empty for f = 0."""
-    f = as_vector(f)
+    f = as_vector(f, family.ambient_dim)
     fnorm = float(np.linalg.norm(f))
     if fnorm == 0.0:
         return ()

@@ -80,10 +80,14 @@ def _require(obj: dict, key: str, where: str):
 
 
 def _number(value, what: str, kind=float):
-    """``kind(value)``, or a ValueError naming ``what`` when the value is no number."""
+    """``kind(value)`` of a JSON number, not a string or bool; an int field takes integral ones."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {json.dumps(value)}")
+    if kind is int and value % 1:  # NaN and inf too
+        raise ValueError(f"{what} must be an integer, got {json.dumps(value)}")
     try:
         return kind(value)
-    except (TypeError, ValueError, OverflowError):
+    except OverflowError:
         raise ValueError(f"{what} must be a number, got {json.dumps(value)}") from None
 
 

@@ -77,7 +77,7 @@ def verify_induced_fusion_frame(family: OperatorFamily, tol: float = 1e-9):
     rbounds = resolution.resolution_bounds(family)
     report.add_hypothesis(
         "gram_bounds_positive",
-        rbounds.is_resolution(),
+        rbounds.is_positive(),
         residual=rbounds.lower,
         detail=f"gram_upper={rbounds.upper:.6e}",
     )
@@ -139,7 +139,8 @@ def verify_operator_family_sandwich(
 
     ops = operators.operators
     p = family.projectors()
-    scale = np.maximum(1.0, operators.operator_norms())
+    norms = operators.operator_norms()
+    scale = np.maximum(1.0, norms)
     kernel_res = float((hilbert.operator_norms(ops @ p - ops) / scale).max())
     range_res = float((hilbert.operator_norms(p @ ops - ops) / scale).max())
     report.add_hypothesis(
@@ -159,7 +160,7 @@ def verify_operator_family_sandwich(
     )
 
     rbounds = resolution.resolution_bounds(operators)
-    e_const = operators.sup_norm()
+    e_const = float(norms.max())
     upper_quadratic = bessel * e_const**2
     upper_linear = bessel * e_const
     report.constants = {
@@ -209,10 +210,11 @@ def verify_frame_from_projection_identity(
         "unweighted_gram_bounded", unweighted_top > 0.0, residual=unweighted_top
     )
     c_const = 1.0 / unweighted_top if unweighted_top > 0 else float("inf")
-    bounds = fusion.frame_bounds(family)
+    s_mat = fusion.frame_operator(family)
+    bounds = hilbert.spectral_bounds(s_mat)
 
     probes = hilbert.unit_probes(family.ambient_dim, PROJECTION_PROBES, rng)
-    sums = hilbert.quadratic_forms(fusion.frame_operator(family), probes)
+    sums = hilbert.quadratic_forms(s_mat, probes)
     worst_margin = float(np.max(c_const - sums, initial=0.0))
     report.constants = {
         "unweighted_upper": unweighted_top,
@@ -245,7 +247,7 @@ def verify_orthogonal_decomposition(
     bounds = fusion.frame_bounds(family)
     report.add_hypothesis(
         "frame_lower_bound_positive",
-        bounds.is_frame(),
+        bounds.is_positive(),
         residual=bounds.lower,
         detail=f"upper={bounds.upper:.6e}",
     )
@@ -291,7 +293,7 @@ def verify_induced_vector_frame(
     report.tolerances = {"bound_slack": tol}
     if family.sum_mode is not SumMode.RAW:
         raise ValueError("induced vector frame check expects a raw-mode family")
-    vectors = [as_vector(f) for f in frame_seq]
+    vectors = [as_vector(f, family.ambient_dim) for f in frame_seq]
     if not vectors:
         raise ValueError("frame_seq must be nonempty")
 
@@ -308,30 +310,29 @@ def verify_induced_vector_frame(
     d_const = res_report.constants["gram_upper"]
 
     seq = np.stack(vectors, axis=1)
-    seq_gram = seq @ adjoint(seq)
     q = span.basis
-    seq_on_span = hilbert.self_adjoint_spectrum(adjoint(q) @ seq_gram @ q) if span.rank else np.zeros(1)
-    seq_lower, seq_upper = float(seq_on_span[0]), float(seq_on_span[-1])
-
     # sum_i omega_i^2 mu_i T_i* (F F*) T_i with F the sequence as columns
     induced = hilbert.stacked_gram(adjoint(seq) @ family.operators, family.gram_coefficients())
-    on_span = hilbert.self_adjoint_spectrum(adjoint(q) @ induced @ q) if span.rank else np.zeros(1)
-    lower, upper = float(on_span[0]), float(on_span[-1])
+    # the sequence's and the induced family's bounds on the span, those of q* a q
+    seq_bounds, bounds = (
+        hilbert.spectral_bounds(adjoint(q) @ a @ q) if span.rank else hilbert.SpectralBounds(0.0, 0.0)
+        for a in (seq @ adjoint(seq), induced)
+    )
 
-    predicted_lower = seq_lower * c_const
-    predicted_upper = seq_upper * d_const
+    predicted_lower = seq_bounds.lower * c_const
+    predicted_upper = seq_bounds.upper * d_const
     report.constants = {
         "gram_lower": c_const,
         "gram_upper": d_const,
-        "seq_lower": seq_lower,
-        "seq_upper": seq_upper,
-        "lower": lower,
-        "upper": upper,
+        "seq_lower": seq_bounds.lower,
+        "seq_upper": seq_bounds.upper,
+        "lower": bounds.lower,
+        "upper": bounds.upper,
         "predicted_lower": predicted_lower,
         "predicted_upper": predicted_upper,
         "span_dim": float(span.rank),
     }
-    ok = lower >= predicted_lower - tol and upper <= predicted_upper + tol
+    ok = bounds.lower >= predicted_lower - tol and bounds.upper <= predicted_upper + tol
     report.conclude(ok)
     return report
 
@@ -357,9 +358,9 @@ def reconstruct_by_support(family: OperatorFamily, f) -> SupportReconstruction:
     report.tolerances = {"residual": RECONSTRUCTION_TOL, "ordering_gap": ORDERING_TOL}
     if family.sum_mode is not SumMode.RAW:
         raise ValueError("support reconstruction expects a raw-mode family")
-    f = as_vector(f)
-    fnorm = float(np.linalg.norm(f))
     d = family.ambient_dim
+    f = as_vector(f, d)
+    fnorm = float(np.linalg.norm(f))
     if fnorm == 0.0:
         zero = np.zeros(d)
         report.add_hypothesis("span_gram_positive", True, detail="zero vector")
@@ -384,24 +385,24 @@ def reconstruct_by_support(family: OperatorFamily, f) -> SupportReconstruction:
         family.operators[acting], family.gram_coefficients()[acting]
     )
     gram_on_span = adjoint(q) @ gram @ q
-    spec = hilbert.self_adjoint_spectrum(gram_on_span)
-    positive = resolution.ResolutionBounds(float(spec[0]), float(spec[-1])).is_resolution()
+    eigh = hilbert.self_adjoint_eigh(gram_on_span)
+    bounds = hilbert.SpectralBounds.of_spectrum(eigh[0])
     report.add_hypothesis(
-        "span_gram_positive", positive, residual=float(spec[0]),
+        "span_gram_positive", bounds.is_positive(), residual=bounds.lower,
         detail=f"span_dim={len(coords)}, support_size={support_size}",
     )
-    if not positive:
+    if not bounds.is_positive():
         report.constants = {
             "span_dim": float(len(coords)),
             "support_size": float(support_size),
-            "span_gram_lower": float(spec[0]),
+            "span_gram_lower": bounds.lower,
         }
         report.conclude(False)
         return SupportReconstruction(None, None, report)
 
     y = gram @ f  # equals the full-family sum since excluded atoms kill span(f)
-    inverse_first = q @ hilbert.solve_positive(gram_on_span, adjoint(q) @ y)
-    u = q @ hilbert.solve_positive(gram_on_span, adjoint(q) @ f)
+    inverse_first = q @ hilbert.solve_positive_eigh(gram_on_span, eigh, adjoint(q) @ y)
+    u = q @ hilbert.solve_positive_eigh(gram_on_span, eigh, adjoint(q) @ f)
     y2 = gram @ u
     inverse_last = q @ (adjoint(q) @ y2)
 
@@ -415,7 +416,7 @@ def reconstruct_by_support(family: OperatorFamily, f) -> SupportReconstruction:
     report.constants = {
         "span_dim": float(len(coords)),
         "support_size": float(support_size),
-        "span_gram_lower": float(spec[0]),
+        "span_gram_lower": bounds.lower,
         "residual_inverse_first": res_first,
         "residual_inverse_last": res_last,
         "ordering_gap": gap,

@@ -283,6 +283,38 @@ def test_malformed_fields_are_parse_failures(tmp_path, capsys, command, scenario
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize(
+    "command, scenario, edit, message",
+    [
+        ("analyze", "random_resolution", lambda d: d.update(ambient_dim=4.7),
+         "ambient_dim must be an integer, got 4.7"),
+        ("analyze", "random_fusion", lambda d: d.update(ambient_dim="4"),
+         'ambient_dim must be a number, got "4"'),
+        ("analyze", "random_resolution", lambda d: d["atoms"][0].update(mass=True),
+         "atom 0: mass must be a number, got true"),
+        ("perturb", "random_resolution", lambda d: d.update({"lambda": "0.5"}),
+         'lambda must be a number, got "0.5"'),
+        ("perturb", "random_resolution", lambda d: d.update({"lambda": 10**400}),
+         f"lambda must be a number, got {10**400}"),
+        ("discretize", "axes", lambda d: d.update(n=2.9), "n must be an integer, got 2.9"),
+    ],
+    ids=["fractional-dim", "string-dim", "bool-mass", "string-lambda", "overflowing-lambda",
+         "fractional-n"],
+)
+def test_number_fields_take_json_numbers_only(tmp_path, capsys, command, scenario, edit, message):
+    # no string, bool or fractional count is read as a number, and none is truncated
+    argv = _malformed(tmp_path, command, scenario, edit)
+    capsys.readouterr()
+    assert run(argv) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_integral_float_counts_stay_valid(tmp_path, capsys):
+    argv = _malformed(tmp_path, "analyze", "random_resolution", lambda d: d.update(ambient_dim=4.0))
+    assert run(argv) == cli.EXIT_OK
+    assert json.loads(capsys.readouterr().out)["ambient_dim"] == 4
+
+
 def test_sweep_rotating_line(capsys):
     assert run(["sweep", "--scenario", "rotating_line", "--n", "1,8"]) == cli.EXIT_OK
     lines = capsys.readouterr().out.strip().split("\n")
@@ -356,16 +388,17 @@ def test_perturb_runs_each_shared_piece_once(tmp_path, monkeypatch, capsys):
     count(perturbation, "_worst_subset")
     count(perturbation, "check_perturbation")
     count(resolution, "verify_resolution")
-    count(resolution, "resolution_bounds")
+    count(resolution, "resolution_gram")
     run(["perturb", str(path)])
     assert "composite_perturbation: PASS" in capsys.readouterr().out
     # verify_resolution runs on the base and the normalized family; each of
-    # those takes the Gram bounds, and the perturbed family's make the third
+    # those assembles its Gram operator, and the perturbed family's, shared by
+    # its bounds and the composite probes, makes the third
     assert calls == {
         "_worst_subset": 1,
         "check_perturbation": 1,
         "verify_resolution": 2,
-        "resolution_bounds": 3,
+        "resolution_gram": 3,
     }
 
 

@@ -30,7 +30,6 @@ SIGNATURES = {
     perturbation.subset_masks: [("natoms", _), ("nrandom", _), ("rng", None)],
     resolution.identity_sum_residual: [("family", _)],
     resolution.verify_resolution: [("family", _), ("identity_tol", 1e-9)],
-    resolution.ResolutionBounds.is_resolution: [("self", _)],
     resolution.support: [("family", _), ("f", _)],
     theorems.reconstruct_by_support: [("family", _), ("f", _)],
     theorems.verify_operator_family_sandwich: [("family", _), ("operators", _), ("tol", 1e-9)],
@@ -38,7 +37,7 @@ SIGNATURES = {
     theorems.verify_frame_from_projection_identity: [("family", _), ("tol", 1e-9), ("rng", None)],
     fusion.synthesis: [("family", _), ("coeffs", _)],
     fusion.reconstruct: [("family", _), ("f", _)],
-    fusion.FrameBounds.is_frame: [("self", _)],
+    hilbert.SpectralBounds.is_positive: [("self", _)],
     hilbert.is_self_adjoint: [("a", _)],
     hilbert.self_adjoint_eigh: [("a", _)],
     hilbert.self_adjoint_spectrum: [("a", _)],

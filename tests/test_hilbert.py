@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from framelab import hilbert
+from framelab import fusion, hilbert, instances, resolution, theorems
 from framelab.errors import (
     DimensionMismatchError,
     NotPositiveDefiniteError,
@@ -18,6 +18,54 @@ def test_as_vector_requires_one_dimension():
     assert v.shape == (2,)
     with pytest.raises(DimensionMismatchError):
         hilbert.as_vector(np.ones((2, 2)))
+
+
+# every library entry point that takes a vector of ambient dim 4, called on ``f``
+_VECTOR_ENTRY_POINTS = {
+    "as_vector": lambda f: hilbert.as_vector(f, 4),
+    "inner": lambda f: hilbert.inner(np.ones(4), f),
+    "Subspace.project": lambda f: Subspace(np.eye(4)[:, :2]).project(f),
+    "solve_positive": lambda f: hilbert.solve_positive(2.0 * np.eye(4), f),
+    "solve_positive_eigh": lambda f: hilbert.solve_positive_eigh(
+        np.eye(4), hilbert.self_adjoint_eigh(np.eye(4)), f
+    ),
+    "fusion.analysis": lambda f: fusion.analysis(instances.random_fusion_family(4, 6, 0), f),
+    "fusion.apply_frame_operator": lambda f: fusion.apply_frame_operator(
+        instances.random_fusion_family(4, 6, 0), f
+    ),
+    "fusion.frame_sum": lambda f: fusion.frame_sum(instances.random_fusion_family(4, 6, 0), f),
+    "fusion.reconstruct": lambda f: fusion.reconstruct(instances.random_fusion_family(4, 6, 0), f),
+    "resolution.gram_sum": lambda f: resolution.gram_sum(
+        instances.random_resolution_family(4, 6, 0), f
+    ),
+    "resolution.support": lambda f: resolution.support(
+        instances.random_resolution_family(4, 6, 0), f
+    ),
+    "theorems.reconstruct_by_support": lambda f: theorems.reconstruct_by_support(
+        instances.block_resolution_family(4, 3, 0), f
+    ),
+    "theorems.verify_induced_vector_frame": lambda f: theorems.verify_induced_vector_frame(
+        instances.random_resolution_family(4, 6, 0), [np.eye(4)[0], f]
+    ),
+}
+
+
+_BAD_VECTORS = {
+    "short": ([0.5, 0.5, 0.5], DimensionMismatchError, "vector of dim 3 vs ambient dim 4"),
+    "long": ([0.5] * 5, DimensionMismatchError, "vector of dim 5 vs ambient dim 4"),
+    "nan": ([0.5, np.nan, 0.5, 0.5], ValueError, "vector entry 1 is not finite (nan)"),
+    "inf": ([0.5, 0.5, 0.5, -np.inf], ValueError, "vector entry 3 is not finite (-inf)"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_VECTOR_ENTRY_POINTS))
+@pytest.mark.parametrize("case", list(_BAD_VECTORS))
+def test_vector_entry_points_reject_wrong_length_and_non_finite(entry, case):
+    # each gate fires before any arithmetic on f, naming its cause
+    f, error, message = _BAD_VECTORS[case]
+    with pytest.raises(error) as info:
+        _VECTOR_ENTRY_POINTS[entry](np.array(f))
+    assert str(info.value) == message
 
 
 def test_inner_conjugates_second_argument():

@@ -88,7 +88,7 @@ def test_gram_matches_quadratic_form():
 def test_gram_bounds_enclose_probes():
     fam = _raw(4)
     bounds = resolution.resolution_bounds(fam)
-    assert bounds.is_resolution()
+    assert bounds.is_positive()
     rng = np.random.default_rng(8)
     for _ in range(20):
         f = rng.standard_normal(fam.ambient_dim)

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from framelab import cli, fusion, instances, resolution, theorems
+from framelab import cli, fusion, hilbert, instances, resolution, theorems
 from framelab.errors import AtomMismatchError
 from framelab.fusion import WeightedSubspaceFamily
 from framelab.hilbert import Subspace
@@ -222,3 +222,28 @@ class TestComplexFamilies:
         assert [isinstance(entry, str) for entry in entries] == [False, False]
         assert all(report.passed for report in entries)
         assert theorems.orthogonality_defect(fam) <= 1e-15
+
+
+@pytest.mark.parametrize("owner, name, check, args", [
+    # one eigendecomposition of the span Gram gives its bounds and both solves
+    (hilbert, "self_adjoint_eigh", lambda *a: theorems.reconstruct_by_support(*a).report,
+     lambda: (instances.block_resolution_family(4, 3, 0), np.ones(4))),
+    # one frame operator gives the spectral bounds and the probe sums
+    (fusion, "frame_operator", theorems.verify_frame_from_projection_identity,
+     lambda: (instances.projection_identity_instance(5, 0),)),
+    # one stack of operator norms gives the residual scales and E
+    (resolution.OperatorFamily, "operator_norms", theorems.verify_operator_family_sandwich,
+     lambda: instances.sandwich_instance(4, 5, 0)),
+], ids=["support_reconstruction", "projection_identity", "sandwich"])
+def test_each_check_builds_each_operator_once(monkeypatch, owner, name, check, args):
+    args = args()  # built before counting starts
+    original = getattr(owner, name)
+    calls = []
+
+    def counted(*a, **kw):
+        calls.append(name)
+        return original(*a, **kw)
+
+    monkeypatch.setattr(owner, name, counted)
+    assert check(*args).passed
+    assert len(calls) == 1
