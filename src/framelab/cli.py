@@ -180,62 +180,45 @@ def cmd_reconstruct(args) -> int:
         except NotAFrameError as exc:
             print(f"reconstruction failed: {exc}", file=sys.stderr)
             return EXIT_CHECK_FAILED
-        result = {
-            "residual": rec.residual,
-            "lower": rec.bounds.lower,
-            "upper": rec.bounds.upper,
-            "vector": f.tolist(),
-            "reconstructed": rec.vector.tolist(),
-        }
-        _emit(serialize.dumps_canonical(result), args.out)
-        return EXIT_OK if rec.residual <= max(tol, 1e-8) else EXIT_CHECK_FAILED
-    if obj.sum_mode is not resolution.SumMode.RAW:
-        raise ValueError(
-            "reconstruct needs a fusion family or a raw-mode resolution"
-        )
-    from . import theorems
+        result = {"residual": rec.residual, "lower": rec.bounds.lower, "upper": rec.bounds.upper}
+        field, vector, passed = obj.basis.dtype, rec.vector, rec.residual <= max(tol, 1e-8)
+    elif obj.sum_mode is resolution.SumMode.RAW:
+        from . import theorems
 
-    outcome = theorems.reconstruct_by_support(obj, f)
-    print(outcome.report.summary_line())
-    result = {
-        "report": outcome.report.to_dict(),
-        "vector": f.tolist(),
-        "reconstructed": None
-        if outcome.inverse_first is None
-        else outcome.inverse_first.tolist(),
-    }
+        rec = theorems.reconstruct_by_support(obj, f)
+        print(rec.report.summary_line())
+        result = {"report": rec.report.to_dict()}
+        field, vector, passed = obj.operators.dtype, rec.inverse_first, rec.report.passed
+    else:
+        raise ValueError("reconstruct needs a fusion family or a raw-mode resolution")
+    # both vectors in the family's field, so a complex family writes [re, im] pairs
+    result["vector"] = f.astype(field).tolist()
+    result["reconstructed"] = None if vector is None else vector.astype(field).tolist()
     _emit(serialize.dumps_canonical(result), args.out)
-    return EXIT_OK if outcome.report.passed else EXIT_CHECK_FAILED
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
+
+
+def _gated(names, reason: str, value: float, limit: float, checks):
+    """``checks()`` when ``value`` is at most ``limit``, else one SKIP line per name."""
+    if value <= limit:
+        return checks()
+    return [f"{name}: SKIP ({reason} {value:.3e})" for name in names]
 
 
 def _projector_checks(family, tol: float):
     """Gated checks on a fusion family's projector sums: each yields a report or a SKIP line."""
     from . import theorems
 
-    resid = theorems.first_power_residual(family)
-    if resid <= tol:
-        yield theorems.verify_frame_from_projection_identity(family, tol)
-    else:
-        yield (
-            "projection_identity_frame: SKIP (first-power projector sum"
-            f" misses the identity by {resid:.3e})"
-        )
-    defect = theorems.orthogonality_defect(family)
-    if defect <= theorems.ORTHOGONALITY_TOL:
-        yield theorems.verify_orthogonal_decomposition(family, tol)
-    else:
-        yield (
-            "orthogonal_decomposition: SKIP (subspaces are not pairwise"
-            f" orthogonal; defect {defect:.3e})"
-        )
-
-
-def _fusion_checks(family, tol: float):
-    """Run every check whose structural preconditions the fusion family meets."""
-    from . import fusion
-
-    yield fusion.verify_characterization(family, tol)
-    yield from _projector_checks(family, tol)
+    yield from _gated(
+        ["projection_identity_frame"], "first-power projector sum misses the identity by",
+        theorems.first_power_residual(family), tol,
+        lambda: [theorems.verify_frame_from_projection_identity(family, tol)],
+    )
+    yield from _gated(
+        ["orthogonal_decomposition"], "subspaces are not pairwise orthogonal; defect",
+        theorems.orthogonality_defect(family), theorems.ORTHOGONALITY_TOL,
+        lambda: [theorems.verify_orthogonal_decomposition(family, tol)],
+    )
 
 
 def _resolution_checks(family, tol: float):
@@ -243,38 +226,31 @@ def _resolution_checks(family, tol: float):
 
     yield resolution.verify_resolution(family, tol)
     d = family.ambient_dim
-
     weighted = family.with_sum_mode(resolution.SumMode.WEIGHTED)
-    _, _, w_resid = resolution.identity_sum_residual(weighted)
-    if w_resid <= tol:
+    raw = family.with_sum_mode(resolution.SumMode.RAW)
+
+    def induced_checks():
         report, induced = theorems.verify_induced_fusion_frame(weighted, tol)
         yield report
         yield theorems.verify_operator_family_sandwich(induced, weighted, tol)
         yield from _projector_checks(induced, tol)
-    else:
-        reason = (
-            "SKIP (weighted operator sum misses the identity by"
-            f" {w_resid:.3e})"
-        )
-        for name in (
-            "induced_fusion_frame",
-            "operator_family_sandwich",
-            "projection_identity_frame",
-            "orthogonal_decomposition",
-        ):
-            yield f"{name}: {reason}"
 
-    raw = family.with_sum_mode(resolution.SumMode.RAW)
-    _, _, r_resid = resolution.identity_sum_residual(raw)
-    if r_resid <= tol:
+    def vector_checks():
         yield theorems.verify_induced_vector_frame(raw, tuple(np.eye(d)), tol)
-        ones = np.ones(d) / np.sqrt(d)
-        for probe in (np.eye(d)[:, 0], ones):
+        for probe in (np.eye(d)[:, 0], np.ones(d) / np.sqrt(d)):
             yield theorems.reconstruct_by_support(raw, probe).report
-    else:
-        reason = f"SKIP (raw operator sum misses the identity by {r_resid:.3e})"
-        for name in ("induced_vector_frame", "support_reconstruction"):
-            yield f"{name}: {reason}"
+
+    yield from _gated(
+        ["induced_fusion_frame", "operator_family_sandwich",
+         "projection_identity_frame", "orthogonal_decomposition"],
+        "weighted operator sum misses the identity by",
+        resolution.identity_sum_residual(weighted)[2], tol, induced_checks,
+    )
+    yield from _gated(
+        ["induced_vector_frame", "support_reconstruction"],
+        "raw operator sum misses the identity by",
+        resolution.identity_sum_residual(raw)[2], tol, vector_checks,
+    )
 
 
 def cmd_verify(args) -> int:
@@ -299,9 +275,11 @@ def cmd_verify(args) -> int:
     for label, obj in targets:
         if len(targets) > 1:
             items.append(f"-- {label} --")
-        fused = isinstance(obj, fusion.WeightedSubspaceFamily)
-        checks = _fusion_checks if fused else _resolution_checks
-        items.extend(checks(obj, tol))
+        if isinstance(obj, fusion.WeightedSubspaceFamily):
+            items.append(fusion.verify_characterization(obj, tol))
+            items.extend(_projector_checks(obj, tol))
+        else:
+            items.extend(_resolution_checks(obj, tol))
     reports = [item for item in items if not isinstance(item, str)]
     for item in items:
         print(item if isinstance(item, str) else item.summary_line())

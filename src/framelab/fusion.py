@@ -195,7 +195,8 @@ class Coefficients:
             blocks = None
         if blocks is None or blocks.ndim != 2:
             raise DimensionMismatchError("blocks must be vectors of one common dimension")
-        m = np.asarray(self.masses, dtype=float)
+        blocks = require_finite(blocks, "blocks")
+        m = require_finite(np.asarray(self.masses, dtype=float), "masses")
         if len(blocks) != m.shape[0]:
             raise AtomMismatchError(f"{len(blocks)} blocks vs {m.shape[0]} masses")
         object.__setattr__(self, "blocks", blocks)
@@ -244,6 +245,7 @@ def synthesis(family: WeightedSubspaceFamily, coeffs: Coefficients) -> np.ndarra
     return blocks @ (family.weights * family.masses)
 
 
+@hilbert.per_family
 def frame_operator(family: WeightedSubspaceFamily) -> np.ndarray:
     """Assembled operator S = sum omega_i^2 mu_i P_i."""
     return family.projector_sum(family.gram_coefficients())
@@ -263,6 +265,7 @@ def frame_sum(family: WeightedSubspaceFamily, f) -> float:
     return float(family.gram_coefficients()[family.column_atom] @ np.abs(coords) ** 2)
 
 
+@hilbert.per_family
 def frame_bounds(family: WeightedSubspaceFamily) -> hilbert.SpectralBounds:
     """Optimal bounds: extreme eigenvalues of the frame operator."""
     return hilbert.spectral_bounds(frame_operator(family))

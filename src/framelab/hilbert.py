@@ -141,6 +141,23 @@ def orthonormality_defects(padded: np.ndarray, ranks) -> np.ndarray:
     return np.abs(gram).max(axis=(1, 2), initial=0.0)
 
 
+def per_family(fn):
+    """Decorate ``fn(family)`` to run once per family, kept in its ``__dict__`` by name.
+
+    Families are frozen, keep read-only arrays and compare by identity, so a
+    kept result cannot go stale. An array result is made read-only.
+    """
+    @functools.wraps(fn)
+    def kept(family):
+        memo = vars(family)
+        if fn.__name__ not in memo:
+            value = memo[fn.__name__] = fn(family)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+        return memo[fn.__name__]
+    return kept
+
+
 def is_self_adjoint(a: np.ndarray) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -199,10 +199,6 @@ class SampledWeights:
     values: np.ndarray
     zero_atoms: tuple
 
-    @property
-    def has_zeros(self) -> bool:
-        return bool(self.zero_atoms)
-
 
 def sample_weights(weight: WeightFunction, measure: AtomicMeasure) -> SampledWeights:
     """Evaluate a weight function on the atoms of a measure.

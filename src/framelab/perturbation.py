@@ -562,10 +562,7 @@ def verify_perturbed_sum(
     report = VerificationReport(check_id="subset_stable_sum")
     report.tolerances = {"bound_slack": tol, "certificate_floor": CERTIFICATE_FLOOR}
     d = base.ambient_dim
-    basis_res, probe_res, _ = resolution.identity_sum_residual(base)
-    report.add_hypothesis(
-        "base_identity_sum", max(basis_res, probe_res) <= tol, residual=basis_res
-    )
+    resolution.add_identity_sum_hypothesis(report, "base_identity_sum", base, tol)
 
     masks = subset_masks(base.natoms, nrandom, rng)
     worst_index, worst, eigensolved = _worst_subset(
@@ -701,8 +698,6 @@ class _SharedPieces:
         self.base_report = resolution.verify_resolution(base, identity_tol=tol)
         self.subset_report, sum_matrix = verify_perturbed_sum(base, perturbed, lam, tol)
         self.singulars = np.linalg.svd(sum_matrix, compute_uv=False)
-        self.gram = resolution.resolution_gram(perturbed)
-        self.bounds = hilbert.spectral_bounds(self.gram)
         self.normalized = self.normalized_report = None
         if float(self.singulars[-1]) > SINGULAR_CUT * max(float(self.singulars[0]), 1.0):
             self.normalized = resolution.normalize_to_identity(perturbed)
@@ -710,7 +705,8 @@ class _SharedPieces:
 
     def bessel_dominated(self) -> bool:
         """The perturbed Gram upper bound is at most the base one, to ``tol``."""
-        return self.bounds.upper <= self.base_report.constants["gram_upper"] + self.tol
+        bessel = resolution.resolution_bounds(self.perturbed).upper
+        return bessel <= self.base_report.constants["gram_upper"] + self.tol
 
     def _report(self, check_id: str, tolerances: dict) -> VerificationReport:
         """A report whose first hypothesis is that the base family is a resolution."""
@@ -757,7 +753,7 @@ class _SharedPieces:
         report.add_hypothesis("side_condition", side > 0.0, residual=side)
 
         sigma_max, sigma_min = float(self.singulars[0]), float(self.singulars[-1])
-        raw = self.bounds
+        raw = resolution.resolution_bounds(self.perturbed)
         pred_raw_lower, pred_raw_upper = predicted_interval(c_const, d_const, params, phi_l2)
         pred_norm_lower, pred_norm_upper = predicted_interval(
             c_const, d_const, params, phi_l2, sigma_min, sigma_max
@@ -798,7 +794,7 @@ class _SharedPieces:
             "Gram upper bound D is used directly"
         )
         d_const = self.base_report.constants["gram_upper"]
-        gram_s = self.bounds
+        gram_s = resolution.resolution_bounds(composed_with)
         report.add_hypothesis(
             "bessel_dominated",
             self.bessel_dominated(),
@@ -846,7 +842,8 @@ class _SharedPieces:
         pred_ratio_sharp = side / denom_sharp if denom_sharp > 0 else float("inf")
 
         bound_probes = hilbert.unit_probes(base.ambient_dim, BOUND_PROBES)
-        gram_forms = hilbert.quadratic_forms(self.gram, bound_probes)
+        gram = resolution.resolution_gram(composed_with)
+        gram_forms = hilbert.quadratic_forms(gram, bound_probes)
         probe_low = float(np.sqrt(max(np.min(gram_forms, initial=np.inf), 0.0)))
 
         sharp_holds = gram_s.lower >= pred_ratio_sharp**2 - tol

@@ -102,14 +102,24 @@ class OperatorFamily:
         return float(self.operator_norms().max())
 
     def with_sum_mode(self, mode: SumMode) -> "OperatorFamily":
-        return replace(self, sum_mode=mode)
+        """This family in ``mode``; a new one shares its arrays and kept mode-free pieces."""
+        if mode is self.sum_mode:
+            return self
+        if not isinstance(mode, SumMode):
+            raise ValueError(f"sum_mode must be a SumMode, got {mode!r}")
+        keep = ("operators", "weights", "masses", "points", "resolution_gram", "resolution_bounds")
+        other = object.__new__(OperatorFamily)
+        vars(other).update({k: v for k, v in vars(self).items() if k in keep}, sum_mode=mode)
+        return other
 
 
+@hilbert.per_family
 def resolution_gram(family: OperatorFamily) -> np.ndarray:
     """Gram operator M = sum omega_i^2 mu_i T_i* T_i (positive semidefinite)."""
     return hilbert.stacked_gram(family.operators, family.gram_coefficients())
 
 
+@hilbert.per_family
 def resolution_bounds(family: OperatorFamily) -> hilbert.SpectralBounds:
     return hilbert.spectral_bounds(resolution_gram(family))
 
@@ -136,6 +146,7 @@ def require_aligned(first, second, mode: SumMode | None) -> None:
         raise ValueError(f"this check expects {mode.value}-mode operator families")
 
 
+@hilbert.per_family
 def identity_sum_residual(family: OperatorFamily):
     """Residuals of the identity sum: canonical basis, probes, operator norm."""
     d = family.ambient_dim
@@ -145,6 +156,12 @@ def identity_sum_residual(family: OperatorFamily):
     probes = hilbert.unit_probes(d, IDENTITY_PROBES)
     probe_residual = float(np.linalg.norm(dev @ probes, axis=0).max())
     return basis_residual, probe_residual, op_residual
+
+
+def add_identity_sum_hypothesis(report, name: str, family, tol: float, detail: str = ""):
+    """Add hypothesis ``name``: the identity sum holds to ``tol`` on the basis and probes."""
+    basis_res, probe_res, _ = identity_sum_residual(family)
+    report.add_hypothesis(name, max(basis_res, probe_res) <= tol, residual=basis_res, detail=detail)
 
 
 def verify_resolution(family: OperatorFamily, identity_tol: float = 1e-9) -> VerificationReport:
@@ -172,13 +189,9 @@ def verify_resolution(family: OperatorFamily, identity_tol: float = 1e-9) -> Ver
         residual=bounds.lower,
         detail=f"gram_lower={bounds.lower:.6e}, gram_upper={bounds.upper:.6e}",
     )
-    basis_res, probe_res, op_res = identity_sum_residual(family)
-    report.add_hypothesis(
-        "identity_sum",
-        max(basis_res, probe_res) <= identity_tol,
-        residual=basis_res,
-        detail=f"mode={family.sum_mode.value}, operator_norm_residual={op_res:.3e}",
-    )
+    basis_res, _, op_res = identity_sum_residual(family)
+    detail = f"mode={family.sum_mode.value}, operator_norm_residual={op_res:.3e}"
+    add_identity_sum_hypothesis(report, "identity_sum", family, identity_tol, detail)
     report.constants = {
         "gram_lower": bounds.lower,
         "gram_upper": bounds.upper,

@@ -64,11 +64,15 @@ def _render(obj) -> str:
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def _parse(text: str):
+def _parse(text: str, what: str = ""):
+    """The JSON value of ``text``; given ``what``, a ValueError naming it unless an object."""
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
+    if what and not isinstance(data, dict):
+        raise ValueError(f"{what} must hold a JSON object")
+    return data
 
 
 def _require(obj: dict, key: str, where: str):
@@ -216,9 +220,7 @@ def dumps_instance(obj) -> str:
 
 def loads_instance(text: str):
     """Dispatch on keys: operator blocks mean a resolution, bases a family."""
-    data = _parse(text)
-    if not isinstance(data, dict):
-        raise ValueError("instance file must hold a JSON object")
+    data = _parse(text, "instance file")
     if "operators" in data or "sum_mode" in data:
         return _resolution_from_obj(data)
     if "atoms" in data:
@@ -236,9 +238,7 @@ def loads_measure_spec(text: str):
     """
     from .measure import DiscretizationScheme, ParameterSpace, weight_from_spec
 
-    data = _parse(text)
-    if not isinstance(data, dict):
-        raise ValueError("measure spec must hold a JSON object")
+    data = _parse(text, "measure spec")
     space_obj = _require(data, "space", "measure spec")
     kind = _require(space_obj, "kind", "space")
     if kind == "interval":
@@ -286,9 +286,7 @@ def loads_perturbation_scenario(text: str) -> dict:
     """
     from .measure import weight_from_spec
 
-    data = _parse(text)
-    if not isinstance(data, dict):
-        raise ValueError("perturbation scenario must hold a JSON object")
+    data = _parse(text, "perturbation scenario")
     phi_spec = str(data.get("phi", "const:0"))
     weight_from_spec(phi_spec)  # fail fast on malformed envelope specs
     return {

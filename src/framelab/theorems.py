@@ -32,6 +32,7 @@ RECONSTRUCTION_TOL = 1e-8
 ORDERING_TOL = 1e-9
 
 
+@hilbert.per_family
 def first_power_residual(family: WeightedSubspaceFamily) -> float:
     """Largest column norm of id - sum_i omega_i mu_i P_i."""
     d = family.ambient_dim
@@ -39,6 +40,7 @@ def first_power_residual(family: WeightedSubspaceFamily) -> float:
     return float(np.linalg.norm(np.eye(d) - first_power, axis=0).max())
 
 
+@hilbert.per_family
 def orthogonality_defect(family: WeightedSubspaceFamily) -> float:
     """Largest ||U_i* U_j|| over pairs of atoms i < j.
 
@@ -70,10 +72,7 @@ def verify_induced_fusion_frame(family: OperatorFamily, tol: float = 1e-9):
     report = VerificationReport(check_id="induced_fusion_frame")
     report.tolerances = {"identity_residual": tol, "bound_slack": tol}
 
-    basis_res, probe_res, _ = resolution.identity_sum_residual(family)
-    report.add_hypothesis(
-        "weighted_identity_sum", max(basis_res, probe_res) <= tol, residual=basis_res
-    )
+    resolution.add_identity_sum_hypothesis(report, "weighted_identity_sum", family, tol)
     rbounds = resolution.resolution_bounds(family)
     report.add_hypothesis(
         "gram_bounds_positive",
@@ -149,10 +148,7 @@ def verify_operator_family_sandwich(
     report.add_hypothesis(
         "range_in_subspace", range_res <= SANDWICH_TOL, residual=range_res
     )
-    basis_res, probe_res, _ = resolution.identity_sum_residual(operators)
-    report.add_hypothesis(
-        "weighted_identity_sum", max(basis_res, probe_res) <= tol, residual=basis_res
-    )
+    resolution.add_identity_sum_hypothesis(report, "weighted_identity_sum", operators, tol)
 
     bessel = fusion.frame_bounds(family).upper
     report.add_hypothesis(
@@ -210,11 +206,10 @@ def verify_frame_from_projection_identity(
         "unweighted_gram_bounded", unweighted_top > 0.0, residual=unweighted_top
     )
     c_const = 1.0 / unweighted_top if unweighted_top > 0 else float("inf")
-    s_mat = fusion.frame_operator(family)
-    bounds = hilbert.spectral_bounds(s_mat)
+    bounds = fusion.frame_bounds(family)
 
     probes = hilbert.unit_probes(family.ambient_dim, PROJECTION_PROBES, rng)
-    sums = hilbert.quadratic_forms(s_mat, probes)
+    sums = hilbert.quadratic_forms(fusion.frame_operator(family), probes)
     worst_margin = float(np.max(c_const - sums, initial=0.0))
     report.constants = {
         "unweighted_upper": unweighted_top,

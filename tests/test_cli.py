@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from framelab import cli, fusion, instances, perturbation, resolution, serialize, theorems
+from framelab import cli, fusion, hilbert, instances, perturbation, resolution, serialize, theorems
 from framelab.perturbation import PerturbationParams
 
 
@@ -122,6 +122,60 @@ def test_verify_failure_gives_exit_one(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def _pinned_verify_outputs():
+    """(scenario, seed, exit code, stdout) of each section of data/verify_scenarios.txt."""
+    path = os.path.join(os.path.dirname(__file__), "data", "verify_scenarios.txt")
+    with open(path, encoding="utf-8") as fh:
+        sections = fh.read().split("== ")[1:]
+    for section in sections:
+        header, _, out = section.partition("\n")
+        target, _, code = header.partition(": exit ")
+        scenario, _, seed = target.partition(" --seed ")
+        yield pytest.param(scenario, seed, int(code), out, id=f"{scenario}-{seed}")
+
+
+@pytest.mark.parametrize("scenario, seed, code, out", _pinned_verify_outputs())
+def test_verify_scenario_output_is_pinned(scenario, seed, code, out, capsys):
+    # six-digit summaries and three-digit SKIP residuals: the same on every
+    # supported numpy, unlike the 17-digit constants of --out
+    assert run(["verify", "--scenario", scenario, "--seed", seed]) == code
+    assert capsys.readouterr().out == out
+
+
+def test_pinned_verify_outputs_cover_every_scenario_and_seed():
+    pinned = {(p.values[0], p.values[1]) for p in _pinned_verify_outputs()}
+    assert pinned == {(name, str(seed)) for name in instances.SCENARIOS for seed in range(3)}
+
+
+def test_verify_computes_each_derived_operator_once(tmp_path, capsys, callers):
+    blocks = tmp_path / "blocks.json"
+    blocks.write_text(serialize.dumps_instance(instances.orthogonal_blocks_family(4, 2, 0)))
+    basis = tmp_path / "basis.json"
+    basis.write_text(serialize.dumps_instance(resolution.from_orthonormal_basis(4)))
+    sums = callers(fusion.WeightedSubspaceFamily, "projector_sum")
+    eighs = callers(hilbert, "self_adjoint_eigh")
+    padded = callers(fusion, "_padded")
+    grams = callers(hilbert, "stacked_gram")
+    identity_sums = callers(resolution.OperatorFamily, "identity_sum_matrix")
+
+    assert run(["verify", str(blocks)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.count("PASS") == 3
+    # both projector gates pass, so both checks run beside the characterization
+    assert sums["frame_operator"] == 1
+    assert eighs["frame_bounds"] == 1
+    assert sum(eighs.values()) == 3
+    assert sums["first_power_residual"] == 1
+    assert padded["orthogonality_defect"] == 1
+
+    grams.clear()
+    assert run(["verify", str(basis)]) == cli.EXIT_OK
+    assert capsys.readouterr().out.count("PASS") == 8
+    # the raw family and its weighted copy share one Gram operator; the
+    # identity sum is computed once in each mode
+    assert grams["resolution_gram"] == 1
+    assert identity_sums == {"identity_sum_residual": 2}
+
+
 def test_reconstruct_tight_family(capsys):
     assert run([
         "reconstruct", "--scenario", "mercedes", "--vector", "[0.5, -1.5]",
@@ -129,6 +183,39 @@ def test_reconstruct_tight_family(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["residual"] <= 1e-12
     assert np.allclose(out["reconstructed"], [0.5, -1.5])
+
+
+# (1, i) / sqrt 2 and (1, -i) / sqrt 2: an orthonormal basis of C^2
+_COMPLEX_LINES = np.array([[1.0, 1.0], [1j, -1j]]) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize("family", [
+    fusion.WeightedSubspaceFamily(
+        subspaces=(_COMPLEX_LINES[:, [0]], _COMPLEX_LINES[:, [1]]),
+        weights=np.ones(2), masses=np.ones(2),
+    ),
+    resolution.OperatorFamily(
+        operators=np.einsum("ik,jk->kij", _COMPLEX_LINES, _COMPLEX_LINES.conj()),
+        weights=np.ones(2), masses=np.ones(2),
+    ),
+], ids=["fusion", "raw_resolution"])
+def test_reconstruct_writes_both_vectors_in_a_complex_familys_field(family, tmp_path, capsys):
+    path = tmp_path / "complex.json"
+    path.write_text(serialize.dumps_instance(family))
+    assert run(["reconstruct", str(path), "--vector", "[0.6, -0.8]"]) == cli.EXIT_OK
+    text = capsys.readouterr().out
+    out = json.loads(text[text.index("{"):])
+    # the real probe vector is written in the family's field too
+    assert out["vector"] == [[0.6, 0], [-0.8, 0]]
+    assert np.allclose(out["reconstructed"], out["vector"], atol=1e-12)
+
+
+def test_reconstruct_writes_a_real_familys_vectors_as_reals(capsys):
+    assert run(["reconstruct", "--scenario", "basis_resolution", "--vector", "[1, 0, 0, 2]"]) == 0
+    text = capsys.readouterr().out
+    out = json.loads(text[text.index("{"):])
+    assert out["vector"] == [1, 0, 0, 2]
+    assert np.allclose(out["reconstructed"], [1, 0, 0, 2], atol=1e-12)
 
 
 def test_reconstruct_rejects_a_non_finite_vector(capsys, monkeypatch):
@@ -371,7 +458,7 @@ def test_perturb_passing_scenario(tmp_path, capsys):
     assert "perturbed_resolution: PASS" in out
 
 
-def test_perturb_runs_each_shared_piece_once(tmp_path, monkeypatch, capsys):
+def test_perturb_runs_each_shared_piece_once(tmp_path, monkeypatch, capsys, callers):
     # a composite instance, so the composite check runs beside the other three
     path = _write_scenario(tmp_path, *instances.composite_instance(4, 6, 0))
     calls = collections.Counter()
@@ -388,18 +475,14 @@ def test_perturb_runs_each_shared_piece_once(tmp_path, monkeypatch, capsys):
     count(perturbation, "_worst_subset")
     count(perturbation, "check_perturbation")
     count(resolution, "verify_resolution")
-    count(resolution, "resolution_gram")
+    grams = callers(hilbert, "stacked_gram")
     run(["perturb", str(path)])
     assert "composite_perturbation: PASS" in capsys.readouterr().out
+    assert calls == {"_worst_subset": 1, "check_perturbation": 1, "verify_resolution": 2}
     # verify_resolution runs on the base and the normalized family; each of
-    # those assembles its Gram operator, and the perturbed family's, shared by
+    # those assembles its Gram operator, and the perturbed family's, read by
     # its bounds and the composite probes, makes the third
-    assert calls == {
-        "_worst_subset": 1,
-        "check_perturbation": 1,
-        "verify_resolution": 2,
-        "resolution_gram": 3,
-    }
+    assert grams == {"resolution_gram": 3}
 
 
 def test_perturb_failing_scenario_gives_exit_one(tmp_path, capsys):

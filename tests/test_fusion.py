@@ -147,6 +147,17 @@ def test_ragged_coefficients_are_rejected_at_construction():
         fusion.Coefficients(blocks=np.ones((2, 3)), masses=np.ones(3))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("field", ["blocks", "masses"])
+def test_non_finite_coefficients_are_rejected_at_construction(field, bad):
+    # NaN passes synthesis's membership test (stickout > limit is False)
+    fam = instances.random_fusion_family(4, 6, 0)
+    coeffs = {"blocks": fusion.analysis(fam, np.ones(4)).blocks.copy(), "masses": fam.masses.copy()}
+    coeffs[field].flat[1] = bad
+    with pytest.raises(ValueError, match=f"{field} entry .* is not finite"):
+        fusion.synthesis(fam, fusion.Coefficients(**coeffs))
+
+
 def test_synthesis_matrix_norm_squares_to_upper_bound():
     fam = _family(7)
     top = np.linalg.norm(fusion.synthesis_matrix(fam), 2)

@@ -243,3 +243,34 @@ def test_projection_never_expands(dim, rank, seed):
 def test_subspace_rejects_non_finite_basis():
     with pytest.raises(ValueError, match=r"basis entry \(1, 0\) is not finite \(nan\)"):
         Subspace(np.array([[1.0], [np.nan]]))
+
+
+def test_per_family_computes_once_per_family():
+    calls = []
+
+    @hilbert.per_family
+    def doubled(family):
+        calls.append(family)
+        return 2.0 * family.weights
+
+    first, second = instances.axes_family(), instances.axes_family()
+    assert doubled(first) is doubled(first)
+    assert np.array_equal(doubled(second), doubled(first))
+    assert calls == [first, second]
+
+
+@pytest.mark.parametrize("memoized, build", [
+    (fusion.frame_operator, lambda: instances.random_fusion_family(4, 6, 0)),
+    (resolution.resolution_gram, lambda: instances.random_resolution_family(4, 6, 0)),
+], ids=["frame_operator", "resolution_gram"])
+def test_memoized_operators_are_kept_and_read_only(memoized, build):
+    fam = build()
+    kept = memoized(fam)
+    assert memoized(fam) is kept
+    assert not kept.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0, 0] = 0.0
+    # a family with the same atoms computes its own
+    other = build()
+    assert memoized(other) is not kept
+    assert np.array_equal(memoized(other), kept)

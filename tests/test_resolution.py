@@ -29,6 +29,24 @@ class TestOperatorFamily:
             weighted.sum_coefficients(), fam.weights**2 * fam.masses
         )
 
+    def test_with_sum_mode_carries_only_the_mode_free_pieces(self):
+        fam = _raw(1)
+        assert fam.with_sum_mode(SumMode.RAW) is fam
+        gram, bounds = resolution.resolution_gram(fam), resolution.resolution_bounds(fam)
+        raw_residual = resolution.identity_sum_residual(fam)
+        weighted = fam.with_sum_mode(SumMode.WEIGHTED)
+        assert (fam.sum_mode, weighted.sum_mode) == (SumMode.RAW, SumMode.WEIGHTED)
+        assert weighted.operators is fam.operators and weighted.points == fam.points
+        assert resolution.resolution_gram(weighted) is gram
+        assert resolution.resolution_bounds(weighted) is bounds
+        # the identity sum depends on the mode, so it is computed afresh
+        fresh = OperatorFamily(fam.operators, fam.weights, fam.masses, SumMode.WEIGHTED)
+        assert resolution.identity_sum_residual(weighted) == resolution.identity_sum_residual(fresh)
+        assert resolution.identity_sum_residual(weighted) != raw_residual
+        assert resolution.identity_sum_residual(fam) == raw_residual
+        with pytest.raises(ValueError, match="sum_mode must be a SumMode"):
+            fam.with_sum_mode("weighted")
+
     def test_family_owns_its_weights_and_masses(self):
         ops = resolution.from_orthonormal_basis(2).operators
         w, m = np.ones(2), np.ones(2)

@@ -224,26 +224,24 @@ class TestComplexFamilies:
         assert theorems.orthogonality_defect(fam) <= 1e-15
 
 
-@pytest.mark.parametrize("owner, name, check, args", [
+@pytest.mark.parametrize("owner, name, expected, check, args", [
     # one eigendecomposition of the span Gram gives its bounds and both solves
-    (hilbert, "self_adjoint_eigh", lambda *a: theorems.reconstruct_by_support(*a).report,
+    (hilbert, "self_adjoint_eigh", {"reconstruct_by_support": 1},
+     lambda *a: theorems.reconstruct_by_support(*a).report,
      lambda: (instances.block_resolution_family(4, 3, 0), np.ones(4))),
-    # one frame operator gives the spectral bounds and the probe sums
-    (fusion, "frame_operator", theorems.verify_frame_from_projection_identity,
+    # one frame operator gives the spectral bounds and the probe sums, beside
+    # the first-power sum of the gate and the unweighted sum
+    (WeightedSubspaceFamily, "projector_sum",
+     {"frame_operator": 1, "first_power_residual": 1, "verify_frame_from_projection_identity": 1},
+     theorems.verify_frame_from_projection_identity,
      lambda: (instances.projection_identity_instance(5, 0),)),
     # one stack of operator norms gives the residual scales and E
-    (resolution.OperatorFamily, "operator_norms", theorems.verify_operator_family_sandwich,
+    (resolution.OperatorFamily, "operator_norms", {"verify_operator_family_sandwich": 1},
+     theorems.verify_operator_family_sandwich,
      lambda: instances.sandwich_instance(4, 5, 0)),
 ], ids=["support_reconstruction", "projection_identity", "sandwich"])
-def test_each_check_builds_each_operator_once(monkeypatch, owner, name, check, args):
+def test_each_check_builds_each_operator_once(callers, owner, name, expected, check, args):
     args = args()  # built before counting starts
-    original = getattr(owner, name)
-    calls = []
-
-    def counted(*a, **kw):
-        calls.append(name)
-        return original(*a, **kw)
-
-    monkeypatch.setattr(owner, name, counted)
+    counts = callers(owner, name)
     assert check(*args).passed
-    assert len(calls) == 1
+    assert counts == expected
