@@ -117,25 +117,8 @@ def check_perturbation(
     probes = np.hstack(
         [np.eye(base.ambient_dim), hilbert.unit_probes(base.ambient_dim, CLOSENESS_PROBES)]
     )
-
-    w = base.weights[:, None, None]
-    phi = np.asarray(params.phi)
-    t, s = base.operators, perturbed.operators
-    lhs = _probe_norms(w * (t - s), probes)
-    rhs = (
-        params.lambda1 * _probe_norms(w * t, probes)
-        + params.lambda2 * _probe_norms(w * s, probes)
-        + phi[:, None]
-    )
-    probe_margin = float((lhs - rhs).max())
-    certificate_margin = float(
-        (
-            hilbert.operator_norms(w * (t - s))
-            - params.lambda1 * _sigma_min(w * t)
-            - params.lambda2 * _sigma_min(w * s)
-            - phi
-        ).max()
-    )
+    w, t, s = base.weights[:, None, None], base.operators, perturbed.operators
+    probe_margin, certificate_margin = _closeness(w * (t - s), w * t, w * s, params, probes)
     report.add_hypothesis("atoms_aligned", True)
     report.constants = {
         "probe_margin": probe_margin,
@@ -171,29 +154,47 @@ def _probe_norms(stack: np.ndarray, probes: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigma_min(stack: np.ndarray) -> np.ndarray:
-    """Smallest singular value of every matrix in a stack."""
-    return np.linalg.svd(stack, compute_uv=False)[:, -1]
+def _closeness(x, y, z, params: PerturbationParams, probes: np.ndarray):
+    """(probe_margin, certificate_margin) of a closeness inequality, for every atom i:
 
+        ||X_i f|| <= lambda1 ||Y_i f|| + lambda2 ||Z_i f|| + phi_i ||f||.
 
-def composite_defects(
-    base: OperatorFamily, s: np.ndarray, lambda1: float, lambda2: float
-) -> np.ndarray:
-    """Per-atom defect of the composite singular-value certificate, before phi.
-
-    For each atom, sigma_max(w - w^2 T S) - lambda1 sigma_min(w T)
-    - lambda2 sigma_min(w^2 T S), with T the base operators and S the
-    stack ``s``. The composite closeness inequality holds for every vector
-    wherever the defect is at most phi.
+    ``x``, ``y`` and ``z`` hold one operator per atom, ``probes`` unit
+    columns. The probe margin is the largest excess on a probe, from one
+    pass over the stacked [X; Y; Z]; the certificate margin, the largest
+    _certificate_defects entry less phi, is at most 0 where the inequality
+    holds for every vector.
     """
+    phi = np.asarray(params.phi)
+    norms = _probe_norms(np.concatenate([x, y, z]), probes).reshape(3, len(x), -1)
+    rhs = params.lambda1 * norms[1] + params.lambda2 * norms[2] + phi[:, None]
+    defects = _certificate_defects(x, y, z, params.lambda1, params.lambda2)
+    return float((norms[0] - rhs).max()), float((defects - phi).max())
+
+
+def _certificate_defects(x, y, z, lambda1: float, lambda2: float) -> np.ndarray:
+    """sigma_max(X_i) - lambda1 sigma_min(Y_i) - lambda2 sigma_min(Z_i) for each atom.
+
+    One SVD call over the stacked [X; Y; Z]: the same LAPACK call on each
+    matrix as three separate ones, so the values are the same bits.
+    """
+    sv = np.linalg.svd(np.concatenate([x, y, z]), compute_uv=False).reshape(3, len(x), -1)
+    return sv[0, :, 0] - lambda1 * sv[1, :, -1] - lambda2 * sv[2, :, -1]
+
+
+def _composite_stacks(base: OperatorFamily, s: np.ndarray):
+    """(X, Y, Z) of the composite closeness inequality: w - w^2 T S, w T and w^2 T S."""
     w = base.weights[:, None, None]
-    t = base.operators
-    wts = w * w * (t @ s)
-    return (
-        hilbert.operator_norms(w * np.eye(base.ambient_dim) - wts)
-        - lambda1 * _sigma_min(w * t)
-        - lambda2 * _sigma_min(wts)
-    )
+    wts = w * w * (base.operators @ s)
+    return w * np.eye(base.ambient_dim) - wts, w * base.operators, wts
+
+
+def composite_defects(base: OperatorFamily, s: np.ndarray, lambda1: float, lambda2: float):
+    """_certificate_defects of the composite inequality, T the base operators and S the stack ``s``.
+
+    The inequality holds for every vector wherever the defect is at most phi.
+    """
+    return _certificate_defects(*_composite_stacks(base, s), lambda1, lambda2)
 
 
 # Subsets summed at once by subset_sums; bounds each temporary stack of
@@ -556,6 +557,11 @@ def verify_perturbed_sum(
 
     Returns (report, S).
     """
+    return _perturbed_sum(base, perturbed, lam, tol, nrandom, rng)[:2]
+
+
+def _perturbed_sum(base, perturbed, lam, tol, nrandom=10_000, rng=None):
+    """verify_perturbed_sum's (report, S), and the singular values of S, descending."""
     resolution.require_aligned(base, perturbed, SumMode.RAW)
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"lam must lie in [0, 1), got {lam}")
@@ -582,8 +588,9 @@ def verify_perturbed_sum(
     )
 
     total = perturbed.operators.sum(axis=0)
-    deviation_norm = hilbert.operator_norm(np.eye(d) - total)
-    sigma_min = float(np.linalg.svd(total, compute_uv=False)[-1])
+    # ||id - S|| and the singular values of S from one SVD call
+    singulars = np.linalg.svd(np.stack([np.eye(d) - total, total]), compute_uv=False)
+    deviation_norm, sigma_min = float(singulars[0, 0]), float(singulars[1, -1])
     reconstruction_residual = float("inf")
     if sigma_min > 0.0:
         inverse_images = np.linalg.solve(total, np.eye(d))
@@ -605,7 +612,7 @@ def verify_perturbed_sum(
         and sigma_min >= 1.0 - lam - tol
         and reconstruction_residual <= tol
     )
-    return report, total
+    return report, total, singulars[1]
 
 
 def perturbation_reports(
@@ -669,7 +676,8 @@ def verify_composite_perturbation(
         ||w f - w^2 T S f|| <= lambda1 ||w T f|| + lambda2 ||w^2 T S f|| + phi ||f||
 
     holds on probes; composition is norm-dominated (||T S f|| <= E ||S f||
-    with E the largest base operator norm); the subset-stability check
+    with E the largest base operator norm, which holds by the definition of
+    E and is recorded, not probed); the subset-stability check
     passes with lam; and the side constant
     s = sqrt(sum w^2 mu) - lambda1 sqrt(D) - phi_l2 is strictly positive.
 
@@ -696,8 +704,7 @@ class _SharedPieces:
         self.lam = lam
         self.tol = tol
         self.base_report = resolution.verify_resolution(base, identity_tol=tol)
-        self.subset_report, sum_matrix = verify_perturbed_sum(base, perturbed, lam, tol)
-        self.singulars = np.linalg.svd(sum_matrix, compute_uv=False)
+        self.subset_report, _, self.singulars = _perturbed_sum(base, perturbed, lam, tol)
         self.normalized = self.normalized_report = None
         if float(self.singulars[-1]) > SINGULAR_CUT * max(float(self.singulars[0]), 1.0):
             self.normalized = resolution.normalize_to_identity(perturbed)
@@ -804,27 +811,13 @@ class _SharedPieces:
 
         e_const = self.base_report.constants["sup_norm"]
         probes = hilbert.unit_probes(base.ambient_dim, CLOSENESS_PROBES)
-        w = base.weights[:, None, None]
-        phi = np.asarray(params.phi)
-        t, s = base.operators, composed_with.operators
-        ts = t @ s
-        defect = w * np.eye(base.ambient_dim) - w * w * ts
-        ts_norms = _probe_norms(ts, probes)
-        lhs = _probe_norms(defect, probes)
-        rhs = (
-            params.lambda1 * _probe_norms(w * t, probes)
-            + params.lambda2 * base.weights[:, None] ** 2 * ts_norms
-            + phi[:, None]
-        )
-        probe_margin = float((lhs - rhs).max())
-        composition_margin = float((ts_norms - e_const * _probe_norms(s, probes)).max())
-        certificate_margin = float(
-            (composite_defects(base, s, params.lambda1, params.lambda2) - phi).max()
+        probe_margin, certificate_margin = _closeness(
+            *_composite_stacks(base, composed_with.operators), params, probes
         )
         report.add_hypothesis("pointwise_composite", probe_margin <= tol, residual=probe_margin)
-        report.add_hypothesis(
-            "composition_dominated", composition_margin <= tol, residual=composition_margin
-        )
+        # ||T_i S_i f|| <= ||T_i|| ||S_i f|| <= E ||S_i f||: exact, so not probed
+        detail = f"holds by the definition of E=sup_norm={e_const:.6e}"
+        report.add_hypothesis("composition_dominated", True, detail=detail)
         report.add_hypothesis(
             "subset_stable_sum",
             self.subset_report.passed,

@@ -41,6 +41,12 @@ def first_power_residual(family: WeightedSubspaceFamily) -> float:
 
 
 @hilbert.per_family
+def _unweighted_upper(family: WeightedSubspaceFamily) -> float:
+    """Top eigenvalue of the unweighted Gram sum sum_i mu_i P_i."""
+    return float(hilbert.self_adjoint_spectrum(family.projector_sum(family.masses))[-1])
+
+
+@hilbert.per_family
 def orthogonality_defect(family: WeightedSubspaceFamily) -> float:
     """Largest ||U_i* U_j|| over pairs of atoms i < j.
 
@@ -199,9 +205,7 @@ def verify_frame_from_projection_identity(
     report.add_hypothesis(
         "first_power_identity_sum", identity_res <= tol, residual=identity_res
     )
-    unweighted_top = float(
-        hilbert.self_adjoint_spectrum(family.projector_sum(family.masses))[-1]
-    )
+    unweighted_top = _unweighted_upper(family)
     report.add_hypothesis(
         "unweighted_gram_bounded", unweighted_top > 0.0, residual=unweighted_top
     )

@@ -163,8 +163,12 @@ def test_verify_computes_each_derived_operator_once(tmp_path, capsys, callers):
     # both projector gates pass, so both checks run beside the characterization
     assert sums["frame_operator"] == 1
     assert eighs["frame_bounds"] == 1
-    assert sum(eighs.values()) == 3
+    assert sum(eighs.values()) == 2
     assert sums["first_power_residual"] == 1
+    # the unweighted sum, read by the projection-identity check and again
+    # by the converse of the decomposition check, is summed and solved once
+    assert sums["_unweighted_upper"] == eighs["_unweighted_upper"] == 1
+    assert sum(sums.values()) == 4
     assert padded["orthogonality_defect"] == 1
 
     grams.clear()
@@ -539,6 +543,50 @@ def test_perturb_reports_written_to_file(tmp_path):
     reports = json.loads(out_path.read_text())
     ids = {r["check_id"] for r in reports}
     assert {"pointwise_perturbation", "subset_stable_sum", "perturbed_resolution"} <= ids
+
+
+def _pinned_perturb_scenario(tmp_path, kind, arg):
+    """The scenario file of one section of data/perturb_scenarios.txt.
+
+    "composite" and "additive" write composite_instance(6, 10, seed) and
+    perturbed_resolution_instance(4, 6, seed); "zero" is CI's zero
+    perturbation, one random resolution of ``arg`` atoms as both families.
+    """
+    if kind == "composite":
+        return _write_scenario(tmp_path, *instances.composite_instance(6, 10, int(arg)))
+    if kind == "additive":
+        return _write_scenario(tmp_path, *instances.perturbed_resolution_instance(4, 6, int(arg)))
+    base = tmp_path / "b.json"
+    run(["gen", "--scenario", "random_resolution", "--atoms", arg, "--seed", "0", "--out", str(base)])
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({"base": "b.json", "perturbed": "b.json", "lambda": 0.5}))
+    return path
+
+
+def _pinned_perturb_outputs():
+    """(kind, arg, exit code, stdout) of each section of data/perturb_scenarios.txt."""
+    path = os.path.join(os.path.dirname(__file__), "data", "perturb_scenarios.txt")
+    with open(path, encoding="utf-8") as fh:
+        sections = fh.read().split("== ")[1:]
+    for section in sections:
+        header, _, out = section.partition("\n")
+        target, _, code = header.partition(": exit ")
+        kind, _, arg = target.partition(" ")
+        yield pytest.param(kind, arg, int(code), out, id=f"{kind}-{arg}")
+
+
+@pytest.mark.parametrize("kind, arg, code, out", _pinned_perturb_outputs())
+def test_perturb_output_is_pinned(kind, arg, code, out, tmp_path, capsys):
+    path = _pinned_perturb_scenario(tmp_path, kind, arg)
+    capsys.readouterr()
+    assert run(["perturb", str(path)]) == code
+    assert capsys.readouterr().out == out
+
+
+def test_pinned_perturb_outputs_cover_every_scenario():
+    pinned = {(p.values[0], p.values[1]) for p in _pinned_perturb_outputs()}
+    seeds = {(kind, str(seed)) for kind in ("composite", "additive") for seed in range(3)}
+    assert pinned == seeds | {("zero", "6"), ("zero", "10")}
 
 
 def test_tolerance_env_var_is_honored(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -228,6 +230,18 @@ class TestCompositePerturbation:
         )
         assert not report.passed
         assert "bessel_dominated" in report.failed_hypotheses()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_composition_domination_holds_at_any_scale(seed):
+    # ||T S f|| <= E ||S f|| holds by the definition of E; probed, rounding
+    # alone failed it once the composing family was scaled by 1e8
+    base, comp, params, lam = instances.composite_instance(4, 6, seed)
+    scaled = replace(comp, operators=1e8 * comp.operators)
+    report = perturbation.verify_composite_perturbation(base, scaled, params, lam)
+    (entry,) = [h for h in report.hypotheses if h.name == "composition_dominated"]
+    assert entry.passed and entry.residual == 0.0
+    assert f"E=sup_norm={base.sup_norm():.6e}" in entry.detail
 
 
 def test_stability_checks_take_raw_mode_families_only():

@@ -146,6 +146,30 @@ def test_operator_family_core_matches_per_atom_sums(args):
     assert fam.sup_norm() == pytest.approx(sup_ref, rel=REL, abs=0.0)
 
 
+@pytest.mark.parametrize("complex_", [False, True])
+def test_closeness_matches_a_loop_over_atoms_and_probes(complex_):
+    rng = np.random.default_rng(7)
+    atoms, dim = 5, 3
+    x, y, z = (_draw(rng, (atoms, dim, dim), complex_) for _ in range(3))
+    params = PerturbationParams(0.3, 0.4, rng.uniform(0.0, 2.0, atoms))
+    probes = _draw(rng, (dim, 40), complex_)
+    probes /= np.linalg.norm(probes, axis=0)
+    l1, l2, phi = params.lambda1, params.lambda2, params.phi
+    probe_ref = max(
+        np.linalg.norm(x[i] @ p)
+        - l1 * np.linalg.norm(y[i] @ p) - l2 * np.linalg.norm(z[i] @ p) - phi[i]
+        for i in range(atoms) for p in probes.T
+    )
+    cert_ref = max(
+        np.linalg.norm(x[i], 2) - l1 * np.linalg.norm(y[i], -2)
+        - l2 * np.linalg.norm(z[i], -2) - phi[i]
+        for i in range(atoms)
+    )
+    probe_margin, certificate_margin = perturbation._closeness(x, y, z, params, probes)
+    assert probe_margin == pytest.approx(probe_ref, rel=REL, abs=1e-14)
+    assert certificate_margin == pytest.approx(cert_ref, rel=REL, abs=1e-14)
+
+
 def _reference_subset_masks(natoms, nrandom, rng=None, limit=None):
     """The subset enumeration as a generator, one subset at a time.
 

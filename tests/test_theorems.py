@@ -232,7 +232,7 @@ class TestComplexFamilies:
     # one frame operator gives the spectral bounds and the probe sums, beside
     # the first-power sum of the gate and the unweighted sum
     (WeightedSubspaceFamily, "projector_sum",
-     {"frame_operator": 1, "first_power_residual": 1, "verify_frame_from_projection_identity": 1},
+     {"frame_operator": 1, "first_power_residual": 1, "_unweighted_upper": 1},
      theorems.verify_frame_from_projection_identity,
      lambda: (instances.projection_identity_instance(5, 0),)),
     # one stack of operator norms gives the residual scales and E
