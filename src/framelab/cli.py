@@ -135,13 +135,7 @@ def cmd_analyze(args) -> int:
     obj, _ = _load_or_build(args)
     summary = _bounds_summary(obj)
     if args.format == "csv":
-        cond = summary["condition"]
-        fields = [
-            serialize.canonical_number(summary["lower"]),
-            serialize.canonical_number(summary["upper"]),
-            "" if cond is None else serialize.canonical_number(cond),
-        ]
-        text = "lower,upper,condition\n" + ",".join(fields) + "\n"
+        text = serialize.dumps_csv(("lower", "upper", "condition"), [summary])
     else:
         text = serialize.dumps_canonical(summary)
     _emit(text, args.out)
@@ -150,13 +144,17 @@ def cmd_analyze(args) -> int:
 
 def _probe_vector(args, dim: int) -> np.ndarray:
     from . import hilbert
+    from .serialize import _number
 
     raw = getattr(args, "vector", None)
     if raw is not None:
         try:
-            vec = np.asarray(json.loads(raw), dtype=float)
-        except TypeError:
-            raise ValueError("--vector must be a JSON list of numbers") from None
+            entries = json.loads(raw)
+            if not isinstance(entries, list):
+                raise ValueError(f"got {raw}")
+            vec = np.array([_number(v, f"--vector entry {i}") for i, v in enumerate(entries)])
+        except ValueError as exc:
+            raise ValueError(f"--vector must be a JSON list of numbers: {exc}") from None
         vec = hilbert.require_finite(vec, "--vector")
         if vec.shape != (dim,):
             raise ValueError(f"vector must have {dim} entries, got shape {vec.shape}")
@@ -308,9 +306,7 @@ def cmd_perturb(args) -> int:
 
     base = load_resolution(scenario["base"])
     perturbed = load_resolution(scenario["perturbed"])
-    phi = serialize.sample_envelope(
-        scenario["phi_spec"], base.points, base.natoms
-    )
+    phi = serialize.sample_envelope(scenario["phi_spec"], base.points)
     params = perturbation.PerturbationParams(scenario["lambda1"], scenario["lambda2"], phi)
     lam = scenario["lam"]
 

@@ -39,12 +39,9 @@ def _balanced_partition(dim: int, blocks: int) -> list:
     return [base + (1 if i < extra else 0) for i in range(blocks)]
 
 
-def _orthogonal_blocks(dim: int, blocks: int, rng=None) -> tuple:
+def _orthogonal_blocks(dim: int, blocks: int, rng) -> tuple:
     """Bases of pairwise orthogonal subspaces jointly spanning the whole space."""
-    if rng is None:
-        q = np.eye(dim)
-    else:
-        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     ends = np.cumsum(_balanced_partition(dim, blocks))
     return tuple(np.split(q, ends[:-1], axis=1))
 
@@ -78,12 +75,13 @@ def _lines(angles) -> np.ndarray:
     return np.array([(math.cos(t), math.sin(t)) for t in angles])[:, :, None]
 
 
-def _line_family(angles) -> WeightedSubspaceFamily:
+def _line_family(angles, masses=None) -> WeightedSubspaceFamily:
+    """Unit-weight lines at ``angles``, each the point of its atom; unit masses by default."""
     n = len(angles)
     return WeightedSubspaceFamily(
         subspaces=_lines(angles),
         weights=np.ones(n),
-        masses=np.ones(n),
+        masses=np.ones(n) if masses is None else masses,
         points=tuple(float(t) for t in angles),
     )
 
@@ -149,24 +147,20 @@ def rotating_line_family(n: int = 64) -> WeightedSubspaceFamily:
 
     space = ParameterSpace.circle(period=math.pi)
     meas = discretize(space, DiscretizationScheme("midpoint", n))
-    return WeightedSubspaceFamily(
-        subspaces=_lines(meas.points),
-        weights=np.ones(meas.natoms),
-        masses=meas.masses,
-        points=tuple(float(p) for p in meas.points),
-    )
+    return _line_family(meas.points, meas.masses)
 
 
 def random_resolution_family(
-    dim: int = 4, atoms: int = 6, seed: int = 0, rng=None
+    dim: int = 4, atoms: int = 6, seed: int = 0
 ) -> OperatorFamily:
     """Seeded random raw-mode resolution with strictly positive Gram bounds.
 
     Operators start as scalar multiples of the identity plus controlled
     noise and are post-multiplied by the inverse of their sum, so the raw
-    identity holds exactly up to roundoff.
+    identity holds exactly up to roundoff. ``seed`` is anything
+    ``default_rng`` takes, a seed sequence such as ``[seed, k]`` included.
     """
-    rng = np.random.default_rng(seed) if rng is None else rng
+    rng = np.random.default_rng(seed)
     alphas = _simplex(rng, atoms)
     noise = _unit_norm(rng.standard_normal((atoms, dim, dim)))
     weights = rng.uniform(0.5, 2.0, atoms)
@@ -198,7 +192,7 @@ def block_resolution_family(
         raise ValueError(f"need dim >= 2 to split into blocks, got {dim}")
     lo = _balanced_partition(dim, 2)[0]
     first, second = (
-        random_resolution_family(size, atoms, rng=np.random.default_rng([seed, b]))
+        random_resolution_family(size, atoms, [seed, b])
         for b, size in enumerate((lo, dim - lo))
     )
     operators = np.zeros((2 * atoms, dim, dim))

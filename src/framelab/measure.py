@@ -142,10 +142,9 @@ class WeightFunction:
     """Nonnegative weight, either a callable of the atom point or a table.
 
     Table weights are positional: value i belongs to atom i, so the table
-    length must match the measure it is sampled against.
+    length must match the points it is sampled at.
     """
 
-    description: str
     evaluator: Callable[[float], float] | None = None
     table: tuple = ()
 
@@ -153,6 +152,14 @@ class WeightFunction:
         if self.evaluator is None:
             raise ValueError("table weights have no pointwise evaluator")
         return float(self.evaluator(x))
+
+    def at(self, points) -> np.ndarray:
+        """The weight at each point, positionally for a table."""
+        if not self.table:
+            return np.array([self(float(x)) for x in points], dtype=float)
+        if len(self.table) != len(points):
+            raise ValueError(f"table weight has {len(self.table)} entries for {len(points)} atoms")
+        return np.array(self.table, dtype=float)
 
 
 def weight_from_spec(spec: str) -> WeightFunction:
@@ -164,10 +171,10 @@ def weight_from_spec(spec: str) -> WeightFunction:
     if not isinstance(spec, str):
         raise ValueError(f"weight spec must be a string, got {type(spec).__name__}")
     if spec == "sin":
-        return WeightFunction(description="sin", evaluator=math.sin)
+        return WeightFunction(evaluator=math.sin)
     if spec.startswith("const:"):
         c = float(spec[len("const:"):])
-        return WeightFunction(description=spec, evaluator=lambda x, c=c: c)
+        return WeightFunction(evaluator=lambda x, c=c: c)
     if spec.startswith("poly:"):
         try:
             coeffs = [float(t) for t in spec[len("poly:"):].split(",")]
@@ -176,19 +183,20 @@ def weight_from_spec(spec: str) -> WeightFunction:
         if not coeffs:
             raise ValueError("poly weight needs at least one coefficient")
         return WeightFunction(
-            description=spec,
-            evaluator=lambda x, c=tuple(coeffs): float(
-                sum(ck * x**k for k, ck in enumerate(c))
-            ),
+            evaluator=lambda x, c=tuple(coeffs): float(sum(ck * x**k for k, ck in enumerate(c)))
         )
     if spec.startswith("table:"):
+        from .serialize import _number
+
         try:
             vals = json.loads(spec[len("table:"):])
         except json.JSONDecodeError as exc:
             raise ValueError(f"bad table weight spec {spec!r}") from exc
         if not isinstance(vals, list) or not vals:
             raise ValueError("table weight needs a nonempty JSON list")
-        return WeightFunction(description=spec, table=tuple(float(v) for v in vals))
+        return WeightFunction(
+            table=tuple(_number(v, f"table weight entry {i}") for i, v in enumerate(vals))
+        )
     raise ValueError(f"unknown weight spec {spec!r}")
 
 
@@ -206,16 +214,7 @@ def sample_weights(weight: WeightFunction, measure: AtomicMeasure) -> SampledWei
     Raises ValueError on any negative or non-finite value. Atoms with weight exactly zero
     are legal but flagged, since downstream families exclude them.
     """
-    if weight.table:
-        if len(weight.table) != measure.natoms:
-            raise ValueError(
-                f"table weight has {len(weight.table)} entries for "
-                f"{measure.natoms} atoms"
-            )
-        vals = np.asarray(weight.table, dtype=float)
-    else:
-        vals = np.asarray([weight(float(x)) for x in measure.points], dtype=float)
-    require_finite(vals, "weight")
+    vals = require_finite(weight.at(measure.points), "weight")
     neg = np.nonzero(vals < 0)[0]
     if neg.size:
         raise ValueError(

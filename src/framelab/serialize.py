@@ -299,34 +299,28 @@ def loads_perturbation_scenario(text: str) -> dict:
     }
 
 
-def sample_envelope(phi_spec: str, points, count: int) -> tuple:
+def sample_envelope(phi_spec: str, points) -> tuple:
     """Evaluate an envelope spec at the atom points, positionally for tables."""
     from .measure import weight_from_spec
 
     weight = weight_from_spec(phi_spec)
-    if weight.table:
-        if len(weight.table) != count:
-            raise ValueError(
-                f"envelope table has {len(weight.table)} entries for"
-                f" {count} atoms"
-            )
-        return tuple(float(v) for v in weight.table)
-    return tuple(
-        float(weight(_number(p, f"atom {i}: point"))) for i, p in enumerate(points)
-    )
+    if not weight.table:
+        points = [_number(p, f"atom {i}: point") for i, p in enumerate(points)]
+    return tuple(weight.at(points).tolist())
 
 
 def dumps_reports(reports) -> str:
     return dumps_canonical([r.to_dict() for r in reports])
 
 
+def dumps_csv(keys, rows) -> str:
+    """CSV with a ``keys`` header and one line of canonical numbers per row; None is empty."""
+    lines = [",".join(keys)]
+    for row in rows:
+        lines.append(",".join("" if row.get(k) is None else canonical_number(row[k]) for k in keys))
+    return "\n".join(lines) + "\n"
+
+
 def sweep_csv(rows) -> str:
     """Render sweep rows as CSV with the bound-error columns possibly empty."""
-    lines = ["n,lower,upper,lower_error,upper_error"]
-    for row in rows:
-        fields = [str(int(row["n"]))]
-        for key in ("lower", "upper", "lower_error", "upper_error"):
-            value = row.get(key)
-            fields.append("" if value is None else canonical_number(value))
-        lines.append(",".join(fields))
-    return "\n".join(lines) + "\n"
+    return dumps_csv(("n", "lower", "upper", "lower_error", "upper_error"), rows)

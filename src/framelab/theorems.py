@@ -234,8 +234,9 @@ def verify_orthogonal_decomposition(
 
     Hypotheses: the subspaces are pairwise orthogonal and the family is a
     frame. Conclusion: the unweighted projections sum to the identity.
-    When the first-power identity also holds, the converse direction is
-    delegated to the projection-identity check and its outcome recorded.
+    When the first-power identity also holds, the converse bound of the
+    projection-identity check, A >= C = 1/lambda_max(sum_i mu_i P_i), is
+    checked spectrally and its outcome recorded.
     """
     report = VerificationReport(check_id="orthogonal_decomposition")
     report.tolerances = {"decomposition_residual": tol, "orthogonality": ORTHOGONALITY_TOL}
@@ -263,11 +264,12 @@ def verify_orthogonal_decomposition(
 
     # converse direction, available when the first-power identity holds
     if first_power_residual(family) <= tol:
-        sub = verify_frame_from_projection_identity(family, tol=tol)
-        report.constants["converse_predicted_lower"] = sub.constants["predicted_lower"]
+        unweighted_top = _unweighted_upper(family)
+        c_const = 1.0 / unweighted_top if unweighted_top > 0 else float("inf")
+        report.constants["converse_predicted_lower"] = c_const
         report.notes.append(
             "converse checked via projection-identity frame bound: "
-            + ("holds" if sub.passed else "fails")
+            + ("holds" if bounds.lower >= c_const - tol else "fails")
         )
     else:
         report.notes.append(

@@ -56,11 +56,21 @@ def test_analyze_mercedes(capsys):
     assert out["kind"] == "fusion_frame"
 
 
-def test_analyze_csv_format(capsys):
-    assert run(["analyze", "--scenario", "axes", "--format", "csv"]) == cli.EXIT_OK
-    lines = capsys.readouterr().out.strip().split("\n")
-    assert lines[0] == "lower,upper,condition"
-    assert lines[1] == "1,1,1"
+# one line in the plane: lower bound 0, so no condition number
+_ONE_LINE = fusion.WeightedSubspaceFamily(
+    subspaces=(np.array([[1.0], [0.0]]),), weights=np.ones(1), masses=np.ones(1)
+)
+
+
+@pytest.mark.parametrize("family, row", [
+    (instances.axes_family(), "1,1,1"),
+    (_ONE_LINE, "0,1,"),
+], ids=["axes", "zero-lower"])
+def test_analyze_csv_format(family, row, tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    path.write_text(serialize.dumps_instance(family))
+    assert run(["analyze", str(path), "--format", "csv"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == f"lower,upper,condition\n{row}\n"
 
 
 def test_analyze_file_and_scenario_conflict(tmp_path, capsys):
@@ -157,6 +167,7 @@ def test_verify_computes_each_derived_operator_once(tmp_path, capsys, callers):
     padded = callers(fusion, "_padded")
     grams = callers(hilbert, "stacked_gram")
     identity_sums = callers(resolution.OperatorFamily, "identity_sum_matrix")
+    forms = callers(hilbert, "quadratic_forms")
 
     assert run(["verify", str(blocks)]) == cli.EXIT_OK
     assert capsys.readouterr().out.count("PASS") == 3
@@ -170,6 +181,9 @@ def test_verify_computes_each_derived_operator_once(tmp_path, capsys, callers):
     assert sums["_unweighted_upper"] == eighs["_unweighted_upper"] == 1
     assert sum(sums.values()) == 4
     assert padded["orthogonality_defect"] == 1
+    # the converse of the decomposition check reads the spectral bound alone;
+    # only the projection-identity check probes
+    assert forms == {"verify_frame_from_projection_identity": 1}
 
     grams.clear()
     assert run(["verify", str(basis)]) == cli.EXIT_OK
@@ -235,6 +249,19 @@ def test_reconstruct_rejects_a_vector_of_objects(capsys):
         "reconstruct", "--scenario", "mercedes", "--vector", '[{"a": 1}, 2]',
     ]) == cli.EXIT_PARSE
     assert "--vector must be a JSON list of numbers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vector, entry", [
+    ('["1", 0.5, 0, 0]', '--vector entry 0 must be a number, got "1"'),
+    ("[true, false, false, false]", "--vector entry 0 must be a number, got true"),
+    ('["a", 1, 2, 3]', '--vector entry 0 must be a number, got "a"'),
+    ("[0, 1, [2], 3]", "--vector entry 2 must be a number, got [2]"),
+], ids=["string", "bool", "letter", "list"])
+def test_reconstruct_vector_entries_must_be_json_numbers(vector, entry, capsys):
+    assert run(["reconstruct", "--scenario", "random_fusion", "--vector", vector]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --vector must be a JSON list of numbers: {entry}\n"
 
 
 @pytest.mark.parametrize("flag", ["--dim", "--atoms"])
@@ -522,6 +549,33 @@ def test_perturb_non_finite_parameters_are_a_parse_failure(tmp_path, capsys, fie
     captured = capsys.readouterr()
     assert named in captured.err and "not finite" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["discretize", "perturb"])
+def test_table_weight_entries_must_be_json_numbers(command, tmp_path, capsys):
+    # neither discretize's weight nor perturb's envelope reads true or "2" as a number
+    if command == "perturb":
+        path = _write_perturbation_fixture(tmp_path)
+        scenario = json.loads(path.read_text())
+        scenario["phi"] = 'table:[true, "2", 0, 0]'
+    else:
+        path = tmp_path / "spec.json"
+        space = {"kind": "interval", "a": 0.0, "b": 1.0}
+        scenario = {"space": space, "n": 4, "weight": 'table:[true, "2", 0, 0]'}
+    path.write_text(json.dumps(scenario))
+    assert run([command, str(path)]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: table weight entry 0 must be a number, got true\n"
+
+
+def test_perturb_envelope_table_length_names_both_counts(tmp_path, capsys):
+    path = _write_perturbation_fixture(tmp_path)
+    scenario = json.loads(path.read_text())
+    scenario["phi"] = "table:[0, 0]"
+    path.write_text(json.dumps(scenario))
+    assert run(["perturb", str(path)]) == cli.EXIT_PARSE
+    assert capsys.readouterr().err == "error: table weight has 2 entries for 4 atoms\n"
 
 
 def test_perturb_mismatched_families_is_internal(tmp_path, capsys):

@@ -235,11 +235,13 @@ def test_perturbation_scenario_parsing():
 
 
 def test_sample_envelope_table_and_pointwise():
-    assert serialize.sample_envelope("table:[1,2]", (0, 1), 2) == (1.0, 2.0)
-    with pytest.raises(ValueError):
-        serialize.sample_envelope("table:[1,2,3]", (0, 1), 2)
-    values = serialize.sample_envelope("sin", (math.pi / 2,), 1)
+    assert serialize.sample_envelope("table:[1,2]", (0, 1)) == (1.0, 2.0)
+    with pytest.raises(ValueError, match="table weight has 3 entries for 2 atoms"):
+        serialize.sample_envelope("table:[1,2,3]", (0, 1))
+    values = serialize.sample_envelope("sin", (math.pi / 2,))
     assert values[0] == pytest.approx(1.0)
+    # a table is positional, so the points of a table envelope need not be numbers
+    assert serialize.sample_envelope("table:[3]", ("a",)) == (3.0,)
 
 
 def test_reports_serialize_with_stable_field_order():

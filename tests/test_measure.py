@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,21 @@ class TestWeights:
         meas = AtomicMeasure(np.array([0.0]), np.array([1.0]))
         with pytest.raises(ValueError):
             sample_weights(weight_from_spec("const:-1"), meas)
+
+    @pytest.mark.parametrize("entries, message", [
+        ('[true, "2"]', "table weight entry 0 must be a number, got true"),
+        ('[1, "2"]', 'table weight entry 1 must be a number, got "2"'),
+        ("[1, [2]]", "table weight entry 1 must be a number, got [2]"),
+    ], ids=["bool", "string", "list"])
+    def test_table_entries_must_be_json_numbers(self, entries, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            weight_from_spec("table:" + entries)
+
+    def test_at_samples_both_kinds_of_weight(self):
+        assert weight_from_spec("poly:1,2").at([0.0, 1.5]).tolist() == [1.0, 4.0]
+        assert weight_from_spec("table:[3, 0]").at(["a", "b"]).tolist() == [3.0, 0.0]
+        with pytest.raises(ValueError, match="table weight has 2 entries for 3 atoms"):
+            weight_from_spec("table:[3, 0]").at([0.0, 1.0, 2.0])
 
     def test_zero_atoms_flagged(self):
         meas = AtomicMeasure(np.array([0.0, 1.0]), np.array([1.0, 1.0]))
