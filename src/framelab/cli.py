@@ -156,8 +156,8 @@ def _probe_vector(args, dim: int) -> np.ndarray:
         except ValueError as exc:
             raise ValueError(f"--vector must be a JSON list of numbers: {exc}") from None
         vec = hilbert.require_finite(vec, "--vector")
-        if vec.shape != (dim,):
-            raise ValueError(f"vector must have {dim} entries, got shape {vec.shape}")
+        if len(vec) != dim:
+            raise ValueError(f"--vector must have {dim} entries, got {len(vec)}")
         return vec
     if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")

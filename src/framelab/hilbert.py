@@ -326,6 +326,17 @@ def _seed0_probes(dim: int, count: int) -> np.ndarray:
     return p
 
 
+@functools.lru_cache(maxsize=_PROBE_CACHE_SIZE)
+def basis_and_probes(dim: int, count: int) -> np.ndarray:
+    """[I | unit_probes(dim, count)]: the canonical basis, then the seed-0 probes.
+
+    One shared read-only array per ``(dim, count)``.
+    """
+    p = np.hstack([np.eye(dim), _seed0_probes(dim, count)])
+    p.flags.writeable = False
+    return p
+
+
 def solve_positive(a: np.ndarray, f) -> np.ndarray:
     """Solve A x = f for self-adjoint positive definite A.
 

@@ -114,9 +114,7 @@ def check_perturbation(
     _require_aligned(base, perturbed, params, None)
     report = VerificationReport(check_id="pointwise_perturbation")
     report.tolerances = {"probe_margin": tol}
-    probes = np.hstack(
-        [np.eye(base.ambient_dim), hilbert.unit_probes(base.ambient_dim, CLOSENESS_PROBES)]
-    )
+    probes = hilbert.basis_and_probes(base.ambient_dim, CLOSENESS_PROBES)
     w, t, s = base.weights[:, None, None], base.operators, perturbed.operators
     probe_margin, certificate_margin = _closeness(w * (t - s), w * t, w * s, params, probes)
     report.add_hypothesis("atoms_aligned", True)
@@ -135,23 +133,9 @@ def check_perturbation(
     return report
 
 
-# Probe columns imaged at once by _probe_norms; bounds its temporary stack
-# of images to natoms x d x _PROBE_CHUNK entries.
+# Probe columns imaged at once by _closeness; bounds its buffer of images
+# to 3 natoms x d x _PROBE_CHUNK entries.
 _PROBE_CHUNK = 256
-
-
-def _probe_norms(stack: np.ndarray, probes: np.ndarray) -> np.ndarray:
-    """||A_i p|| for every matrix A_i of a stack and every probe column p.
-
-    Returns shape (natoms, nprobes).
-    """
-    out = np.empty((stack.shape[0], probes.shape[1]))
-    for lo in range(0, probes.shape[1], _PROBE_CHUNK):
-        images = stack @ probes[:, lo : lo + _PROBE_CHUNK]
-        out[:, lo : lo + _PROBE_CHUNK] = np.sqrt(
-            np.einsum("ijk,ijk->ik", images.conj(), images).real
-        )
-    return out
 
 
 def _closeness(x, y, z, params: PerturbationParams, probes: np.ndarray):
@@ -161,15 +145,25 @@ def _closeness(x, y, z, params: PerturbationParams, probes: np.ndarray):
 
     ``x``, ``y`` and ``z`` hold one operator per atom, ``probes`` unit
     columns. The probe margin is the largest excess on a probe, from one
-    pass over the stacked [X; Y; Z]; the certificate margin, the largest
+    pass over the stacked [X; Y; Z] that images a chunk of probes at a time
+    into one buffer; the certificate margin, the largest
     _certificate_defects entry less phi, is at most 0 where the inequality
     holds for every vector.
     """
     phi = np.asarray(params.phi)
-    norms = _probe_norms(np.concatenate([x, y, z]), probes).reshape(3, len(x), -1)
-    rhs = params.lambda1 * norms[1] + params.lambda2 * norms[2] + phi[:, None]
+    stack = np.concatenate([x, y, z])
+    count = probes.shape[1]
+    buf = np.empty((*stack.shape[:2], min(count, _PROBE_CHUNK)), np.result_type(stack, probes))
+    probe_margin = -np.inf
+    for lo in range(0, count, _PROBE_CHUNK):
+        images = np.matmul(stack, probes[:, lo : lo + _PROBE_CHUNK], out=buf[..., : count - lo])
+        norms = np.sqrt(np.einsum("ijk,ijk->ik", images.conj(), images).real)
+        norms = norms.reshape(3, len(x), -1)
+        excess = norms[0] - (params.lambda1 * norms[1] + params.lambda2 * norms[2] + phi[:, None])
+        # np.maximum, unlike max(), keeps a NaN excess
+        probe_margin = np.maximum(probe_margin, excess.max())
     defects = _certificate_defects(x, y, z, params.lambda1, params.lambda2)
-    return float((norms[0] - rhs).max()), float((defects - phi).max())
+    return float(probe_margin), float((defects - phi).max())
 
 
 def _certificate_defects(x, y, z, lambda1: float, lambda2: float) -> np.ndarray:
@@ -196,6 +190,10 @@ def composite_defects(base: OperatorFamily, s: np.ndarray, lambda1: float, lambd
     """
     return _certificate_defects(*_composite_stacks(base, s), lambda1, lambda2)
 
+
+# Chunks whose tier-0 bounds one product gives (_PairBounds.group_bounds);
+# bounds that product to _GROUP_CHUNKS x (2d + 1) x _SUBSET_CHUNK entries.
+_GROUP_CHUNKS = 4
 
 # Subsets summed at once by subset_sums; bounds each temporary stack of
 # subset sums to _SUBSET_CHUNK x d x d entries. A power of two, so that in
@@ -394,9 +392,9 @@ class _PairBounds:
     share their top n - _CHUNK_BITS atoms, but for a full chunk's last
     subset, which is the next top set alone. m^T Z m is then a top, a
     cross and a bottom term: the bottom terms are the same in every chunk,
-    and one ((_CHUNK_BITS + 2) x chunk) product adds the others. Subsets
-    run along the last axis of the chunk's forms, where numpy reduces the
-    short axis of length d fastest.
+    and one product over a group of _GROUP_CHUNKS chunks adds the others,
+    into one buffer per scan. Subsets run along the last axis of the
+    chunks' forms, where numpy reduces the short axis of length d fastest.
     """
 
     def __init__(self, operators: np.ndarray, deviations: np.ndarray, lam: float, alpha, delta):
@@ -433,6 +431,8 @@ class _PairBounds:
         bottom = z[top:, top:].reshape(_CHUNK_BITS**2, width)
         self.bottom_forms = bottom.T @ _chunk_bits()[1]
         self.d = d
+        self.forms = np.empty((_GROUP_CHUNKS, width, _SUBSET_CHUNK))
+        self.bounds = np.empty((2, _GROUP_CHUNKS, _SUBSET_CHUNK))
 
     @classmethod
     def of_scan(cls, masks, operators, deviations, lam):
@@ -448,24 +448,26 @@ class _PairBounds:
             return None
         return cls(operators, deviations, lam, alpha, delta)
 
-    def bounds(self, lo: int, count: int):
-        """Certified (lower, upper) for each computed margin of the chunk at ``lo``."""
-        rows = _chunk_bits()[0][:, :count]
-        forms = self.blocks[lo >> _CHUNK_BITS] @ rows + self.bottom_forms[:, :count]
-        d = self.d
-        scale = np.maximum(1.0, forms[-1])
-        lower = forms[:d].min(axis=0)
-        upper = forms[d:-1].min(axis=0)
-        return np.minimum(lower, lower / scale), np.maximum(upper, upper / scale)
+    def group_bounds(self, c: int):
+        """Certified (lower, upper) for each computed margin of chunks c to c + _GROUP_CHUNKS - 1.
 
-    def survivors(self, lo: int, count: int, worst: float) -> np.ndarray:
-        """Rows of the chunk at ``lo`` whose margin may be its minimum and at most ``worst``.
-
-        Every other row's computed margin lies strictly above both ``worst``
-        and the margin of the row holding the chunk's smallest upper bound.
+        Row k holds chunk c + k, one column per subset; the last chunk's
+        final column, past the scan's last subset, holds +inf in both. Both
+        are views of one buffer that the next call overwrites.
         """
-        lower, upper = self.bounds(lo, count)
-        return np.flatnonzero(~(lower > min(worst, upper.min())))
+        blocks = self.blocks[c : c + _GROUP_CHUNKS]
+        k, d = len(blocks), self.d
+        forms = np.matmul(blocks, _chunk_bits()[0], out=self.forms[:k])
+        forms += self.bottom_forms
+        scale = np.maximum(1.0, forms[:, -1])
+        lower, upper = self.bounds[:, :k]
+        np.min(forms[:, :d], axis=1, out=lower)
+        np.min(forms[:, d:-1], axis=1, out=upper)
+        np.minimum(lower, lower / scale, out=lower)
+        np.maximum(upper, upper / scale, out=upper)
+        if c + k == len(self.blocks):
+            lower[-1, -1] = upper[-1, -1] = np.inf
+        return lower, upper
 
 
 def _worst_subset(
@@ -473,17 +475,17 @@ def _worst_subset(
 ):
     """(worst_index, worst_margin, eigensolved): the smallest scaled domination margin.
 
-    On an exhaustive scan of more than one chunk, _PairBounds first drops
-    the subsets that lie above the running worst or the chunk's smallest
-    upper bound, and skips a chunk none of whose subsets is left; a chunk
-    with survivors is still summed whole, since a product over fewer rows
-    rounds differently. After a chunk where the pair bounds drop nothing,
-    the rest of the scan goes without them: where they are too loose to
-    help, they cost one chunk's bounds. Only the _candidates among the
-    survivors reach the eigensolver (``eigensolved`` counts them); every
-    other subset is proved to lie strictly above the minimum, so the result
-    is the np.argmin over all subsets' margins, ties going to the first
-    index.
+    On an exhaustive scan of more than one chunk, _PairBounds bounds a
+    group of chunks at a time. A chunk whose smallest lower bound lies
+    above the running worst or its own smallest upper bound is skipped;
+    in any other chunk the subsets so bounded are dropped, and it is still
+    summed whole, since a product over fewer rows rounds differently.
+    After a chunk where the pair bounds drop nothing, the rest of the scan
+    goes without them: where they are too loose to help, they cost one
+    group's bounds. Only the _candidates among the survivors reach the
+    eigensolver (``eigensolved`` counts them); every other subset is proved
+    to lie strictly above the minimum, so the result is the np.argmin over
+    all subsets' margins, ties going to the first index.
     """
     stacks = (operators, deviations)
     pairs = _PairBounds.of_scan(masks, operators, deviations, lam)
@@ -492,9 +494,17 @@ def _worst_subset(
         chunk = masks[lo : lo + _SUBSET_CHUNK]
         kept = slice(None)
         if pairs is not None:
-            kept = pairs.survivors(lo, len(chunk), worst)
-            if len(kept) == 0:
+            c = lo >> _CHUNK_BITS
+            row = c % _GROUP_CHUNKS  # the chunk's row in its group's bounds
+            if row == 0:
+                lower, upper = pairs.group_bounds(c)
+                lower_min, upper_min = lower.min(axis=1).tolist(), upper.min(axis=1).tolist()
+            # every subset whose lower bound clears this lies strictly above
+            # both the running worst and the subset holding upper_min[row]
+            bound = min(worst, upper_min[row])
+            if lower_min[row] > bound:
                 continue
+            kept = np.flatnonzero(~(lower[row, : len(chunk)] > bound))
             if len(kept) == len(chunk):
                 kept, pairs = slice(None), None  # the rest of the scan goes without them
         index = np.arange(lo, lo + len(chunk))[kept]

@@ -264,6 +264,18 @@ def test_reconstruct_vector_entries_must_be_json_numbers(vector, entry, capsys):
     assert captured.err == f"error: --vector must be a JSON list of numbers: {entry}\n"
 
 
+@pytest.mark.parametrize("vector", ["[1, 2]", "[]", "[1, 2, 3, 4, 5]"])
+def test_reconstruct_vector_of_the_wrong_length_names_the_flag(vector, tmp_path, capsys):
+    path = tmp_path / "fam.json"
+    assert run(["gen", "--scenario", "random_fusion", "--dim", "4", "--out", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert run(["reconstruct", str(path), "--vector", vector]) == cli.EXIT_PARSE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    got = len(json.loads(vector))
+    assert captured.err == f"error: --vector must have 4 entries, got {got}\n"
+
+
 @pytest.mark.parametrize("flag", ["--dim", "--atoms"])
 @pytest.mark.parametrize("scenario", sorted(instances.SCENARIOS))
 def test_gen_rejects_sizes_below_one(scenario, flag, capsys):

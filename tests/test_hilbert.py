@@ -201,6 +201,14 @@ def test_default_probes_are_one_shared_read_only_seed_zero_draw():
         p[0, 0] = 1.0
 
 
+def test_basis_and_probes_are_one_shared_read_only_block():
+    block = hilbert.basis_and_probes(4, 300)
+    want = np.hstack([np.eye(4), _fresh_probes(np.random.default_rng(0), 4, 300)])
+    assert block.tobytes() == want.tobytes()
+    assert hilbert.basis_and_probes(4, 300) is block
+    assert not block.flags.writeable
+
+
 def test_passed_generator_is_drawn_and_advanced_on_every_call():
     rng, ref = np.random.default_rng(42), np.random.default_rng(42)
     first = hilbert.unit_probes(3, 8, rng)

@@ -170,6 +170,28 @@ def test_closeness_matches_a_loop_over_atoms_and_probes(complex_):
     assert certificate_margin == pytest.approx(cert_ref, rel=REL, abs=1e-14)
 
 
+def test_closeness_holds_one_buffer_of_images():
+    # 12 atoms in dimension 8: the stacked [X; Y; Z] images a chunk of
+    # probes into one (36, 8, 256) buffer, 589,824 bytes, reused for all
+    # 2,000 probes; the peak stays below a second buffer's worth
+    base, comp, params, _ = instances.composite_instance(8, 12, 0)
+    stacks = perturbation._composite_stacks(base, comp.operators)
+    probes = hilbert.unit_probes(8, perturbation.CLOSENESS_PROBES)
+    images = 3 * 12 * 8 * perturbation._PROBE_CHUNK * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        margins = perturbation._closeness(*stacks, params, probes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * images
+    norms = [np.linalg.norm(s @ probes, axis=1) for s in stacks]
+    excess = norms[0] - params.lambda1 * norms[1] - params.lambda2 * norms[2]
+    assert margins[0] == pytest.approx(
+        (excess - np.asarray(params.phi)[:, None]).max(), rel=REL, abs=1e-14
+    )
+
+
 def _reference_subset_masks(natoms, nrandom, rng=None, limit=None):
     """The subset enumeration as a generator, one subset at a time.
 
@@ -534,16 +556,31 @@ def test_margin_bounds_hold_where_gershgorin_is_tight(complex_):
     assert np.all(lower <= margins) and np.all(margins <= upper)
 
 
+def _pair_bounds(pairs, nsubsets):
+    """Every subset's tier-0 (lower, upper), one group of chunks at a time."""
+    groups = [
+        [b.flatten() for b in pairs.group_bounds(c)]  # copies: the next call overwrites them
+        for c in range(0, len(pairs.blocks), perturbation._GROUP_CHUNKS)
+    ]
+    return [np.concatenate(side)[:nsubsets] for side in zip(*groups)]
+
+
+def _chunk_pair_bounds(pairs, lo, count):
+    """The tier-0 (lower, upper) of the chunk at ``lo`` alone, from its own product."""
+    rows = perturbation._chunk_bits()[0][:, :count]
+    forms = pairs.blocks[lo >> perturbation._CHUNK_BITS] @ rows + pairs.bottom_forms[:, :count]
+    scale = np.maximum(1.0, forms[-1])
+    lower, upper = forms[: pairs.d].min(axis=0), forms[pairs.d : -1].min(axis=0)
+    return np.minimum(lower, lower / scale), np.maximum(upper, upper / scale)
+
+
 def _assert_pair_bounds_hold(masks, operators, deviations, lam):
     """Every subset's tier-0 bounds hold its computed margin."""
     pairs = perturbation._PairBounds.of_scan(masks, operators, deviations, lam)
     assert pairs is not None
     margins = _full_scan(masks, operators, deviations, lam)
-    for lo in range(0, len(masks), perturbation._SUBSET_CHUNK):
-        count = min(perturbation._SUBSET_CHUNK, len(masks) - lo)
-        lower, upper = pairs.bounds(lo, count)
-        got = margins[lo : lo + count]
-        assert np.all(lower <= got) and np.all(got <= upper)
+    lower, upper = _pair_bounds(pairs, len(masks))
+    assert np.all(lower <= margins) and np.all(margins <= upper)
 
 
 @settings(max_examples=30, deadline=None)
@@ -669,19 +706,79 @@ def test_pair_bounds_skip_whole_chunks(monkeypatch):
 
 def test_pair_bounds_stop_after_a_chunk_they_leave_whole(monkeypatch):
     # every margin of a coordinate family is 0 in exact arithmetic, so the
-    # pair bounds drop nothing from the first chunk and the second goes
-    # without them
-    base, perturbed, lam = instances.perturbed_sum_instance(8, 0, "columns")
-    masks = perturbation.all_subset_masks(8)
-    calls = []
-    survivors = perturbation._PairBounds.survivors
+    # pair bounds drop nothing from the first chunk and the rest of the scan
+    # goes without them: only the first group is bounded, and every chunk
+    # reaches the certificates whole. At 10 atoms the scan spans two groups
+    calls, sizes = [], []
+    group_bounds = perturbation._PairBounds.group_bounds
     monkeypatch.setattr(
-        perturbation._PairBounds, "survivors",
-        lambda self, *args: calls.append(args) or survivors(self, *args),
+        perturbation._PairBounds, "group_bounds",
+        lambda self, c: calls.append(c) or group_bounds(self, c),
     )
-    report, _ = perturbation.verify_perturbed_sum(base, perturbed, lam)
-    assert [lo for lo, _, _ in calls] == [0]
-    _same_as_full_scan(masks, base.operators, base.operators - perturbed.operators, lam, report)
+    certificates = perturbation._certificates
+    monkeypatch.setattr(
+        perturbation, "_certificates",
+        lambda a, dev, lam: sizes.append(len(a)) or certificates(a, dev, lam),
+    )
+    for dim in (8, 10):
+        calls.clear()
+        sizes.clear()
+        base, perturbed, lam = instances.perturbed_sum_instance(dim, 0, "columns")
+        masks = perturbation.all_subset_masks(dim)
+        report, _ = perturbation.verify_perturbed_sum(base, perturbed, lam)
+        assert calls == [0]
+        chunk = perturbation._SUBSET_CHUNK
+        assert sizes == [chunk] * (len(masks) // chunk) + [len(masks) % chunk]
+        _same_as_full_scan(masks, base.operators, base.operators - perturbed.operators, lam, report)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("atoms", range(8, 14))
+def test_group_bounds_equal_the_per_chunk_bounds(atoms, complex_):
+    # 2 to 64 chunks: at 8 atoms one group of two chunks, then whole groups;
+    # the last chunk of every exhaustive scan has one subset fewer than the rest
+    rng = np.random.default_rng(atoms)
+    ops = _draw(rng, (atoms, 3, 3), complex_)
+    deviations = 0.3 * _draw(rng, ops.shape, complex_)
+    masks = perturbation.all_subset_masks(atoms)
+    pairs = perturbation._PairBounds.of_scan(masks, ops, deviations, 0.7)
+    chunk = perturbation._SUBSET_CHUNK
+    lower, upper = _pair_bounds(pairs, len(masks))
+    for lo in range(0, len(masks), chunk):
+        count = min(chunk, len(masks) - lo)
+        want_lower, want_upper = _chunk_pair_bounds(pairs, lo, count)
+        assert lower[lo : lo + count].tobytes() == want_lower.tobytes()
+        assert upper[lo : lo + count].tobytes() == want_upper.tobytes()
+    # past the last subset both bounds are +inf, so no chunk minimum reads it
+    last_lower, last_upper = pairs.group_bounds(len(pairs.blocks) - 1)
+    assert last_lower[-1, -1] == last_upper[-1, -1] == np.inf
+
+
+@pytest.mark.parametrize(
+    "atoms, seed, index, worst, eigensolved",
+    [
+        (12, 0, 3, "0x1.11fda7d5d53c4p-50", 1),
+        (12, 1, 31, "0x1.5143f34000000p-50", 1),
+        (12, 2, 511, "0x1.02743aa100000p-49", 3),
+        (13, 0, 15, "0x1.468545293cf97p-50", 2),
+        (13, 1, 127, "0x1.a77e6311ac711p-52", 1),
+        (13, 2, 1023, "0x1.07f3635c10000p-50", 3),
+    ],
+)
+def test_composite_scans_keep_their_worst_subset_and_eigensolve_count(
+    atoms, seed, index, worst, eigensolved
+):
+    # the 12- and 13-atom composites span 32 and 64 chunks, 8 and 16 groups.
+    # The values are those of the per-chunk tier 0 before grouping (numpy
+    # 2.4, OpenBLAS 0.3.31, x86-64); another BLAS may round their last
+    # digits differently
+    base, comp, _, lam = instances.composite_instance(8, atoms, seed)
+    report, _ = perturbation.verify_perturbed_sum(base, comp, lam)
+    masks = perturbation.all_subset_masks(atoms)
+    subset = tuple(np.flatnonzero(masks[index]).tolist())
+    assert report.constants["worst_subset_margin"] == float.fromhex(worst)
+    assert report.constants["subsets_eigensolved"] == eigensolved
+    assert report.hypotheses[-1].detail == f"worst_subset={subset}"
 
 
 def test_exact_subset_lam_is_infinite_when_a_subset_sum_is_singular():
