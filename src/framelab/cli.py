@@ -339,7 +339,7 @@ def sweep_discretization(
     from . import fusion, instances
 
     entry = instances.get_scenario(scenario)
-    if entry.kind != "continuous":
+    if not entry.continuous:
         raise ValueError(
             f"scenario {scenario!r} is already atomic; sweep needs a"
             " continuous family"

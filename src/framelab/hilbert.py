@@ -217,14 +217,11 @@ class Subspace:
 def orthonormal_basis(vectors, ambient_dim: int | None = None) -> Subspace:
     """Orthonormal basis of the span of ``vectors`` via SVD rank truncation.
 
-    ``vectors`` is an iterable of 1-d arrays (or a 2-d array whose rows span
-    the subspace). An empty collection yields the zero subspace, which needs
-    ``ambient_dim`` to fix the ambient space.
+    ``vectors`` is an iterable of finite 1-d arrays (or a 2-d array whose rows
+    span the subspace). An empty collection yields the zero subspace, which
+    needs ``ambient_dim`` to fix the ambient space.
     """
-    if isinstance(vectors, np.ndarray) and vectors.ndim == 2:
-        rows = list(vectors)
-    else:
-        rows = [as_vector(v) for v in vectors]
+    rows = [as_vector(v) for v in vectors]
     if not rows:
         if ambient_dim is None:
             raise ValueError("empty span needs an explicit ambient_dim")
@@ -237,8 +234,8 @@ def orthonormal_basis(vectors, ambient_dim: int | None = None) -> Subspace:
 
 
 def column_space(a: np.ndarray) -> Subspace:
-    """Orthonormal basis of the range of a matrix."""
-    a = np.asarray(a)
+    """Orthonormal basis of the range of a finite matrix."""
+    a = require_finite(a, "matrix")
     if a.ndim != 2:
         raise DimensionMismatchError(f"expected a matrix, got shape {a.shape}")
     return Subspace(range_bases(a[None])[0])

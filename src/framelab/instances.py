@@ -9,9 +9,11 @@ tests, docs and the CLI all build from here.
 """
 from __future__ import annotations
 
+import inspect
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -155,29 +157,25 @@ def random_resolution_family(
 ) -> OperatorFamily:
     """Seeded random raw-mode resolution with strictly positive Gram bounds.
 
-    Operators start as scalar multiples of the identity plus controlled
-    noise and are post-multiplied by the inverse of their sum, so the raw
-    identity holds exactly up to roundoff. ``seed`` is anything
-    ``default_rng`` takes, a seed sequence such as ``[seed, k]`` included.
+    Operators start as scalar multiples of the identity plus noise of total
+    norm at most 0.3 and are post-multiplied by the inverse of their sum,
+    so the raw identity holds exactly up to roundoff. Since the operators
+    sum to the identity and every weight is at least 1/2, Cauchy-Schwarz
+    puts the lower Gram bound at or above 1/(4 atoms), and the upper one
+    stays below 14. ``seed`` is anything ``default_rng`` takes, a seed
+    sequence such as ``[seed, k]`` included.
     """
     rng = np.random.default_rng(seed)
     alphas = _simplex(rng, atoms)
     noise = _unit_norm(rng.standard_normal((atoms, dim, dim)))
     weights = rng.uniform(0.5, 2.0, atoms)
-    eps = 0.3 / atoms
-    for _ in range(50):
-        raw = alphas[:, None, None] * np.eye(dim) + eps * noise
-        fam = OperatorFamily(
-            operators=raw @ np.linalg.inv(sum(raw)),
-            weights=weights,
-            masses=np.ones(atoms),
-            sum_mode=SumMode.RAW,
-        )
-        rbounds = resolution.resolution_bounds(fam)
-        if rbounds.lower > 1e-9 * max(rbounds.upper, 1.0):
-            return fam
-        eps *= 0.5
-    raise RuntimeError(f"no positive-Gram resolution found for seed {seed}")
+    raw = alphas[:, None, None] * np.eye(dim) + (0.3 / atoms) * noise
+    return OperatorFamily(
+        operators=raw @ np.linalg.inv(sum(raw)),
+        weights=weights,
+        masses=np.ones(atoms),
+        sum_mode=SumMode.RAW,
+    )
 
 
 def block_resolution_family(
@@ -210,63 +208,47 @@ def block_resolution_family(
 class Scenario:
     """Registry entry: a named builder plus closed-form limits when known.
 
-    ``defaults`` holds the keyword arguments the builder takes, with their
-    defaults.
+    The builder's signature is the one record of which sizes the scenario
+    takes and of their defaults.
     """
 
     name: str
-    kind: str  # "fusion" | "resolution" | "continuous"
-    description: str
     builder: Callable
-    defaults: dict = field(compare=False)  # keeps entries hashable
     limit_bounds: tuple | None = None
 
+    @cached_property
+    def _sizes(self) -> frozenset:
+        return frozenset(inspect.signature(self.builder).parameters)
+
+    @property
+    def continuous(self) -> bool:
+        """Whether the builder takes a refinement level ``n``."""
+        return "n" in self._sizes
+
     def build(self, dim=None, atoms=None, seed=None, n=None):
-        """Build with the given sizes; an argument the builder does not take is ignored."""
+        """Build with the given sizes; a size the builder does not take is ignored."""
         given = {"dim": dim, "atoms": atoms, "seed": seed, "n": n}
         for key, least in (("dim", 1), ("atoms", 1), ("n", 1), ("seed", 0)):
             if given[key] is not None and int(given[key]) < least:
                 raise ValueError(f"--{key} must be at least {least}, got {given[key]}")
         return self.builder(**{
-            key: default if given[key] is None else int(given[key])
-            for key, default in self.defaults.items()
+            key: int(value) for key, value in given.items()
+            if value is not None and key in self._sizes
         })
 
 
 SCENARIOS = {
     s.name: s
     for s in (
-        Scenario("axes", "fusion", "coordinate axes, tight with A = B = 1", axes_family, {"dim": 3}),
-        Scenario("mercedes", "fusion", "three equiangular lines, A = B = 1.5", mercedes_family, {}),
-        Scenario(
-            "equiangular", "fusion", "atoms equiangular lines, A = B = atoms/2",
-            equiangular_family, {"atoms": 5},
-        ),
-        Scenario(
-            "orthogonal_blocks", "fusion", "random orthogonal decomposition, A = B = 1",
-            orthogonal_blocks_family, {"dim": 4, "atoms": 2, "seed": 0},
-        ),
-        Scenario(
-            "random_fusion", "fusion", "seeded random frame of subspaces",
-            random_fusion_family, {"dim": 4, "atoms": 6, "seed": 0},
-        ),
-        Scenario(
-            "rotating_line", "continuous", "line rotating through [0, pi), midpoint-discretized",
-            rotating_line_family, {"n": 64}, limit_bounds=(math.pi / 2.0, math.pi / 2.0),
-        ),
-        Scenario(
-            "basis_resolution", "resolution", "rank-one coordinate projectors, raw identity",
-            resolution.from_orthonormal_basis, {"dim": 4},
-        ),
-        Scenario(
-            "random_resolution", "resolution", "seeded random raw-mode resolution",
-            random_resolution_family, {"dim": 4, "atoms": 6, "seed": 0},
-        ),
-        Scenario(
-            "block_resolution", "resolution",
-            "block-diagonal resolution with genuinely local supports",
-            block_resolution_family, {"dim": 4, "atoms": 3, "seed": 0},
-        ),
+        Scenario("axes", axes_family),
+        Scenario("mercedes", mercedes_family),
+        Scenario("equiangular", equiangular_family),
+        Scenario("orthogonal_blocks", orthogonal_blocks_family),
+        Scenario("random_fusion", random_fusion_family),
+        Scenario("rotating_line", rotating_line_family, (math.pi / 2.0, math.pi / 2.0)),
+        Scenario("basis_resolution", resolution.from_orthonormal_basis),
+        Scenario("random_resolution", random_resolution_family),
+        Scenario("block_resolution", block_resolution_family),
     )
 }
 

@@ -8,6 +8,7 @@ hypothesis is recorded in the notes instead.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 
@@ -70,19 +71,24 @@ class VerificationReport:
         return f"{self.check_id}: {status}{tail}"
 
     def to_dict(self) -> dict:
+        """The report as JSON data; a non-finite constant or residual becomes None."""
         return {
             "check_id": self.check_id,
             "hypotheses": [
                 {
                     "name": h.name,
                     "passed": h.passed,
-                    "residual": h.residual,
+                    "residual": _finite_or_none(h.residual),
                     "detail": h.detail,
                 }
                 for h in self.hypotheses
             ],
-            "constants": {k: self.constants[k] for k in sorted(self.constants)},
+            "constants": {k: _finite_or_none(self.constants[k]) for k in sorted(self.constants)},
             "conclusion_checked": self.conclusion_checked,
             "tolerances": {k: self.tolerances[k] for k in sorted(self.tolerances)},
             "notes": list(self.notes),
         }
+
+
+def _finite_or_none(x):
+    return None if isinstance(x, float) and not math.isfinite(x) else x

@@ -223,7 +223,7 @@ def normalize_to_identity(family: OperatorFamily) -> OperatorFamily:
     return replace(family, operators=family.operators @ inv)
 
 
-def from_orthonormal_basis(dim: int) -> OperatorFamily:
+def from_orthonormal_basis(dim: int = 4) -> OperatorFamily:
     """Rank-one coordinate family T_i = e_i e_i^T with unit weights and masses.
 
     Sums to the identity in RAW mode with Gram bounds exactly 1.

@@ -304,13 +304,13 @@ def verify_induced_vector_frame(
         res_report.passed,
         residual=res_report.constants["identity_residual"],
     )
-    span = hilbert.orthonormal_basis(vectors, ambient_dim=family.ambient_dim)
+    seq = np.stack(vectors, axis=1)
+    span = hilbert.column_space(seq)
     report.add_hypothesis("span_nontrivial", span.rank >= 1, residual=float(span.rank))
 
     c_const = res_report.constants["gram_lower"]
     d_const = res_report.constants["gram_upper"]
 
-    seq = np.stack(vectors, axis=1)
     q = span.basis
     # sum_i omega_i^2 mu_i T_i* (F F*) T_i with F the sequence as columns
     induced = hilbert.stacked_gram(adjoint(seq) @ family.operators, family.gram_coefficients())

@@ -699,6 +699,39 @@ def test_verify_check_that_raises_prints_nothing(target, check, tmp_path, monkey
     assert "check blew up" in captured.err
 
 
+def test_perturb_out_writes_a_singular_sums_constants_as_null(tmp_path, capsys):
+    # zeroing one coordinate projector makes the perturbed sum S singular
+    base = tmp_path / "b.json"
+    run(["gen", "--scenario", "basis_resolution", "--out", str(base)])
+    data = json.loads(base.read_text())
+    data["operators"][3] = [[0.0] * 4] * 4
+    (tmp_path / "z.json").write_text(json.dumps(data))
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps({"base": "b.json", "perturbed": "z.json", "lambda": 0.5}))
+    assert run(["perturb", str(spec)]) == cli.EXIT_CHECK_FAILED
+    printed = capsys.readouterr().out
+    out = tmp_path / "r.json"
+    assert run(["perturb", str(spec), "--out", str(out)]) == cli.EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (printed, "")
+    reports = {r["check_id"]: r for r in json.loads(out.read_text())}
+    assert reports["subset_stable_sum"]["constants"]["reconstruction_residual"] is None
+    assert reports["perturbed_resolution"]["constants"]["predicted_upper"] is None
+
+
+def test_reconstruct_of_a_vector_no_atom_acts_on_writes_null(tmp_path, capsys):
+    fam = resolution.OperatorFamily(
+        operators=np.array([np.diag([1.0, 0.0]), np.zeros((2, 2))]),
+        weights=np.ones(2), masses=np.ones(2), sum_mode=resolution.SumMode.RAW,
+    )
+    path = tmp_path / "fam.json"
+    path.write_text(serialize.dumps_instance(fam))
+    assert run(["reconstruct", str(path), "--vector", "[0, 1]"]) == cli.EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert out.startswith("support_reconstruction: FAIL (hypothesis: span_gram_positive)\n")
+    assert json.loads(out[out.index("{"):])["reconstructed"] is None
+
+
 def test_help_exits_cleanly(capsys):
     assert run(["--help"]) == cli.EXIT_OK
     assert run([]) == cli.EXIT_PARSE

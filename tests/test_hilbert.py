@@ -157,6 +157,15 @@ def test_column_space_of_rank_one_matrix():
     assert sub.contains(np.array([1.0, 2.0, 2.0]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_span_helpers_reject_non_finite_entries(bad):
+    rows = np.array([[bad, 0.0]])
+    with pytest.raises(ValueError, match=r"vector entry 0 is not finite"):
+        hilbert.orthonormal_basis(rows)
+    with pytest.raises(ValueError, match=r"matrix entry \(0, 0\) is not finite"):
+        hilbert.column_space(rows)
+
+
 def test_self_adjoint_eigh_sorted_and_strict():
     evals, _ = hilbert.self_adjoint_eigh(np.diag([2.0, -1.0, 0.5]))
     assert list(evals) == sorted(evals)

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -32,6 +34,26 @@ def test_unknown_scenario_lists_known_names():
 def test_every_scenario_builds(name):
     obj = instances.build_scenario(name, seed=1)
     assert isinstance(obj, (WeightedSubspaceFamily, OperatorFamily))
+
+
+@pytest.mark.parametrize("name", sorted(instances.SCENARIOS))
+def test_a_scenarios_sizes_and_defaults_are_its_builders(name):
+    entry = instances.SCENARIOS[name]
+    assert [f.name for f in dataclasses.fields(entry)] == ["name", "builder", "limit_bounds"]
+    params = inspect.signature(entry.builder).parameters
+    assert set(params) <= {"dim", "atoms", "seed", "n"}
+    assert entry.continuous == ("n" in params)
+    # every omitted size takes the builder's own default
+    a, b = entry.build(), entry.builder()
+    if isinstance(a, OperatorFamily):
+        assert np.array_equal(a.operators, b.operators)
+    else:
+        assert all(np.array_equal(x.basis, y.basis) for x, y in zip(a.subspaces, b.subspaces))
+    assert np.array_equal(a.weights, b.weights) and np.array_equal(a.masses, b.masses)
+
+
+def test_only_the_rotating_line_is_continuous():
+    assert [n for n, s in instances.SCENARIOS.items() if s.continuous] == ["rotating_line"]
 
 
 @pytest.mark.parametrize("dim, atoms", [(2, 1), (5, 1), (1, 0)])

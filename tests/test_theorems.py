@@ -195,6 +195,17 @@ class TestSupportReconstruction:
         with pytest.raises(ValueError):
             theorems.reconstruct_by_support(fam, np.eye(3)[:, 0])
 
+    def test_vector_no_atom_acts_on_fails_the_span_gram(self):
+        # diag(1, 0) and the zero operator both annihilate e_1
+        fam = OperatorFamily(
+            operators=np.array([np.diag([1.0, 0.0]), np.zeros((2, 2))]),
+            weights=np.ones(2), masses=np.ones(2), sum_mode=SumMode.RAW,
+        )
+        outcome = theorems.reconstruct_by_support(fam, np.array([0.0, 1.0]))
+        assert outcome.report.failed_hypotheses() == ["span_gram_positive"]
+        assert outcome.report.constants["support_size"] == 0.0
+        assert outcome.inverse_first is None and outcome.inverse_last is None
+
 
 class TestComplexFamilies:
     def _lines(self, vectors):
