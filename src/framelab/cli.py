@@ -242,12 +242,12 @@ def _resolution_checks(family, tol: float):
         ["induced_fusion_frame", "operator_family_sandwich",
          "projection_identity_frame", "orthogonal_decomposition"],
         "weighted operator sum misses the identity by",
-        resolution.identity_sum_residual(weighted)[2], tol, induced_checks,
+        resolution.identity_sum_residual(weighted)[1], tol, induced_checks,
     )
     yield from _gated(
         ["induced_vector_frame", "support_reconstruction"],
         "raw operator sum misses the identity by",
-        resolution.identity_sum_residual(raw)[2], tol, vector_checks,
+        resolution.identity_sum_residual(raw)[1], tol, vector_checks,
     )
 
 

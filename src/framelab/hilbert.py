@@ -297,7 +297,7 @@ def spectral_bounds(a: np.ndarray) -> SpectralBounds:
 
 
 # Distinct (dim, count) pairs whose seed-0 probes are kept. The checks'
-# probe counts are 2000, 1000 and 10, so dims 2-8 need 21 pairs;
+# probe counts are 2000 and 1000, so dims 2-8 need 14 pairs;
 # one pair at dim 8 and 2000 probes holds 128 KB.
 _PROBE_CACHE_SIZE = 32
 

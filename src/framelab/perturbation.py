@@ -12,7 +12,8 @@ from .hilbert import adjoint
 from .reports import VerificationReport
 from .resolution import OperatorFamily, SumMode
 
-# Random unit probes of the closeness inequalities and of the composite lower bound.
+# Random unit probes of the closeness inequalities, on the atoms no
+# certificate proves, and of the composite lower bound.
 CLOSENESS_PROBES = 2000
 BOUND_PROBES = 1000
 
@@ -102,77 +103,190 @@ def check_perturbation(
     params: PerturbationParams,
     tol: float = 1e-9,
 ) -> VerificationReport:
-    """Probe the pointwise closeness inequality atom by atom.
+    """Decide the pointwise closeness inequality atom by atom.
 
-    The conclusion is probe-certified on the canonical basis plus random
-    unit vectors. A sufficient singular-value certificate (valid for every
-    vector at once) is attempted alongside and recorded: the inequality
-    holds everywhere whenever
+    Each atom is proved for every vector by a certificate where one holds,
+    the singular-value certificate
 
-        sigma_max(w(T - S)) <= lambda1 sigma_min(wT) + lambda2 sigma_min(wS) + phi.
+        sigma_max(w(T - S)) <= lambda1 sigma_min(wT) + lambda2 sigma_min(wS) + phi,
+
+    or else the sharper Loewner certificate of _closeness; the canonical
+    basis plus random unit probes decide only the atoms neither proves.
+    The notes count the atoms each tier decided.
     """
     _require_aligned(base, perturbed, params, None)
     report = VerificationReport(check_id="pointwise_perturbation")
     report.tolerances = {"probe_margin": tol}
     probes = hilbert.basis_and_probes(base.ambient_dim, CLOSENESS_PROBES)
     w, t, s = base.weights[:, None, None], base.operators, perturbed.operators
-    probe_margin, certificate_margin = _closeness(w * (t - s), w * t, w * s, params, probes)
+    margins, note = _closeness(w * (t - s), w * t, w * s, params, probes, tol)
     report.add_hypothesis("atoms_aligned", True)
     report.constants = {
-        "probe_margin": probe_margin,
-        "certificate_margin": certificate_margin,
+        **margins,
         "lambda1": params.lambda1,
         "lambda2": params.lambda2,
         "phi_l2": params.phi_l2(base.masses),
     }
-    if certificate_margin <= 0.0:
-        report.notes.append("singular-value certificate holds for all vectors")
-    else:
-        report.notes.append("probe-certified only; singular-value certificate inconclusive")
-    report.conclude(probe_margin <= tol)
+    report.notes.append(note)
+    report.conclude(margins["probe_margin"] <= tol)
     return report
 
 
-# Probe columns imaged at once by _closeness; bounds its buffer of images
-# to 3 natoms x d x _PROBE_CHUNK entries.
+# Probe columns imaged at once by _probe_margin; bounds its buffer of
+# images to 3 natoms x d x _PROBE_CHUNK entries.
 _PROBE_CHUNK = 256
 
+# What decides each atom of a closeness check, in the order tried.
+_TIERS = ("singular-value certificate", "Loewner certificate", "probes")
 
-def _closeness(x, y, z, params: PerturbationParams, probes: np.ndarray):
-    """(probe_margin, certificate_margin) of a closeness inequality, for every atom i:
+
+def _closeness(x, y, z, params: PerturbationParams, probes: np.ndarray, tol: float):
+    """(margins, note) of a closeness inequality, for every atom i:
 
         ||X_i f|| <= lambda1 ||Y_i f|| + lambda2 ||Z_i f|| + phi_i ||f||.
 
     ``x``, ``y`` and ``z`` hold one operator per atom, ``probes`` unit
-    columns. The probe margin is the largest excess on a probe, from one
-    pass over the stacked [X; Y; Z] that images a chunk of probes at a time
-    into one buffer; the certificate margin, the largest
-    _certificate_defects entry less phi, is at most 0 where the inequality
-    holds for every vector.
+    columns. _certified_excess proves what it can for every vector, and
+    _probe_margin probes only the atoms it leaves open. ``margins`` holds:
+
+    - certificate_margin, the largest singular-value defect less phi, at
+      most 0 where that certificate holds (before its rounding slack);
+    - loewner_margin, the largest Loewner bound over the atoms the
+      singular values leave open;
+    - probe_margin, the largest excess on a probe over the probed atoms.
+
+    The last two are -inf where their tier examined no atom. Every atom a
+    certificate proves has excess at most ``tol`` on every vector, so the
+    inequality holds to ``tol`` exactly when probe_margin <= tol. ``note``
+    counts the atoms each tier decided.
     """
-    phi = np.asarray(params.phi)
-    stack = np.concatenate([x, y, z])
+    certificate, excess, tier = _certified_excess(x, y, z, params, tol)
+    probed = np.flatnonzero(tier == 2)
+    probe_margin = -np.inf
+    if len(probed):
+        stack = np.concatenate([x[probed], y[probed], z[probed]])
+        phi = np.asarray(params.phi)[probed]
+        probe_margin = _probe_margin(stack, params.lambda1, params.lambda2, phi, probes)
+    margins = {
+        "certificate_margin": float(certificate.max()),
+        "loewner_margin": float(excess[tier > 0].max(initial=-np.inf)),
+        "probe_margin": probe_margin,
+    }
+    decided = np.bincount(tier, minlength=len(_TIERS))
+    note = f"closeness of {len(tier)} atoms decided by " + ", ".join(
+        f"the {name} on {k}" for name, k in zip(_TIERS, decided.tolist()) if k
+    )
+    return margins, note
+
+
+def _probe_margin(stack, lambda1: float, lambda2: float, phi: np.ndarray, probes: np.ndarray):
+    """Largest ||X_i p|| - lambda1 ||Y_i p|| - lambda2 ||Z_i p|| - phi_i over atoms i, probes p.
+
+    ``stack`` is the stacked [X; Y; Z] of the atoms ``phi`` holds. One pass
+    images a chunk of probes at a time into one buffer.
+    """
     count = probes.shape[1]
     buf = np.empty((*stack.shape[:2], min(count, _PROBE_CHUNK)), np.result_type(stack, probes))
-    probe_margin = -np.inf
+    margin = -np.inf
     for lo in range(0, count, _PROBE_CHUNK):
         images = np.matmul(stack, probes[:, lo : lo + _PROBE_CHUNK], out=buf[..., : count - lo])
-        norms = np.sqrt(np.einsum("ijk,ijk->ik", images.conj(), images).real)
-        norms = norms.reshape(3, len(x), -1)
-        excess = norms[0] - (params.lambda1 * norms[1] + params.lambda2 * norms[2] + phi[:, None])
+        # squares summed over real views of the buffer: a complex chunk is
+        # never copied
+        squares = np.einsum("ijk,ijk->ik", images.real, images.real)
+        if np.iscomplexobj(images):
+            squares += np.einsum("ijk,ijk->ik", images.imag, images.imag)
+        norms = np.sqrt(squares).reshape(3, len(phi), -1)
+        excess = norms[0] - (lambda1 * norms[1] + lambda2 * norms[2] + phi[:, None])
         # np.maximum, unlike max(), keeps a NaN excess
-        probe_margin = np.maximum(probe_margin, excess.max())
-    defects = _certificate_defects(x, y, z, params.lambda1, params.lambda2)
-    return float(probe_margin), float((defects - phi).max())
+        margin = np.maximum(margin, excess.max())
+    return float(margin)
 
 
-def _certificate_defects(x, y, z, lambda1: float, lambda2: float) -> np.ndarray:
-    """sigma_max(X_i) - lambda1 sigma_min(Y_i) - lambda2 sigma_min(Z_i) for each atom.
+def _certified_excess(x, y, z, params: PerturbationParams, tol: float):
+    """(certificate, excess, tier) of a closeness inequality, one entry per atom.
+
+    With e_i the largest excess ||X_i f|| - lambda1 ||Y_i f|| -
+    lambda2 ||Z_i f|| - phi_i over unit vectors f, two certificates bound
+    e_i from above, and an atom is proved once a bound is at most ``tol``.
+    ``tier`` indexes _TIERS: 0 where the singular-value certificate proves
+    the atom, 1 where the Loewner certificate does, 2 where neither does.
+    ``excess`` is the singular-value bound where it proves the atom and the
+    Loewner bound elsewhere (inf where M_i might overflow, below);
+    ``certificate`` is the singular-value bound before its rounding slack.
+
+    Singular values: ||X_i f|| <= sigma_max(X_i) and ||Y_i f|| >=
+    sigma_min(Y_i), so e_i <= _certificate_defects - phi_i.
+
+    Loewner order, on the atoms the singular values leave open: with r_i =
+    lambda1 sigma_min(Y_i) + lambda2 sigma_min(Z_i) + phi_i, squaring the
+    right-hand side and bounding each cross term below by its sigma_min
+    product gives RHS(f)^2 >= f^* (lambda1^2 Y_i^* Y_i + lambda2^2 Z_i^* Z_i
+    + c_i) f, where c_i = r_i^2 - (lambda1 sigma_min(Y_i))^2 -
+    (lambda2 sigma_min(Z_i))^2 holds the cross terms' bounds. So with
+
+        M_i = lambda1^2 Y_i^* Y_i + lambda2^2 Z_i^* Z_i + c_i I - X_i^* X_i,
+
+    ||X_i f||^2 - RHS(f)^2 <= -lambda_min(M_i) <= s_i. Where e = e_i > 0,
+    ||X_i f|| = RHS(f) + e and RHS(f) >= r_i, so e^2 + 2 r_i e <= s_i and
+
+        e_i <= sqrt(r_i^2 + s_i) - r_i = s_i / (r_i + sqrt(r_i^2 + s_i)),
+
+    below both sqrt(s_i) and s_i / (2 r_i). Where only one right-hand term
+    is present there is no cross term, and M_i >= 0 is exactly the
+    inequality; in general M_i >= (r_i^2 - sigma_max(X_i)^2) I, so the
+    Loewner certificate proves all that the singular values prove, up to
+    rounding.
+
+    Rounding: with u = 8 d^2 eps, the relative backward error that
+    _margin_bounds allows eigvalsh, each computed singular value is taken
+    within u times its matrix's largest one of the exact value. With a_i =
+    sigma_max(X_i) and b_i = lambda1 sigma_max(Y_i) + lambda2 sigma_max(Z_i)
+    + phi_i, the singular-value bound then moves by at most u (a_i + b_i),
+    which is added to it, and r_i by at most u b_i, which is taken off it.
+    Every term of M_i is at most K_i = a_i^2 + b_i^2 in 2-norm; the
+    rounding of its products and of c_i, and eigvalsh's backward error,
+    stay below 8 u K_i, and s_i = max(0, 8 u K_i - computed
+    lambda_min(M_i)). M_i is formed only where K_i < max float / 8, so it
+    is finite; a NaN bound proves nothing.
+    """
+    d = x.shape[-1]
+    lambda1, lambda2, phi = params.lambda1, params.lambda2, np.asarray(params.phi)
+    sv = _stack_singulars(x, y, z)
+    u = 8.0 * d * d * np.finfo(float).eps
+    a, b = sv[0, :, 0], lambda1 * sv[1, :, 0] + lambda2 * sv[2, :, 0] + phi
+    certificate = _certificate_defects(sv, lambda1, lambda2) - phi
+    excess = certificate + u * (a + b)
+    tier = np.where(excess <= tol, 0, 2)
+    excess[tier > 0] = np.inf
+    k = a * a + b * b
+    o = np.flatnonzero((tier > 0) & (k < np.finfo(float).max / 8.0))
+    if len(o):
+        xo, yo, zo = x[o], y[o], z[o]
+        low_y, low_z = lambda1 * sv[1, o, -1], lambda2 * sv[2, o, -1]
+        r = low_y + low_z + phi[o]
+        c = r * r - low_y * low_y - low_z * low_z
+        m = lambda1 * lambda1 * (adjoint(yo) @ yo) + lambda2 * lambda2 * (adjoint(zo) @ zo)
+        m -= adjoint(xo) @ xo
+        m += c[:, None, None] * np.eye(d)
+        s = np.maximum(8.0 * u * k[o] - np.linalg.eigvalsh(m)[:, 0], 0.0)
+        r = np.maximum(r - u * b[o], 0.0)
+        # s = 0 proves e_i <= 0, also where r = 0 would leave 0 / 0
+        excess[o] = np.divide(s, r + np.sqrt(r * r + s), out=np.zeros_like(s), where=s != 0.0)
+        tier[o] = np.where(excess[o] <= tol, 1, 2)
+    return certificate, excess, tier
+
+
+def _stack_singulars(x, y, z) -> np.ndarray:
+    """The singular values of each X_i, Y_i and Z_i, descending: a (3, n, d) array.
 
     One SVD call over the stacked [X; Y; Z]: the same LAPACK call on each
     matrix as three separate ones, so the values are the same bits.
     """
-    sv = np.linalg.svd(np.concatenate([x, y, z]), compute_uv=False).reshape(3, len(x), -1)
+    return np.linalg.svd(np.concatenate([x, y, z]), compute_uv=False).reshape(3, len(x), -1)
+
+
+def _certificate_defects(sv: np.ndarray, lambda1: float, lambda2: float) -> np.ndarray:
+    """sigma_max(X_i) - lambda1 sigma_min(Y_i) - lambda2 sigma_min(Z_i) from _stack_singulars."""
     return sv[0, :, 0] - lambda1 * sv[1, :, -1] - lambda2 * sv[2, :, -1]
 
 
@@ -188,7 +302,7 @@ def composite_defects(base: OperatorFamily, s: np.ndarray, lambda1: float, lambd
 
     The inequality holds for every vector wherever the defect is at most phi.
     """
-    return _certificate_defects(*_composite_stacks(base, s), lambda1, lambda2)
+    return _certificate_defects(_stack_singulars(*_composite_stacks(base, s)), lambda1, lambda2)
 
 
 # Chunks whose tier-0 bounds one product gives (_PairBounds.group_bounds);
@@ -685,7 +799,9 @@ def verify_composite_perturbation(
 
         ||w f - w^2 T S f|| <= lambda1 ||w T f|| + lambda2 ||w^2 T S f|| + phi ||f||
 
-    holds on probes; composition is norm-dominated (||T S f|| <= E ||S f||
+    holds, atom by atom proved for every vector by a certificate of
+    _closeness where one holds, and decided on random unit probes only
+    where none does; composition is norm-dominated (||T S f|| <= E ||S f||
     with E the largest base operator norm, which holds by the definition of
     E and is recorded, not probed); the subset-stability check
     passes with lam; and the side constant
@@ -821,9 +937,11 @@ class _SharedPieces:
 
         e_const = self.base_report.constants["sup_norm"]
         probes = hilbert.unit_probes(base.ambient_dim, CLOSENESS_PROBES)
-        probe_margin, certificate_margin = _closeness(
-            *_composite_stacks(base, composed_with.operators), params, probes
+        margins, note = _closeness(
+            *_composite_stacks(base, composed_with.operators), params, probes, tol
         )
+        report.notes.append(note)
+        probe_margin = margins["probe_margin"]
         report.add_hypothesis("pointwise_composite", probe_margin <= tol, residual=probe_margin)
         # ||T_i S_i f|| <= ||T_i|| ||S_i f|| <= E ||S_i f||: exact, so not probed
         detail = f"holds by the definition of E=sup_norm={e_const:.6e}"
@@ -864,8 +982,7 @@ class _SharedPieces:
             "predicted_lower_sharp": pred_ratio_sharp**2,
             "sharp_form_holds": float(sharp_holds),
             "probe_lower": probe_low,
-            "probe_margin": probe_margin,
-            "certificate_margin": certificate_margin,
+            **margins,
         }
         if not sharp_holds:
             report.notes.append(

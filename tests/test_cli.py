@@ -492,6 +492,24 @@ def _write_scenario(tmp_path, base, perturbed, params, lam):
     return path
 
 
+def test_perturb_left_scenario_is_proved_by_the_loewner_certificate(tmp_path, capsys):
+    path = _write_scenario(tmp_path, *instances.perturbed_resolution_instance(4, 6, 0, "left"))
+    out_path = tmp_path / "reports.json"
+    capsys.readouterr()
+    assert run(["perturb", str(path), "--out", str(out_path)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == (
+        "pointwise_perturbation: PASS\n"
+        "subset_stable_sum: PASS\n"
+        "perturbed_resolution: PASS [gram_lower=0.568315, gram_upper=0.671791]\n"
+        "composite_perturbation: SKIP (composing family exceeds the base upper bound:"
+        " 0.828179 > 0.671791)\n"
+    )
+    pointwise = json.loads(out_path.read_text())[0]
+    assert pointwise["notes"] == ["closeness of 6 atoms decided by the Loewner certificate on 6"]
+    assert pointwise["constants"]["probe_margin"] is None
+    assert pointwise["constants"]["loewner_margin"] <= 1e-9
+
+
 def test_perturb_passing_scenario(tmp_path, capsys):
     path = _write_perturbation_fixture(tmp_path)
     assert run(["perturb", str(path)]) == cli.EXIT_OK

@@ -114,7 +114,7 @@ def test_orthogonal_blocks_are_tight():
 
 def test_block_resolution_keeps_raw_identity():
     fam = instances.block_resolution_family(5, 3, 2)
-    _, _, op_res = resolution.identity_sum_residual(fam)
+    _, op_res = resolution.identity_sum_residual(fam)
     assert op_res <= 1e-10
 
 

@@ -54,21 +54,61 @@ def test_singular_value_certificate_outcomes(seed):
     base, perturbed, params, _ = instances.perturbed_resolution_instance(4, 5, seed, "additive")
     report = perturbation.check_perturbation(base, perturbed, params)
     assert report.constants["certificate_margin"] <= 0.0
-    assert "singular-value certificate holds for all vectors" in report.notes
-    # uniform scaling holds on every vector, yet eps ||wT|| > eps sigma_min(wT)
+    assert report.notes == ["closeness of 5 atoms decided by the singular-value certificate on 5"]
+    assert report.constants["loewner_margin"] == report.constants["probe_margin"] == -np.inf
+    # uniform scaling holds on every vector, yet eps ||wT|| > eps sigma_min(wT):
+    # the Loewner certificate, exact with one right-hand term, proves it
     base, perturbed, params, _ = instances.perturbed_resolution_instance(4, 5, seed, "uniform")
     report = perturbation.check_perturbation(base, perturbed, params)
+    assert report.passed
     assert report.constants["certificate_margin"] > 0.0
-    assert "probe-certified only; singular-value certificate inconclusive" in report.notes
+    assert 0.0 <= report.constants["loewner_margin"] <= 1e-9
+    assert report.constants["probe_margin"] == -np.inf
+    assert report.notes == ["closeness of 5 atoms decided by the Loewner certificate on 5"]
     # the composite builder sets phi from the same defects the check recomputes
     report = perturbation.verify_composite_perturbation(
         *instances.composite_instance(4, 5, seed, "scalar")
     )
     assert report.constants["certificate_margin"] <= 0.0
+    assert "closeness of 5 atoms decided by the singular-value certificate on 5" in report.notes
     report = perturbation.verify_composite_perturbation(
         *instances.composite_instance(4, 5, seed, "projector_defect")
     )
     assert report.constants["certificate_margin"] == 0.0
+
+
+def _no_probe_pass(*args):
+    raise AssertionError("a closeness check reached the probe pass")
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+@pytest.mark.parametrize("kind", ["left", "uniform", "additive", "degenerate", "composite"])
+def test_builders_are_proved_without_probes(kind, dim, monkeypatch):
+    monkeypatch.setattr(perturbation, "_probe_margin", _no_probe_pass)
+    for seed in range(10):
+        if kind == "composite":
+            report = perturbation.verify_composite_perturbation(
+                *instances.composite_instance(dim, seed=seed, kind="scalar")
+            )
+        else:
+            base, perturbed, params, _ = instances.perturbed_resolution_instance(
+                dim, seed=seed, kind=kind
+            )
+            report = perturbation.check_perturbation(base, perturbed, params)
+        assert report.passed, (seed, report.notes)
+        assert report.constants["probe_margin"] == -np.inf
+
+
+def test_closeness_of_overflowing_operators_fails_without_raising():
+    # at 1e160 the Loewner matrices would overflow to NaN, which eigvalsh
+    # rejects: those atoms go to the probes, whose NaN excess fails the check
+    base, perturbed, params, _ = instances.perturbed_resolution_instance(3, 4, 0, "uniform")
+    big = replace(base, operators=1e160 * base.operators)
+    big_perturbed = replace(perturbed, operators=1e160 * perturbed.operators)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = perturbation.check_perturbation(big, big_perturbed, params)
+    assert not report.passed
+    assert report.notes == ["closeness of 4 atoms decided by the probes on 4"]
 
 
 def test_check_perturbation_detects_violation():

@@ -75,8 +75,8 @@ class TestOperatorFamily:
 
 def test_basis_resolution_is_exact():
     fam = resolution.from_orthonormal_basis(4)
-    basis_res, probe_res, op_res = resolution.identity_sum_residual(fam)
-    assert max(basis_res, probe_res, op_res) == 0.0
+    basis_res, op_res = resolution.identity_sum_residual(fam)
+    assert max(basis_res, op_res) == 0.0
     report = resolution.verify_resolution(fam)
     assert report.passed
     assert report.constants["gram_lower"] == pytest.approx(1.0, abs=1e-12)
@@ -86,7 +86,7 @@ def test_basis_resolution_is_exact():
 def test_random_resolution_sums_to_identity():
     for seed in range(5):
         fam = _raw(seed)
-        _, _, op_res = resolution.identity_sum_residual(fam)
+        _, op_res = resolution.identity_sum_residual(fam)
         assert op_res <= 1e-12
         report = resolution.verify_resolution(fam)
         assert report.passed, report.summary_line()
@@ -128,6 +128,22 @@ def test_verify_resolution_reports_broken_identity():
     assert "identity_sum" in report.failed_hypotheses()
 
 
+def test_identity_sum_is_decided_in_operator_norm():
+    # the sum misses the identity by 1.4e-9 along u = (1, ..., 1) / sqrt(8):
+    # every column misses by 1.4e-9 / sqrt(8) = 4.95e-10, within 1e-9
+    u = np.ones(8) / np.sqrt(8.0)
+    ops = np.stack([np.eye(8) / 2.0, np.eye(8) / 2.0 + 1.4e-9 * np.outer(u, u)])
+    fam = OperatorFamily(ops, np.ones(2), np.ones(2), SumMode.RAW)
+    basis_res, op_res = resolution.identity_sum_residual(fam)
+    assert basis_res == pytest.approx(1.4e-9 / np.sqrt(8.0), rel=1e-6)
+    assert op_res == pytest.approx(1.4e-9, rel=1e-6)
+    report = resolution.verify_resolution(fam, identity_tol=1e-9)
+    assert report.failed_hypotheses() == ["identity_sum"]
+    [hypothesis] = [h for h in report.hypotheses if h.name == "identity_sum"]
+    assert hypothesis.residual == op_res
+    assert resolution.verify_resolution(fam, identity_tol=2e-9).passed
+
+
 def test_normalize_to_identity_repairs_a_scaled_family():
     fam = _raw(6)
     scaled = OperatorFamily(
@@ -137,7 +153,7 @@ def test_normalize_to_identity_repairs_a_scaled_family():
         sum_mode=SumMode.RAW,
     )
     fixed = resolution.normalize_to_identity(scaled)
-    _, _, op_res = resolution.identity_sum_residual(fixed)
+    _, op_res = resolution.identity_sum_residual(fixed)
     assert op_res <= 1e-12
 
 

@@ -165,31 +165,125 @@ def test_closeness_matches_a_loop_over_atoms_and_probes(complex_):
         - l2 * np.linalg.norm(z[i], -2) - phi[i]
         for i in range(atoms)
     )
-    probe_margin, certificate_margin = perturbation._closeness(x, y, z, params, probes)
-    assert probe_margin == pytest.approx(probe_ref, rel=REL, abs=1e-14)
-    assert certificate_margin == pytest.approx(cert_ref, rel=REL, abs=1e-14)
+    # at tol = -inf no certificate proves an atom, so every atom is probed
+    margins, note = perturbation._closeness(x, y, z, params, probes, -np.inf)
+    assert margins["probe_margin"] == pytest.approx(probe_ref, rel=REL, abs=1e-14)
+    assert margins["certificate_margin"] == pytest.approx(cert_ref, rel=REL, abs=1e-14)
+    assert note == f"closeness of {atoms} atoms decided by the probes on {atoms}"
+
+
+def _zero_perturbation_composite(complex_):
+    """The composite stacks of a 12-atom, dim-8 resolution against itself, and zero params.
+
+    CI's zero perturbation: no certificate proves an atom, so all are
+    probed. The complex stacks are the real ones under one unitary, with
+    the same norms on every vector.
+    """
+    base = instances.random_resolution_family(8, 12, 0)
+    stacks = perturbation._composite_stacks(base, base.operators)
+    if complex_:
+        rng = np.random.default_rng(3)
+        unitary, _ = np.linalg.qr(_draw(rng, (8, 8), True))
+        stacks = tuple(unitary @ s for s in stacks)
+    return stacks, PerturbationParams.uniform(0.0, 0.0, 0.0, 12)
 
 
 def test_closeness_holds_one_buffer_of_images():
     # 12 atoms in dimension 8: the stacked [X; Y; Z] images a chunk of
     # probes into one (36, 8, 256) buffer, 589,824 bytes, reused for all
     # 2,000 probes; the peak stays below a second buffer's worth
-    base, comp, params, _ = instances.composite_instance(8, 12, 0)
-    stacks = perturbation._composite_stacks(base, comp.operators)
+    _assert_one_buffer_of_images(complex_=False)
+
+
+def test_closeness_holds_one_buffer_of_complex_images():
+    # the same with a 1,179,648-byte complex buffer, whose squares are
+    # summed over its real and imaginary views rather than a conjugate copy
+    _assert_one_buffer_of_images(complex_=True)
+
+
+def _assert_one_buffer_of_images(complex_):
+    stacks, params = _zero_perturbation_composite(complex_)
     probes = hilbert.unit_probes(8, perturbation.CLOSENESS_PROBES)
-    images = 3 * 12 * 8 * perturbation._PROBE_CHUNK * np.dtype(float).itemsize
+    images = 3 * 12 * 8 * perturbation._PROBE_CHUNK * stacks[0].itemsize
     tracemalloc.start()
     try:
-        margins = perturbation._closeness(*stacks, params, probes)
+        margins, note = perturbation._closeness(*stacks, params, probes, 1e-9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * images
+    assert note == "closeness of 12 atoms decided by the probes on 12"
     norms = [np.linalg.norm(s @ probes, axis=1) for s in stacks]
     excess = norms[0] - params.lambda1 * norms[1] - params.lambda2 * norms[2]
-    assert margins[0] == pytest.approx(
+    assert margins["probe_margin"] == pytest.approx(
         (excess - np.asarray(params.phi)[:, None]).max(), rel=REL, abs=1e-14
     )
+
+
+def _closeness_oracle_case(seed, dim, atoms, complex_, pattern, aligned, tol):
+    """Stacks and params where the closeness inequality is near its boundary.
+
+    ``pattern`` says which of lambda1, lambda2 and phi are nonzero. Where
+    ``aligned``, X_i = t_i U_i (lambda1 Y_i + lambda2 Z_i + phi_i I) with U_i
+    unitary and t_i in (0.95, 1.05): the triangle inequality holds at t_i =
+    1, tightly with one right-hand term. Otherwise X_i is random, scaled to
+    a fraction up to 1.5 of lambda1 ||Y_i|| + lambda2 ||Z_i|| + phi_i, or
+    of 2 tol where all three are 0.
+    """
+    rng = np.random.default_rng(seed)
+    x, y, z = (_draw(rng, (atoms, dim, dim), complex_) for _ in range(3))
+    on1, on2, on_phi = pattern
+    params = PerturbationParams(
+        rng.uniform(0.0, 2.0) if on1 else 0.0,
+        rng.uniform(0.0, 0.99) if on2 else 0.0,
+        rng.uniform(0.0, 2.0, atoms) if on_phi else np.zeros(atoms),
+    )
+    phi = np.asarray(params.phi)[:, None, None]
+    if aligned:
+        unitary = np.linalg.qr(x)[0]
+        rhs = params.lambda1 * y + params.lambda2 * z + phi * np.eye(dim)
+        return rng.uniform(0.95, 1.05, (atoms, 1, 1)) * unitary @ rhs, y, z, params
+    reach = (
+        params.lambda1 * hilbert.operator_norms(y)
+        + params.lambda2 * hilbert.operator_norms(z) + phi[:, 0, 0]
+    )
+    reach = np.where(reach > 0.0, reach, 2.0 * tol)
+    x *= (rng.uniform(0.0, 1.5, atoms) * reach / hilbert.operator_norms(x))[:, None, None]
+    return x, y, z, params
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 10), st.booleans(),
+    st.tuples(st.booleans(), st.booleans(), st.booleans()), st.booleans(),
+    st.sampled_from([1e-9, 1e-3, 0.3]),
+)
+def test_certified_excess_bounds_a_dense_search(seed, dim, atoms, complex_, pattern, aligned, tol):
+    # on every atom a certificate proves, no vector of a dense search (the
+    # basis, 20,000 probes and M_i's bottom eigenvector) has a larger excess
+    # than the certified one, up to rounding; the proved atoms are those
+    # whose certified excess is at most tol
+    x, y, z, params = _closeness_oracle_case(seed, dim, atoms, complex_, pattern, aligned, tol)
+    certificate, excess, tier = perturbation._certified_excess(x, y, z, params, tol)
+    assert np.array_equal(tier < 2, excess <= tol)
+    l1, l2, phi = params.lambda1, params.lambda2, np.asarray(params.phi)
+    rng = np.random.default_rng(seed)
+    probes = _draw(rng, (dim, 20_000), complex_)
+    probes /= np.linalg.norm(probes, axis=0)
+    for i in np.flatnonzero(tier < 2):
+        sy, sz = np.linalg.norm(y[i], -2), np.linalg.norm(z[i], -2)
+        c = phi[i] ** 2 + 2 * (l1 * l2 * sy * sz + l1 * phi[i] * sy + l2 * phi[i] * sz)
+        m = l1**2 * adjoint(y[i]) @ y[i] + l2**2 * adjoint(z[i]) @ z[i] - adjoint(x[i]) @ x[i]
+        bottom = np.linalg.eigh(m + c * np.eye(dim))[1][:, :1]
+        f = np.hstack([np.eye(dim), probes, bottom])
+        search = (
+            np.linalg.norm(x[i] @ f, axis=0) - l1 * np.linalg.norm(y[i] @ f, axis=0)
+            - l2 * np.linalg.norm(z[i] @ f, axis=0) - phi[i]
+        ).max()
+        scale = sum(lam * np.linalg.norm(a[i], 2) for lam, a in ((1.0, x), (l1, y), (l2, z)))
+        assert search <= excess[i] + 1e-13 * (scale + phi[i])
+        if tier[i] == 0:
+            assert excess[i] >= certificate[i]
 
 
 def _reference_subset_masks(natoms, nrandom, rng=None, limit=None):
