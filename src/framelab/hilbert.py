@@ -265,6 +265,11 @@ def self_adjoint_eigh(a: np.ndarray):
     return np.linalg.eigh(a)
 
 
+def rounding_allowance(dim: int) -> float:
+    """8 d^2 eps: the relative rounding allowed an eigensolve of a d x d hermitian matrix."""
+    return 8.0 * dim * dim * np.finfo(float).eps
+
+
 def self_adjoint_spectrum(a: np.ndarray) -> np.ndarray:
     """Real spectrum of a self-adjoint matrix, ascending."""
     return self_adjoint_eigh(a)[0]

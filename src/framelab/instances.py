@@ -52,7 +52,9 @@ def _spanning_ranks(rng, dim: int, atoms: int):
     """Yield the rank draws, of 200 tries, whose ranks sum to at least ``dim``.
 
     Each try draws ``atoms`` ranks from [1, max(dim, 2) - 1]; ValueError
-    when even the largest ranks cannot span.
+    when even the largest ranks cannot span. Otherwise a try spans with
+    probability at least 1/2 (the sum is symmetric about atoms max(dim, 2) / 2
+    >= dim), so all 200 fail with probability at most 2^-200.
     """
     top_rank = max(dim, 2) - 1
     if atoms * top_rank < dim:
@@ -123,19 +125,20 @@ def random_fusion_family(
     """Seeded random frame of subspaces with spanning ranks and random weights.
 
     Ranks are drawn from [1, dim - 1] (1 when dim is 1), so ``atoms`` of
-    them must be able to reach ``dim``; otherwise ValueError.
+    them must be able to reach ``dim``; otherwise ValueError, as when the
+    one draw's lower frame bound is at most 1e-9 max(B, 1).
     """
     rng = np.random.default_rng(seed)
-    for ranks in _spanning_ranks(rng, dim, atoms):
-        fam = WeightedSubspaceFamily(
-            subspaces=tuple(_random_basis(rng, dim, int(r)) for r in ranks),
-            weights=rng.uniform(0.5, 2.0, atoms),
-            masses=rng.uniform(0.5, 2.0, atoms),
-        )
-        bounds = fusion.frame_bounds(fam)
-        if bounds.lower > 1e-9 * max(bounds.upper, 1.0):
-            return fam
-    raise RuntimeError(f"no spanning family found for seed {seed}")
+    ranks = next(_spanning_ranks(rng, dim, atoms))
+    fam = WeightedSubspaceFamily(
+        subspaces=tuple(_random_basis(rng, dim, int(r)) for r in ranks),
+        weights=rng.uniform(0.5, 2.0, atoms),
+        masses=rng.uniform(0.5, 2.0, atoms),
+    )
+    bounds = fusion.frame_bounds(fam)
+    if not bounds.lower > 1e-9 * max(bounds.upper, 1.0):
+        raise ValueError(f"seed {seed} draws frame bounds {bounds.lower:.3e}, {bounds.upper:.3e}")
+    return fam
 
 
 def rotating_line_family(n: int = 64) -> WeightedSubspaceFamily:
@@ -274,7 +277,8 @@ def induced_frame_instance(
     With exact=True the operators are orthogonal-block projectors with
     unit weight-mass products, so the range projectors coincide with the
     operators and the deviation constant vanishes. Otherwise ranks are
-    drawn as in ``random_fusion_family``, with the same ValueError.
+    drawn as in ``random_fusion_family``, with the same ValueError, also
+    raised where the one draw's Gram lower bound is at most 1e-9 max(D, 1).
     """
     rng = np.random.default_rng(seed)
     if exact:
@@ -289,27 +293,21 @@ def induced_frame_instance(
         )
     weights = rng.uniform(0.5, 2.0, atoms)
     masses = rng.uniform(0.5, 2.0, atoms)
-    for ranks in _spanning_ranks(rng, dim, atoms):
-        projectors = _projectors(_random_basis(rng, dim, int(r)) for r in ranks)
-        directions = projectors @ _unit_norm(rng.standard_normal((atoms, dim, dim)))
-        eps = 0.3
-        for _ in range(40):
-            raw = projectors + eps * directions
-            total = sum((weights * weights * masses)[:, None, None] * raw)
-            svals = np.linalg.svd(total, compute_uv=False)
-            if svals[-1] > 1e-6 * svals[0]:
-                fam = OperatorFamily(
-                    operators=raw @ np.linalg.inv(total),
-                    weights=weights,
-                    masses=masses,
-                    sum_mode=SumMode.WEIGHTED,
-                )
-                rbounds = resolution.resolution_bounds(fam)
-                if rbounds.lower > 1e-9 * max(rbounds.upper, 1.0):
-                    return fam
-                break
-            eps *= 0.5
-    raise RuntimeError(f"no invertible weighted sum found for seed {seed}")
+    ranks = next(_spanning_ranks(rng, dim, atoms))
+    projectors = _projectors(_random_basis(rng, dim, int(r)) for r in ranks)
+    directions = projectors @ _unit_norm(rng.standard_normal((atoms, dim, dim)))
+    raw = projectors + 0.3 * directions
+    total = sum((weights * weights * masses)[:, None, None] * raw)
+    fam = OperatorFamily(
+        operators=raw @ np.linalg.inv(total),
+        weights=weights,
+        masses=masses,
+        sum_mode=SumMode.WEIGHTED,
+    )
+    rbounds = resolution.resolution_bounds(fam)
+    if not rbounds.lower > 1e-9 * max(rbounds.upper, 1.0):
+        raise ValueError(f"seed {seed} draws Gram bounds {rbounds.lower:.3e}, {rbounds.upper:.3e}")
+    return fam
 
 
 def sandwich_instance(
@@ -397,17 +395,15 @@ def vector_frame_instance(dim: int = 4, atoms: int = 6, seed: int = 0):
     """Raw resolution plus a spanning sequence of dim + 2 vectors.
 
     The induced-frame containment needs the sequence to span the whole
-    space; this generator redraws until it does.
+    space; ValueError names the seed should its one Gaussian draw not.
 
     Returns (operator_family, vectors).
     """
     base = random_resolution_family(dim, atoms, seed)
-    rng = np.random.default_rng([seed, 3])
-    for _ in range(100):
-        vecs = rng.standard_normal((dim, dim + 2))
-        if range_bases(vecs[None])[0].shape[1] == dim:
-            return base, tuple(vecs.T)
-    raise RuntimeError(f"no spanning sequence found for seed {seed}")
+    vecs = np.random.default_rng([seed, 3]).standard_normal((dim, dim + 2))
+    if range_bases(vecs[None])[0].shape[1] != dim:
+        raise ValueError(f"seed {seed} draws {dim + 2} vectors that do not span dimension {dim}")
+    return base, tuple(vecs.T)
 
 
 def perturbed_sum_instance(
@@ -558,8 +554,9 @@ def composite_instance(
     """Resolution plus a Bessel-dominated family nearly inverting it atomwise.
 
     kinds: "scalar" builds both families from scalar multiples of the
-    identity with small noise, shrinking the noise until the side constant
-    is strictly positive; "identity" is the one-atom identity pair;
+    identity with small noise, and ValueError names the seed where its one
+    draw has side constant <= 1e-6 or lam >= 0.95; "identity" is the
+    one-atom identity pair;
     "projector_defect" returns a projector family composed with itself,
     whose additive envelope is forced to one so the side condition fails
     for any positive lambda1 (the check must report that honestly).
@@ -601,23 +598,13 @@ def composite_instance(
     eps = rng.uniform(-0.02, 0.02, atoms)
     eta = 0.005 * float(alphas.min())
     noise = _unit_norm(hermitian_part(rng.standard_normal((atoms, dim, dim))))
-    for _ in range(60):
-        raw_s = (alphas * (1.0 + eps))[:, None, None] * np.eye(dim) + eta * noise
-        gram = sum(adjoint(raw_s) @ raw_s)
-        top = float(np.linalg.eigvalsh(hermitian_part(gram))[-1])
-        c = min(1.0, math.sqrt(d_const / top) * (1.0 - 1e-12))
-        s_ops = c * raw_s
-        lam = (
-            operator_norms(base.operators - s_ops) / alphas
-        ).max() * (1.0 + 1e-9)
-        phi = np.maximum(composite_defects(base, s_ops, lambda1, lambda2), 0.0) + 1e-12
-        side = math.sqrt(atoms) - lambda1 * math.sqrt(d_const) - float(
-            np.linalg.norm(phi)
-        )
-        if side > 1e-6 and lam < 0.95:
-            family = replace(base, operators=s_ops)
-            return base, family, PerturbationParams(lambda1, lambda2, phi), lam
-        eps = eps * 0.5
-        eta *= 0.5
-        lambda1 *= 0.7
-    raise RuntimeError(f"no valid composite instance found for seed {seed}")
+    raw_s = (alphas * (1.0 + eps))[:, None, None] * np.eye(dim) + eta * noise
+    gram = sum(adjoint(raw_s) @ raw_s)
+    top = float(np.linalg.eigvalsh(hermitian_part(gram))[-1])
+    s_ops = min(1.0, math.sqrt(d_const / top) * (1.0 - 1e-12)) * raw_s
+    lam = (operator_norms(base.operators - s_ops) / alphas).max() * (1.0 + 1e-9)
+    phi = np.maximum(composite_defects(base, s_ops, lambda1, lambda2), 0.0) + 1e-12
+    side = math.sqrt(atoms) - lambda1 * math.sqrt(d_const) - float(np.linalg.norm(phi))
+    if not (side > 1e-6 and lam < 0.95):
+        raise ValueError(f"seed {seed} draws side constant {side:.3e} and lam {lam:.3e}")
+    return base, replace(base, operators=s_ops), PerturbationParams(lambda1, lambda2, phi), lam

@@ -237,8 +237,8 @@ def _certified_excess(x, y, z, params: PerturbationParams, tol: float):
     Loewner certificate proves all that the singular values prove, up to
     rounding.
 
-    Rounding: with u = 8 d^2 eps, the relative backward error that
-    _margin_bounds allows eigvalsh, each computed singular value is taken
+    Rounding: with u = hilbert.rounding_allowance(d), the relative backward
+    error allowed eigvalsh, each computed singular value is taken
     within u times its matrix's largest one of the exact value. With a_i =
     sigma_max(X_i) and b_i = lambda1 sigma_max(Y_i) + lambda2 sigma_max(Z_i)
     + phi_i, the singular-value bound then moves by at most u (a_i + b_i),
@@ -252,7 +252,7 @@ def _certified_excess(x, y, z, params: PerturbationParams, tol: float):
     d = x.shape[-1]
     lambda1, lambda2, phi = params.lambda1, params.lambda2, np.asarray(params.phi)
     sv = _stack_singulars(x, y, z)
-    u = 8.0 * d * d * np.finfo(float).eps
+    u = hilbert.rounding_allowance(d)
     a, b = sv[0, :, 0], lambda1 * sv[1, :, 0] + lambda2 * sv[2, :, 0] + phi
     certificate = _certificate_defects(sv, lambda1, lambda2) - phi
     excess = certificate + u * (a + b)
@@ -373,10 +373,11 @@ def _margin_bounds(cert: np.ndarray, scale: np.ndarray):
     scales; the margin is eigvalsh(cert)[:, 0] / scale as computed in
     floating point. Gershgorin's discs put lambda_min at or above
     min_j(c_jj - sum_{k != j} |c_jk|), and the smallest diagonal entry is at
-    or above it. ``slack`` is 8 d^2 eps ||cert||_inf, and ||cert||_2 is at
-    most the largest absolute row sum: it covers the eigensolver's backward
-    error, the rounding of these sums, and the Cholesky backward error used
-    by _candidates (Higham, Accuracy and Stability of Numerical Algorithms,
+    or above it. ``slack`` is hilbert.rounding_allowance(d) ||cert||_inf
+    (8 d^2 eps ||cert||_inf), and ||cert||_2 is at most the largest
+    absolute row sum: it covers the eigensolver's backward error, the
+    rounding of these sums, and the Cholesky backward error used by
+    _candidates (Higham, Accuracy and Stability of Numerical Algorithms,
     Thm 10.7).
     """
     d = cert.shape[-1]
@@ -384,7 +385,7 @@ def _margin_bounds(cert: np.ndarray, scale: np.ndarray):
     # axis of length d faster when the subsets run along the last axis
     rows = np.abs(cert).transpose(1, 2, 0).sum(axis=1)
     diag = np.ascontiguousarray(cert.diagonal(axis1=1, axis2=2).real.T)
-    slack = 8.0 * d * d * np.finfo(float).eps * rows.max(axis=0)
+    slack = hilbert.rounding_allowance(d) * rows.max(axis=0)
     # c_jj - (rows_j - |c_jj|) is the left end of disc j
     lower = ((diag + np.abs(diag) - rows).min(axis=0) - slack) / scale
     upper = (diag.min(axis=0) + slack) / scale
@@ -413,7 +414,7 @@ def _candidates(cert: np.ndarray, scale: np.ndarray, worst: float) -> np.ndarray
     # the slack again for the part of the factorization's error that grows
     # with the shift itself
     shift = bound * scale[keep]
-    shift += slack[keep] + 8.0 * d * d * np.finfo(float).eps * np.abs(shift)
+    shift += slack[keep] + hilbert.rounding_allowance(d) * np.abs(shift)
     try:
         np.linalg.cholesky(cert[keep] - shift[:, None, None] * np.eye(d))
     except np.linalg.LinAlgError:
@@ -800,11 +801,11 @@ def verify_composite_perturbation(
         ||w f - w^2 T S f|| <= lambda1 ||w T f|| + lambda2 ||w^2 T S f|| + phi ||f||
 
     holds, atom by atom proved for every vector by a certificate of
-    _closeness where one holds, and decided on random unit probes only
-    where none does; composition is norm-dominated (||T S f|| <= E ||S f||
-    with E the largest base operator norm, which holds by the definition of
-    E and is recorded, not probed); the subset-stability check
-    passes with lam; and the side constant
+    _closeness where one holds, and decided on the canonical basis plus
+    random unit probes only where none does; composition is
+    norm-dominated (||T S f|| <= E ||S f|| with E the largest base operator
+    norm, which holds by the definition of E and is recorded, not probed);
+    the subset-stability check passes with lam; and the side constant
     s = sqrt(sum w^2 mu) - lambda1 sqrt(D) - phi_l2 is strictly positive.
 
     Conclusion: the weighted quadratic mean of ||S_i f|| clears
@@ -936,7 +937,7 @@ class _SharedPieces:
         )
 
         e_const = self.base_report.constants["sup_norm"]
-        probes = hilbert.unit_probes(base.ambient_dim, CLOSENESS_PROBES)
+        probes = hilbert.basis_and_probes(base.ambient_dim, CLOSENESS_PROBES)
         margins, note = _closeness(
             *_composite_stacks(base, composed_with.operators), params, probes, tol
         )

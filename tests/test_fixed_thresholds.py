@@ -59,7 +59,6 @@ def test_check_signatures_are_pinned(fn):
 
 def test_constants_hold_the_former_defaults():
     assert (perturbation.CLOSENESS_PROBES, perturbation.BOUND_PROBES) == (2000, 1000)
-    assert theorems.PROJECTION_PROBES == 1000
     assert (perturbation.SINGULAR_CUT, resolution.ALIGN_TOL, hilbert.SELF_ADJOINT_RTOL) == (
         1e-12, 1e-12, 1e-12,
     )

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from framelab import fusion, instances, resolution
+from framelab import fusion, hilbert, instances, perturbation, resolution
 from framelab.fusion import WeightedSubspaceFamily
 from framelab.resolution import OperatorFamily
 
@@ -169,3 +169,25 @@ def test_block_builders_take_a_single_atom():
     assert fam.natoms == 1
     subs, ops = instances.sandwich_instance(3, 1, 0, scaled_orthogonal=True)
     assert subs.natoms == ops.natoms == 1
+
+
+def _no_frame(family):
+    return hilbert.SpectralBounds(0.0, 1.0)
+
+
+@pytest.mark.parametrize("owner, name, stand_in, build", [
+    (fusion, "frame_bounds", _no_frame, lambda: instances.random_fusion_family(4, 6, 7)),
+    (resolution, "resolution_bounds", _no_frame, lambda: instances.induced_frame_instance(4, 6, 7)),
+    # defects of 1 per atom put the side constant below zero
+    (perturbation, "composite_defects", lambda base, *_: np.ones(base.natoms),
+     lambda: instances.composite_instance(4, 5, 7)),
+    # ranges one short of the whole space
+    (instances, "range_bases", lambda stack: [np.zeros((stack.shape[1], stack.shape[1] - 1))],
+     lambda: instances.vector_frame_instance(4, 6, 7)),
+], ids=["random_fusion", "induced_frame", "composite", "vector_frame"])
+def test_a_failed_draw_raises_naming_the_seed(monkeypatch, owner, name, stand_in, build):
+    # the seed-7 draw passes; then the quantity its one check reads is made to fail
+    build()
+    monkeypatch.setattr(owner, name, stand_in)
+    with pytest.raises(ValueError, match="^seed 7 draws "):
+        build()

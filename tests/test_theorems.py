@@ -83,6 +83,25 @@ class TestProjectionIdentityFrame:
         assert not report.passed
         assert "first_power_identity_sum" in report.failed_hypotheses()
 
+    def test_bound_at_equality_passes_at_a_rounding_sized_tolerance(self):
+        # one atom spanning the plane: A = C = omega exactly, computed 5 ulps
+        # apart; quadratic forms of the frame operator on random probes fall
+        # up to 1.3e-15 below C here, so a probe pass would fail at 1e-15
+        fam = instances.projection_identity_instance(1, 0, "orthogonal", 2)
+        report = theorems.verify_frame_from_projection_identity(fam, 1e-15)
+        assert report.passed, report.summary_line()
+        assert report.constants["lower"] < report.constants["predicted_lower"]
+        assert "probe_margin" not in report.constants
+        converse = theorems.verify_orthogonal_decomposition(fam, 1e-15)
+        assert "converse checked via projection-identity frame bound: holds" in converse.notes
+
+    def test_rng_is_accepted_and_left_undrawn(self):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        fam = instances.projection_identity_instance(5, 0)
+        assert theorems.verify_frame_from_projection_identity(fam, rng=rng).passed
+        assert rng.bit_generator.state == state
+
 
 class TestOrthogonalDecomposition:
     def test_orthogonal_blocks_pass_with_converse(self):
@@ -240,8 +259,8 @@ class TestComplexFamilies:
     (hilbert, "self_adjoint_eigh", {"reconstruct_by_support": 1},
      lambda *a: theorems.reconstruct_by_support(*a).report,
      lambda: (instances.block_resolution_family(4, 3, 0), np.ones(4))),
-    # one frame operator gives the spectral bounds and the probe sums, beside
-    # the first-power sum of the gate and the unweighted sum
+    # one frame operator gives the spectral bounds, beside the first-power
+    # sum of the gate and the unweighted sum
     (WeightedSubspaceFamily, "projector_sum",
      {"frame_operator": 1, "first_power_residual": 1, "_unweighted_upper": 1},
      theorems.verify_frame_from_projection_identity,
