@@ -209,7 +209,7 @@ def _projector_checks(family, tol: float):
 
     yield from _gated(
         ["projection_identity_frame"], "first-power projector sum misses the identity by",
-        theorems.first_power_residual(family), tol,
+        theorems.first_power_residual(family), theorems.first_power_limit(family, tol),
         lambda: [theorems.verify_frame_from_projection_identity(family, tol)],
     )
     yield from _gated(

@@ -33,12 +33,16 @@ from .reports import VerificationReport
 _CHECK_CHUNK = 64
 
 
-def _stack(atoms: tuple):
-    """The one pass over the per-atom input: (concatenated bases, ranks).
+def _stack(subspaces):
+    """The one pass over the input: (concatenated bases, ranks).
 
-    Each atom is a ``Subspace`` or a d x r array.
+    Each atom is a ``Subspace`` or a d x r array. One (n, d, r) array is n
+    atoms of rank r taken whole: its basis is one C-ordered copy, reshaped.
     """
-    bases = [a.basis if isinstance(a, Subspace) else np.asarray(a) for a in atoms]
+    if isinstance(subspaces, np.ndarray):
+        n, d, r = subspaces.shape
+        return subspaces.transpose(1, 0, 2).copy().reshape(d, n * r), np.full(n, r)
+    bases = [a.basis if isinstance(a, Subspace) else np.asarray(a) for a in subspaces]
     flat = next((i for i, b in enumerate(bases) if b.ndim != 2), None)
     if flat is not None:
         raise DimensionMismatchError(
@@ -62,11 +66,12 @@ def _padded(basis: np.ndarray, column_atom: np.ndarray, natoms: int) -> np.ndarr
     return out
 
 
-def _check_bases(basis: np.ndarray, column_atom: np.ndarray, ranks: np.ndarray):
+def _check_bases(basis: np.ndarray, column_atom: np.ndarray, ranks: np.ndarray, stack):
     """Every atom's basis is finite with orthonormal columns, checked over the stack.
 
     Works on chunk-sized padded stacks, so the check adds little to the
-    constructor's peak memory.
+    constructor's peak memory. An (n, d, r) ``stack`` of equal-rank atoms is
+    its own padded form and is checked in slices; ``None`` for other input.
     """
     finite = np.isfinite(basis)
     if not finite.all():
@@ -75,8 +80,11 @@ def _check_bases(basis: np.ndarray, column_atom: np.ndarray, ranks: np.ndarray):
     ends = np.cumsum(ranks)
     for lo in range(0, ranks.size, _CHECK_CHUNK):
         hi = min(lo + _CHECK_CHUNK, ranks.size)
-        cols = slice(ends[lo] - ranks[lo], ends[hi - 1])
-        chunk = _padded(basis[:, cols], column_atom[cols] - lo, hi - lo)
+        if stack is None:
+            cols = slice(ends[lo] - ranks[lo], ends[hi - 1])
+            chunk = _padded(basis[:, cols], column_atom[cols] - lo, hi - lo)
+        else:
+            chunk = stack[lo:hi]
         defects = hilbert.orthonormality_defects(chunk, ranks[lo:hi])
         bad = np.flatnonzero(defects > hilbert.ORTHONORMAL_TOL)
         if bad.size:
@@ -91,10 +99,12 @@ class WeightedSubspaceFamily:
     """Finitely many weighted subspaces over an atomic measure.
 
     The constructor takes ``subspaces``: each atom is a ``Subspace`` or a
-    d x r array with orthonormal columns, and the atoms are checked once,
-    together, as one stack. The family stores them in one form: ``basis`` is
-    the d x sum(ranks) concatenation of the orthonormal bases and
-    ``column_atom[k]`` is the atom that column k of ``basis`` belongs to.
+    d x r array with orthonormal columns, or one (n, d, r) array holds n
+    atoms of rank r. The atoms are checked once, together, as one stack; an
+    (n, d, r) array is taken whole, as its own zero-padded form. The family
+    stores them in one form: ``basis`` is the d x sum(ranks) concatenation
+    of the orthonormal bases and ``column_atom[k]`` is the atom that column
+    k of ``basis`` belongs to.
     Read back, ``subspaces`` is derived from ``basis`` on each read.
     ``weights`` and ``masses`` are stored as read-only copies. Families
     compare and hash by identity.
@@ -107,15 +117,16 @@ class WeightedSubspaceFamily:
     column_atom: np.ndarray = field(repr=False, compare=False)
 
     def __init__(self, subspaces, weights, masses, points=()):
-        subs = tuple(subspaces)
-        if not subs:
+        stack = subspaces if isinstance(subspaces, np.ndarray) and subspaces.ndim == 3 else None
+        subs = tuple(subspaces) if stack is None else stack
+        if not len(subs):
             raise ValueError("a family needs at least one atom")
         w, m, pts = hilbert.atom_arrays(weights, masses, points, len(subs), "subspaces")
         basis, ranks = _stack(subs)
         if ranks.max() < 1:
             raise ValueError("at least one subspace must have rank >= 1")
         column_atom = np.repeat(np.arange(len(subs)), ranks)
-        _check_bases(basis, column_atom, ranks)
+        _check_bases(basis, column_atom, ranks, stack)
         for a in (basis, column_atom):
             a.flags.writeable = False
         object.__setattr__(self, "weights", w)

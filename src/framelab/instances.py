@@ -74,19 +74,27 @@ def _unit_norm(stack: np.ndarray) -> np.ndarray:
     return stack / operator_norms(stack)[:, None, None]
 
 
-def _lines(angles) -> np.ndarray:
-    """The lines at ``angles`` in the plane, as one (n, 2, 1) stack of unit vectors."""
-    return np.array([(math.cos(t), math.sin(t)) for t in angles])[:, :, None]
+def _lines(angles: list) -> np.ndarray:
+    """The lines at ``angles`` (floats) in the plane, as one (n, 2, 1) stack of unit vectors.
+
+    ``math.cos`` and ``math.sin`` are mapped over the angles in C: the
+    entries are libm's, which NumPy's SIMD sin and cos may miss by an ulp on
+    some builds.
+    """
+    n = len(angles)
+    trig = [np.fromiter(map(f, angles), float, n) for f in (math.cos, math.sin)]
+    return np.stack(trig, axis=1)[:, :, None]
 
 
 def _line_family(angles, masses=None) -> WeightedSubspaceFamily:
     """Unit-weight lines at ``angles``, each the point of its atom; unit masses by default."""
-    n = len(angles)
+    points = np.asarray(angles, dtype=float).tolist()
+    n = len(points)
     return WeightedSubspaceFamily(
-        subspaces=_lines(angles),
+        subspaces=_lines(points),
         weights=np.ones(n),
         masses=np.ones(n) if masses is None else masses,
-        points=tuple(float(t) for t in angles),
+        points=tuple(points),
     )
 
 
@@ -375,16 +383,18 @@ def projection_identity_instance(
     rng = np.random.default_rng(seed)
     if kind == "equiangular":
         base = equiangular_family(max(atoms, 3))
+        subspaces = base.basis.T[:, :, None]  # one line per atom, as one stack
         kappa = base.natoms / 2.0
     elif kind == "orthogonal":
         base = orthogonal_blocks_family(dim, min(atoms, dim), seed)
+        subspaces = base.subspaces
         kappa = 1.0
     else:
         raise ValueError(f"unknown kind {kind!r}")
     weights = rng.uniform(0.5, 2.0, base.natoms)
     masses = 1.0 / (kappa * weights)
     return WeightedSubspaceFamily(
-        subspaces=base.subspaces,
+        subspaces=subspaces,
         weights=weights,
         masses=masses,
         points=base.points,

@@ -431,12 +431,15 @@ def _certificates(a: np.ndarray, dev: np.ndarray, lam: float):
     """
     g = lam * lam * (adjoint(a) @ a)
     cert = hilbert.hermitian_part(g - adjoint(dev) @ dev)
-    # the scale is max(1, lambda_max(g)), and lambda_max(g) <= trace(g):
-    # where the trace stays a rounding margin below 1 the scale is
-    # exactly 1 and needs no eigenvalue
+    # the scale is max(1, lambda_max(g)), and lambda_max(g) is at most both
+    # trace(g) and g's largest absolute row sum: where either stays a
+    # rounding margin below 1 the scale is exactly 1 and needs no
+    # eigenvalue. Row sums are taken only where the trace is not enough;
+    # ~(<=) leaves a NaN row to eigvalsh
     scale = np.ones(len(a))
-    big = np.einsum("ijj->i", g).real > 1.0 - 1e-8
-    if big.any():
+    big = np.flatnonzero(np.einsum("ijj->i", g).real > 1.0 - 1e-8)
+    big = big[~(np.abs(g[big]).sum(axis=-1).max(axis=-1, initial=0.0) <= 1.0 - 1e-8)]
+    if big.size:
         scale[big] = np.maximum(1.0, np.linalg.eigvalsh(g[big])[:, -1])
     return cert, scale
 

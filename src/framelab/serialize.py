@@ -11,12 +11,17 @@ from __future__ import annotations
 import json
 import math
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .fusion import WeightedSubspaceFamily
 from .hilbert import adjoint, range_bases, require_finite
-from .resolution import OperatorFamily, SumMode
+
+# fusion and resolution are imported by the functions that build or write a
+# family, so a command that fails while parsing its file loads neither
+if TYPE_CHECKING:
+    from .fusion import WeightedSubspaceFamily
+    from .resolution import OperatorFamily
 
 BASIS_KEEP_TOL = 1e-12
 BASIS_WARN_TOL = 1e-8
@@ -154,6 +159,8 @@ def _basis_from_rows(rows, dim: int, where: str) -> np.ndarray:
 
 
 def _family_from_obj(data: dict) -> WeightedSubspaceFamily:
+    from .fusion import WeightedSubspaceFamily
+
     dim = _number(_require(data, "ambient_dim", "fusion family"), "ambient_dim", int)
     raw_atoms = _require(data, "atoms", "fusion family")
     if not isinstance(raw_atoms, list) or not raw_atoms:
@@ -183,6 +190,8 @@ def dumps_operator_family(family: OperatorFamily) -> str:
 
 
 def _resolution_from_obj(data: dict) -> OperatorFamily:
+    from .resolution import OperatorFamily, SumMode
+
     dim = _number(_require(data, "ambient_dim", "resolution"), "ambient_dim", int)
     mode = SumMode(_require(data, "sum_mode", "resolution"))
     raw_atoms = _require(data, "atoms", "resolution")
@@ -211,6 +220,9 @@ def loads_operator_family(text: str) -> OperatorFamily:
 
 
 def dumps_instance(obj) -> str:
+    from .fusion import WeightedSubspaceFamily
+    from .resolution import OperatorFamily
+
     if isinstance(obj, WeightedSubspaceFamily):
         return dumps_fusion_family(obj)
     if isinstance(obj, OperatorFamily):

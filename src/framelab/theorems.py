@@ -37,6 +37,34 @@ def first_power_residual(family: WeightedSubspaceFamily) -> float:
     return float(np.linalg.norm(np.eye(d) - first_power, axis=0).max())
 
 
+def _identity_limit(family: WeightedSubspaceFamily, coef, tol: float) -> float:
+    """tol plus the rounding allowance of a column norm of id - sum_i coef_i P_i.
+
+    ``projector_sum`` forms S = sum_i coef_i P_i, coef_i > 0, as
+    (U * coef[atom]) U* over the N = sum(ranks) columns u_m of the stacked
+    basis. Each entry of S is one rounded coefficient, one scaled product, a
+    dot product of length N and a hermitian average, so its error is at most
+    gamma_{N+3} ~ (N + 3) eps times the entry of M = |U| C |U|*, where
+    C = diag(coef[atom]) (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.1; complex products add at most 2 eps more each).
+    As M = (|U| C^1/2)(|U| C^1/2)*, every column of M has norm at most
+    ||M||_2 <= || |U| C^1/2 ||_F^2 = sum_m coef_m ||u_m||^2 = t, with
+    ||u_m||^2 <= 1 + ORTHONORMAL_TOL. Subtracting from id and taking the
+    column norm add (d + 2) eps relative to the residual, which is itself of
+    rounding size where the identity holds, so those terms are of second
+    order. An identity that holds exactly therefore computes a residual
+    below (N + 5) eps t to first order; the allowance is 4 (N + d) eps t.
+    """
+    n = family.basis.shape[1]
+    t = float(np.asarray(coef, dtype=float)[family.column_atom].sum())
+    return tol + 4.0 * (n + family.ambient_dim) * np.finfo(float).eps * t
+
+
+def first_power_limit(family: WeightedSubspaceFamily, tol: float) -> float:
+    """The largest first_power_residual at which the first-power identity holds within tol."""
+    return _identity_limit(family, family.weights * family.masses, tol)
+
+
 @hilbert.per_family
 def _unweighted_upper(family: WeightedSubspaceFamily) -> float:
     """Top eigenvalue of the unweighted Gram sum sum_i mu_i P_i."""
@@ -214,7 +242,9 @@ def verify_frame_from_projection_identity(
     report.tolerances = {"identity_residual": tol, "bound_slack": tol}
     identity_res = first_power_residual(family)
     report.add_hypothesis(
-        "first_power_identity_sum", identity_res <= tol, residual=identity_res
+        "first_power_identity_sum",
+        identity_res <= first_power_limit(family, tol),
+        residual=identity_res,
     )
     unweighted_top = _unweighted_upper(family)
     report.add_hypothesis(
@@ -265,10 +295,10 @@ def verify_orthogonal_decomposition(
         "cross_norm": cross,
         "decomposition_residual": decomposition_res,
     }
-    report.conclude(decomposition_res <= tol)
+    report.conclude(decomposition_res <= _identity_limit(family, np.ones(family.natoms), tol))
 
     # converse direction, available when the first-power identity holds
-    if first_power_residual(family) <= tol:
+    if first_power_residual(family) <= first_power_limit(family, tol):
         c_const, holds = _converse_bound(family, tol)
         report.constants["converse_predicted_lower"] = c_const
         report.notes.append(

@@ -52,11 +52,14 @@ def workdir(tmp_path_factory):
     (path / "scenario.json").write_text(
         '{"base": "resolution.json", "perturbed": "resolution.json", "lambda": 0.5}'
     )
+    (path / "malformed.json").write_text('{"ambient_dim": 4, "atoms": [')
     return path
 
 
 CASES = [
     (["analyze", "fusion.json"], 0, HEAVY),
+    # a file that is not JSON exits 2 before any family module is loaded
+    (["analyze", "malformed.json"], 2, HEAVY | {"fusion", "resolution"}),
     (["reconstruct", "fusion.json"], 0, HEAVY),
     (["verify", "fusion.json"], 0, {"instances", "measure", "perturbation"}),
     (["verify", "resolution.json"], 0, {"instances", "measure", "perturbation"}),

@@ -543,6 +543,42 @@ def test_subset_scale_above_one_shares_a_chunk_with_scale_one(complex_):
     _same_as_full_scan(masks, ops, base.operators - perturbed.operators, lam, report)
 
 
+def _trace_scale_certificates(a, dev, lam):
+    """_certificates with the scale's eigensolve skipped on the trace alone."""
+    g = lam * lam * (adjoint(a) @ a)
+    cert = hilbert.hermitian_part(g - adjoint(dev) @ dev)
+    scale = np.ones(len(a))
+    big = np.einsum("ijj->i", g).real > 1.0 - 1e-8
+    if big.any():
+        scale[big] = np.maximum(1.0, np.linalg.eigvalsh(g[big])[:, -1])
+    return cert, scale
+
+
+@pytest.mark.parametrize("kind", ["columns", "left", "scalar"])
+def test_row_sums_settle_the_scale_of_a_coordinate_family(kind, monkeypatch):
+    # the base atoms are coordinate projectors, so g = lam^2 A_I* A_I is
+    # lam^2 on the subset's diagonal: its trace lam^2 |I| reaches 1 on every
+    # subset of 4 or more of the 8 atoms, its largest row sum is lam^2 = 1/4
+    base, perturbed, lam = instances.perturbed_sum_instance(8, 3, kind)
+    ops, dev = base.operators, base.operators - perturbed.operators
+    masks = perturbation.all_subset_masks(8)
+    got = perturbation._worst_subset(masks, ops, dev, lam)
+    skipped = 0
+    for _, (a, d) in perturbation.subset_sums(masks, ops, dev):
+        want = _trace_scale_certificates(a, d, lam)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", lambda *args: pytest.fail("scale eigensolve"))
+            cert, scale = perturbation._certificates(a, d, lam)
+        assert _identical(cert, want[0]) and _identical(scale, want[1])
+        skipped += int(np.count_nonzero(np.einsum("ijj->i", a).real * lam * lam > 1.0 - 1e-8))
+    assert skipped == sum(math.comb(8, k) for k in range(4, 9))
+    # the scan keeps its worst subset, its margin's bits and its eigensolve count
+    monkeypatch.setattr(perturbation, "_certificates", _trace_scale_certificates)
+    want = perturbation._worst_subset(masks, ops, dev, lam)
+    assert got[0] == want[0] and got[2] == want[2]
+    assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+
 @pytest.mark.parametrize("complex_", [False, True])
 @pytest.mark.parametrize("zero_atoms", [(7, 8), (0, 1)])
 def test_tied_worst_subsets_resolve_to_the_first_index(complex_, zero_atoms):
@@ -1007,6 +1043,102 @@ def test_family_from_arrays_equals_family_from_subspaces(args):
     from_subspaces = WeightedSubspaceFamily([Subspace(b) for b in bases], weights, masses)
     _same_family(from_arrays, from_subspaces)
     assert fusion.frame_bounds(from_arrays) == fusion.frame_bounds(from_subspaces)
+
+
+def _orthonormal_stack(rng, n, dim, rank, complex_):
+    return np.linalg.qr(_draw(rng, (n, dim, rank), complex_))[0]
+
+
+def _bounds_bits(fam):
+    bounds = fusion.frame_bounds(fam)
+    return np.array([bounds.lower, bounds.upper]).tobytes()
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 2048])
+def test_family_from_a_stack_equals_the_family_from_its_atoms(n, complex_):
+    rng = np.random.default_rng(n)
+    stack = _orthonormal_stack(rng, n, 3, 2, complex_)
+    weights, masses = rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n)
+    per_atom = WeightedSubspaceFamily(tuple(stack), weights, masses)
+    # the same atoms in C and in Fortran order: the basis is C-ordered either
+    # way, and the family keeps no view of the caller's array
+    for whole in (stack, np.asfortranarray(stack)):
+        fam = WeightedSubspaceFamily(whole, weights, masses)
+        _same_family(fam, per_atom)
+        assert fam.basis.flags.c_contiguous and not np.shares_memory(fam.basis, whole)
+        assert _bounds_bits(fam) == _bounds_bits(per_atom)
+
+
+def _no_split(stack):
+    def whole(subspaces):
+        assert isinstance(subspaces, np.ndarray) and subspaces.ndim == 3
+        return stack(subspaces)
+    return whole
+
+
+def test_a_stack_is_taken_whole(monkeypatch):
+    # neither the padded copy of the per-atom path nor a per-atom array is made
+    monkeypatch.setattr(fusion, "_padded", lambda *args: pytest.fail("padded a stack"))
+    monkeypatch.setattr(fusion, "_stack", _no_split(fusion._stack))
+    for fam in (
+        instances.rotating_line_family(2048),
+        instances.mercedes_family(),
+        instances.equiangular_family(9),
+        instances.axes_family(5),
+        instances.projection_identity_instance(6, 1),
+    ):
+        assert fam.basis.flags.c_contiguous
+
+
+def _construction_error(subspaces, n):
+    with pytest.raises(ValueError) as info:
+        WeightedSubspaceFamily(subspaces, np.ones(n), np.ones(n))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("atom", [0, 70])
+def test_a_bad_stack_raises_what_its_atoms_raise(atom, complex_):
+    # 100 atoms span two check chunks; the bad atom may sit in either
+    rng = np.random.default_rng(atom)
+    stack = _orthonormal_stack(rng, 100, 3, 2, complex_)
+    nan, skew = stack.copy(), stack.copy()
+    nan[atom, 1, 0] = np.nan
+    skew[atom] *= 1.0 + 1e-8
+    for bad, start in (
+        (nan, f"atom {atom} basis entry (1, 0) is not finite ("),
+        (skew, f"atom {atom} basis columns not orthonormal (deviation "),
+    ):
+        message = _construction_error(bad, 100)
+        assert message.startswith(start)
+        assert message == _construction_error(tuple(bad), 100)
+    for empty, message in (
+        (np.zeros((100, 3, 0)), "at least one subspace must have rank >= 1"),
+        (np.zeros((0, 3, 2)), "a family needs at least one atom"),
+    ):
+        assert _construction_error(empty, len(empty)) == message
+        assert _construction_error(tuple(empty), len(empty)) == message
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 2048])
+def test_lines_are_libm_cos_and_sin_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    for angles in (
+        ((np.arange(n) + 0.5) * math.pi / n).tolist(),
+        [k * math.pi / n for k in range(n)],
+        rng.uniform(-50.0, 50.0, n).tolist(),
+    ):
+        want = np.array([[[math.cos(t)], [math.sin(t)]] for t in angles])
+        assert _identical(instances._lines(angles), want)
+
+
+def test_projection_identity_lines_equal_the_family_from_their_atoms():
+    fam = instances.projection_identity_instance(7, 3)
+    base = instances.equiangular_family(7)
+    weights = np.random.default_rng(3).uniform(0.5, 2.0, 7)
+    ref = WeightedSubspaceFamily(base.subspaces, weights, 1.0 / (3.5 * weights), base.points)
+    _same_family(fam, ref)
 
 
 # -- builders against per-atom reference constructions ----------------------

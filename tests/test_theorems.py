@@ -95,6 +95,26 @@ class TestProjectionIdentityFrame:
         converse = theorems.verify_orthogonal_decomposition(fam, 1e-15)
         assert "converse checked via projection-identity frame bound: holds" in converse.notes
 
+    def test_identity_sums_are_decided_within_their_rounding(self):
+        # two orthogonal blocks of ranks 4 and 3 spanning R^7: both projector
+        # sums are the identity, computed with a column residual of 1.17e-15
+        fam = instances.projection_identity_instance(2, 0, "orthogonal", 7)
+        residual = theorems.first_power_residual(fam)
+        assert 1e-15 < residual < theorems.first_power_limit(fam, 1e-15)
+        report = theorems.verify_frame_from_projection_identity(fam, 1e-15)
+        assert report.passed, report.summary_line()
+        decomposition = theorems.verify_orthogonal_decomposition(fam, 1e-15)
+        assert decomposition.passed, decomposition.summary_line()
+        assert decomposition.constants["decomposition_residual"] > 1e-15
+        assert "converse checked via projection-identity frame bound: holds" in decomposition.notes
+        # the CLI's gate reads the same limit, so neither check is skipped
+        lines = [line.summary_line() for line in cli._projector_checks(fam, 1e-15)]
+        assert lines == [report.summary_line(), decomposition.summary_line()]
+        # the allowance is of rounding size: masses off by 1e-12 still fail
+        off = WeightedSubspaceFamily(fam.subspaces, fam.weights, fam.masses * (1.0 + 1e-12))
+        report = theorems.verify_frame_from_projection_identity(off, 1e-15)
+        assert report.failed_hypotheses() == ["first_power_identity_sum"]
+
     def test_rng_is_accepted_and_left_undrawn(self):
         rng = np.random.default_rng(5)
         state = rng.bit_generator.state
