@@ -38,6 +38,9 @@ def _stack(subspaces):
 
     Each atom is a ``Subspace`` or a d x r array. One (n, d, r) array is n
     atoms of rank r taken whole: its basis is one C-ordered copy, reshaped.
+    The basis is C-ordered for a sequence of atoms too, whatever their
+    layout (the loaders' atoms are transposed views), so a family's BLAS
+    products round the same for the same entries.
     """
     if isinstance(subspaces, np.ndarray):
         n, d, r = subspaces.shape
@@ -51,7 +54,8 @@ def _stack(subspaces):
     dims = {b.shape[0] for b in bases}
     if len(dims) > 1:
         raise DimensionMismatchError(f"mixed ambient dimensions {sorted(dims)}")
-    return np.concatenate(bases, axis=1), np.array([b.shape[1] for b in bases])
+    basis = np.ascontiguousarray(np.concatenate(bases, axis=1))
+    return basis, np.array([b.shape[1] for b in bases])
 
 
 def _padded(basis: np.ndarray, column_atom: np.ndarray, natoms: int) -> np.ndarray:
@@ -163,9 +167,8 @@ class WeightedSubspaceFamily:
         return hilbert.gram_coefficients(self.weights, self.masses)
 
     def projectors(self) -> np.ndarray:
-        """The per-atom projectors P_i as one (natoms, d, d) stack."""
-        pad = _padded(self.basis, self.column_atom, self.natoms)
-        return pad @ adjoint(pad)
+        """The per-atom projectors P_i as one read-only (natoms, d, d) stack, built once."""
+        return _projector_stack(self)
 
     def project(self, vectors) -> np.ndarray:
         """d x natoms matrix whose column i is P_i v_i, for the columns v_i of ``vectors``."""
@@ -254,6 +257,13 @@ def synthesis(family: WeightedSubspaceFamily, coeffs: Coefficients) -> np.ndarra
             f"block {i} lies outside its subspace (deviation {stickout[i]:.3e})"
         )
     return blocks @ (family.weights * family.masses)
+
+
+@hilbert.per_family
+def _projector_stack(family: WeightedSubspaceFamily) -> np.ndarray:
+    """WeightedSubspaceFamily.projectors: P_i = U_i U_i^* from the zero-padded bases."""
+    pad = _padded(family.basis, family.column_atom, family.natoms)
+    return pad @ adjoint(pad)
 
 
 @hilbert.per_family

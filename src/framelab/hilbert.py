@@ -120,12 +120,14 @@ def stacked_gram(stack: np.ndarray, coef) -> np.ndarray:
     """Hermitian sum of coef_i A_i* A_i over a stack of matrices of shape (n, k, d).
 
     ``coef`` is real, so the one scaled copy is conjugated in place:
-    conj(c a) = c conj(a) exactly.
+    conj(c a) = c conj(a) exactly. The product is the one np.tensordot
+    makes over axes (0, 1), on the same operands, without its wrapper.
     """
+    d = stack.shape[-1]
     scaled = stack * np.asarray(coef)[:, None, None]
     if np.iscomplexobj(scaled):
         np.conjugate(scaled, out=scaled)
-    return hermitian_part(np.tensordot(scaled, stack, axes=([0, 1], [0, 1])))
+    return hermitian_part(np.dot(scaled.transpose(2, 0, 1).reshape(d, -1), stack.reshape(-1, d)))
 
 
 def quadratic_forms(a: np.ndarray, vectors: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import inspect
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -133,20 +133,25 @@ def random_fusion_family(
     """Seeded random frame of subspaces with spanning ranks and random weights.
 
     Ranks are drawn from [1, dim - 1] (1 when dim is 1), so ``atoms`` of
-    them must be able to reach ``dim``; otherwise ValueError, as when the
-    one draw's lower frame bound is at most 1e-9 max(B, 1).
+    them must be able to reach ``dim``; otherwise ValueError. A draw whose
+    lower frame bound is at most 1e-9 max(B, 1) is drawn again, from the
+    same stream: spanning ranks can still give nearly dependent subspaces
+    (dim 5, 3 atoms, seed 1896969790 draws A = 1.8e-10 first). ValueError
+    names the seed if none of _spanning_ranks' draws clears the bound.
     """
     rng = np.random.default_rng(seed)
-    ranks = next(_spanning_ranks(rng, dim, atoms))
-    fam = WeightedSubspaceFamily(
-        subspaces=tuple(_random_basis(rng, dim, int(r)) for r in ranks),
-        weights=rng.uniform(0.5, 2.0, atoms),
-        masses=rng.uniform(0.5, 2.0, atoms),
-    )
-    bounds = fusion.frame_bounds(fam)
-    if not bounds.lower > 1e-9 * max(bounds.upper, 1.0):
-        raise ValueError(f"seed {seed} draws frame bounds {bounds.lower:.3e}, {bounds.upper:.3e}")
-    return fam
+    found = "no spanning ranks"
+    for ranks in _spanning_ranks(rng, dim, atoms):
+        fam = WeightedSubspaceFamily(
+            subspaces=tuple(_random_basis(rng, dim, int(r)) for r in ranks),
+            weights=rng.uniform(0.5, 2.0, atoms),
+            masses=rng.uniform(0.5, 2.0, atoms),
+        )
+        bounds = fusion.frame_bounds(fam)
+        if bounds.lower > 1e-9 * max(bounds.upper, 1.0):
+            return fam
+        found = f"frame bounds {bounds.lower:.3e}, {bounds.upper:.3e}"
+    raise ValueError(f"seed {seed} draws {found}")
 
 
 def rotating_line_family(n: int = 64) -> WeightedSubspaceFamily:
@@ -285,8 +290,11 @@ def induced_frame_instance(
     With exact=True the operators are orthogonal-block projectors with
     unit weight-mass products, so the range projectors coincide with the
     operators and the deviation constant vanishes. Otherwise ranks are
-    drawn as in ``random_fusion_family``, with the same ValueError, also
-    raised where the one draw's Gram lower bound is at most 1e-9 max(D, 1).
+    drawn as in ``random_fusion_family``, with the same ValueError. The
+    noise size starts at 0.3 and is halved, up to 40 times, while the
+    weighted sum has sigma_min <= 1e-6 sigma_max; a draw whose Gram lower
+    bound is then at most 1e-9 max(D, 1) is drawn again, as there, and
+    ValueError names the seed if no draw clears both.
     """
     rng = np.random.default_rng(seed)
     if exact:
@@ -301,21 +309,29 @@ def induced_frame_instance(
         )
     weights = rng.uniform(0.5, 2.0, atoms)
     masses = rng.uniform(0.5, 2.0, atoms)
-    ranks = next(_spanning_ranks(rng, dim, atoms))
-    projectors = _projectors(_random_basis(rng, dim, int(r)) for r in ranks)
-    directions = projectors @ _unit_norm(rng.standard_normal((atoms, dim, dim)))
-    raw = projectors + 0.3 * directions
-    total = sum((weights * weights * masses)[:, None, None] * raw)
-    fam = OperatorFamily(
-        operators=raw @ np.linalg.inv(total),
-        weights=weights,
-        masses=masses,
-        sum_mode=SumMode.WEIGHTED,
-    )
-    rbounds = resolution.resolution_bounds(fam)
-    if not rbounds.lower > 1e-9 * max(rbounds.upper, 1.0):
-        raise ValueError(f"seed {seed} draws Gram bounds {rbounds.lower:.3e}, {rbounds.upper:.3e}")
-    return fam
+    found = "no invertible weighted sum"
+    for ranks in _spanning_ranks(rng, dim, atoms):
+        projectors = _projectors(_random_basis(rng, dim, int(r)) for r in ranks)
+        directions = projectors @ _unit_norm(rng.standard_normal((atoms, dim, dim)))
+        eps = 0.3
+        for _ in range(40):
+            raw = projectors + eps * directions
+            total = sum((weights * weights * masses)[:, None, None] * raw)
+            svals = np.linalg.svd(total, compute_uv=False)
+            if svals[-1] > 1e-6 * svals[0]:
+                fam = OperatorFamily(
+                    operators=raw @ np.linalg.inv(total),
+                    weights=weights,
+                    masses=masses,
+                    sum_mode=SumMode.WEIGHTED,
+                )
+                rbounds = resolution.resolution_bounds(fam)
+                if rbounds.lower > 1e-9 * max(rbounds.upper, 1.0):
+                    return fam
+                found = f"Gram bounds {rbounds.lower:.3e}, {rbounds.upper:.3e}"
+                break
+            eps *= 0.5
+    raise ValueError(f"seed {seed} draws {found}")
 
 
 def sandwich_instance(
@@ -448,7 +464,7 @@ def perturbed_sum_instance(
         ops = (1.0 + deltas)[:, None, None] * base.operators
     else:
         raise ValueError(f"unknown kind {kind!r}")
-    return base, replace(base, operators=ops), lam
+    return base, base.with_operators(ops), lam
 
 
 def _exact_subset_lam(base_ops, deviations) -> float:
@@ -522,13 +538,13 @@ def perturbed_resolution_instance(
         return base, base, params, 0.0
     if kind == "uniform":
         eps = 0.1
-        perturbed = replace(base, operators=(1.0 - eps) * base.operators)
+        perturbed = base.with_operators((1.0 - eps) * base.operators)
         return base, perturbed, PerturbationParams(eps, 0.0, zeros), eps
     if kind == "left":
         g = rng.standard_normal((dim, dim))
         g /= operator_norms(g)
         eps = 0.15
-        perturbed = replace(base, operators=(np.eye(dim) + eps * g) @ base.operators)
+        perturbed = base.with_operators((np.eye(dim) + eps * g) @ base.operators)
         lam = min(eps * (1.0 + 1e-9), 0.95)
         return base, perturbed, PerturbationParams(lam, 0.0, zeros), lam
     if kind != "additive":
@@ -551,7 +567,7 @@ def perturbed_resolution_instance(
             noise = noise_at(budget)
             lam = lam_exact * (1.0 + 1e-9) + 1e-15
             phi = base.weights * operator_norms(noise) * (1.0 + 1e-12)
-            perturbed = replace(base, operators=base.operators + noise)
+            perturbed = base.with_operators(base.operators + noise)
             return base, perturbed, PerturbationParams(0.0, 0.0, phi), lam
         budget *= 0.5
         lam_exact *= 0.5
@@ -617,4 +633,4 @@ def composite_instance(
     side = math.sqrt(atoms) - lambda1 * math.sqrt(d_const) - float(np.linalg.norm(phi))
     if not (side > 1e-6 and lam < 0.95):
         raise ValueError(f"seed {seed} draws side constant {side:.3e} and lam {lam:.3e}")
-    return base, replace(base, operators=s_ops), PerturbationParams(lambda1, lambda2, phi), lam
+    return base, base.with_operators(s_ops), PerturbationParams(lambda1, lambda2, phi), lam

@@ -251,7 +251,7 @@ def _certified_excess(x, y, z, params: PerturbationParams, tol: float):
     """
     d = x.shape[-1]
     lambda1, lambda2, phi = params.lambda1, params.lambda2, np.asarray(params.phi)
-    sv = _stack_singulars(x, y, z)
+    sv = _stack_singulars(x, y, z, lambda1, lambda2)
     u = hilbert.rounding_allowance(d)
     a, b = sv[0, :, 0], lambda1 * sv[1, :, 0] + lambda2 * sv[2, :, 0] + phi
     certificate = _certificate_defects(sv, lambda1, lambda2) - phi
@@ -261,12 +261,10 @@ def _certified_excess(x, y, z, params: PerturbationParams, tol: float):
     k = a * a + b * b
     o = np.flatnonzero((tier > 0) & (k < np.finfo(float).max / 8.0))
     if len(o):
-        xo, yo, zo = x[o], y[o], z[o]
         low_y, low_z = lambda1 * sv[1, o, -1], lambda2 * sv[2, o, -1]
         r = low_y + low_z + phi[o]
         c = r * r - low_y * low_y - low_z * low_z
-        m = lambda1 * lambda1 * (adjoint(yo) @ yo) + lambda2 * lambda2 * (adjoint(zo) @ zo)
-        m -= adjoint(xo) @ xo
+        m = _loewner_gram(x[o], y[o], z[o], lambda1, lambda2)
         m += c[:, None, None] * np.eye(d)
         s = np.maximum(8.0 * u * k[o] - np.linalg.eigvalsh(m)[:, 0], 0.0)
         r = np.maximum(r - u * b[o], 0.0)
@@ -276,13 +274,35 @@ def _certified_excess(x, y, z, params: PerturbationParams, tol: float):
     return certificate, excess, tier
 
 
-def _stack_singulars(x, y, z) -> np.ndarray:
+def _stack_singulars(x, y, z, lambda1: float, lambda2: float) -> np.ndarray:
     """The singular values of each X_i, Y_i and Z_i, descending: a (3, n, d) array.
 
-    One SVD call over the stacked [X; Y; Z]: the same LAPACK call on each
-    matrix as three separate ones, so the values are the same bits.
+    The values of Y and Z are read only times lambda1 and lambda2, so a
+    stack whose lambda is 0 gets zeros in place of an SVD: lambda * 0 is
+    the bits lambda * sigma is, for finite sigma >= 0, signed zeros included.
+    One SVD call over the other stacks, [X; Y; Z] at most: the same LAPACK
+    call on each matrix as separate ones, so the values are the same bits.
     """
-    return np.linalg.svd(np.concatenate([x, y, z]), compute_uv=False).reshape(3, len(x), -1)
+    keep = [k for k, lam in enumerate((1.0, lambda1, lambda2)) if lam != 0.0]
+    found = np.linalg.svd(np.concatenate([(x, y, z)[k] for k in keep]), compute_uv=False)
+    sv = np.zeros((3, len(x), found.shape[-1]))
+    sv[keep] = found.reshape(len(keep), len(x), -1)
+    return sv
+
+
+def _loewner_gram(x, y, z, lambda1: float, lambda2: float) -> np.ndarray:
+    """lambda1^2 Y_i^* Y_i + lambda2^2 Z_i^* Z_i - X_i^* X_i, without the terms whose lambda is 0.
+
+    ``x`` has the dtype common to the three stacks, as in both closeness
+    checks. A term left out is a stack of signed zeros where its Gram is
+    finite, so leaving it out can change only the sign of a zero entry; with
+    a lambda 0, _certified_excess's shift c_i is at least +0, and adding
+    c_i I turns every zero entry into +0, so M_i keeps its bits. With both
+    lambdas nonzero the sum is formed in the full one's order.
+    """
+    terms = [lam * lam * (adjoint(s) @ s) for s, lam in ((y, lambda1), (z, lambda2)) if lam != 0.0]
+    xx = adjoint(x) @ x
+    return sum(terms[1:], terms[0]) - xx if terms else -xx
 
 
 def _certificate_defects(sv: np.ndarray, lambda1: float, lambda2: float) -> np.ndarray:
@@ -302,7 +322,8 @@ def composite_defects(base: OperatorFamily, s: np.ndarray, lambda1: float, lambd
 
     The inequality holds for every vector wherever the defect is at most phi.
     """
-    return _certificate_defects(_stack_singulars(*_composite_stacks(base, s)), lambda1, lambda2)
+    sv = _stack_singulars(*_composite_stacks(base, s), lambda1, lambda2)
+    return _certificate_defects(sv, lambda1, lambda2)
 
 
 # Chunks whose tier-0 bounds one product gives (_PairBounds.group_bounds);
@@ -316,8 +337,12 @@ _CHUNK_BITS = 7
 _SUBSET_CHUNK = 2**_CHUNK_BITS
 
 
+@functools.lru_cache(maxsize=16)
 def all_subset_masks(natoms: int) -> np.ndarray:
-    """Every nonempty index subset, one bool row each, counting with atom 0 as the top bit."""
+    """Every nonempty index subset, one bool row each, counting with atom 0 as the top bit.
+
+    One shared read-only array per atom count.
+    """
     # the counts as big-endian integers of the narrowest width, shifted so
     # their natoms bits lead; unpacked, those bits are the rows, and no
     # temporary is larger than the counts themselves
@@ -325,7 +350,9 @@ def all_subset_masks(natoms: int) -> np.ndarray:
     counts = np.arange(1, 2**natoms, dtype=f">u{width}")
     counts <<= 8 * width - natoms
     rows = counts.view(np.uint8).reshape(-1, width)
-    return np.unpackbits(rows, axis=1, count=natoms).view(bool)
+    masks = np.unpackbits(rows, axis=1, count=natoms).view(bool)
+    masks.flags.writeable = False
+    return masks
 
 
 def subset_masks(natoms: int, nrandom: int, rng=None) -> np.ndarray:
@@ -819,10 +846,23 @@ def verify_composite_perturbation(
     return _SharedPieces(base, composed_with, params, lam, tol).composite_report()
 
 
+def _resolution_facts(family: OperatorFamily, tol: float):
+    """(Gram bounds, identity residual, passed) as verify_resolution(family, tol) reports them.
+
+    The residual is the largest on a basis vector, the report's
+    identity_residual. Read from the per-family memos, with no report built
+    and no operator norm taken.
+    """
+    bounds = resolution.resolution_bounds(family)
+    basis_residual, operator_residual = resolution.identity_sum_residual(family)
+    return bounds, basis_residual, bounds.is_positive() and operator_residual <= tol
+
+
 class _SharedPieces:
     """The pieces the resolution and composite checks share, each computed once.
 
-    The family normalized by its sum and its resolution report are None
+    Of the base and of the family normalized by its sum, the checks read
+    only _resolution_facts. The normalized family and its facts are None
     when the sum is singular, sigma_min <= SINGULAR_CUT max(1, sigma_max).
     """
 
@@ -833,37 +873,33 @@ class _SharedPieces:
         self.params = params
         self.lam = lam
         self.tol = tol
-        self.base_report = resolution.verify_resolution(base, identity_tol=tol)
+        self.base_bounds, self.base_residual, self.base_passed = _resolution_facts(base, tol)
         self.subset_report, _, self.singulars = _perturbed_sum(base, perturbed, lam, tol)
-        self.normalized = self.normalized_report = None
+        self.normalized = self.normalized_facts = None
         if float(self.singulars[-1]) > SINGULAR_CUT * max(float(self.singulars[0]), 1.0):
             self.normalized = resolution.normalize_to_identity(perturbed)
-            self.normalized_report = resolution.verify_resolution(self.normalized, identity_tol=tol)
+            self.normalized_facts = _resolution_facts(self.normalized, tol)
 
     def bessel_dominated(self) -> bool:
         """The perturbed Gram upper bound is at most the base one, to ``tol``."""
         bessel = resolution.resolution_bounds(self.perturbed).upper
-        return bessel <= self.base_report.constants["gram_upper"] + self.tol
+        return bessel <= self.base_bounds.upper + self.tol
 
     def _report(self, check_id: str, tolerances: dict) -> VerificationReport:
         """A report whose first hypothesis is that the base family is a resolution."""
         report = VerificationReport(check_id=check_id, tolerances=tolerances)
-        report.add_hypothesis(
-            "base_resolution",
-            self.base_report.passed,
-            residual=self.base_report.constants["identity_residual"],
-        )
+        report.add_hypothesis("base_resolution", self.base_passed, residual=self.base_residual)
         return report
 
     def _record_normalized(self, report: VerificationReport) -> bool:
         """Record the normalized bounds and identity residual; whether it is a resolution."""
-        if self.normalized_report is None:
+        if self.normalized_facts is None:
             return False
-        constants = self.normalized_report.constants
-        report.constants["normalized_lower"] = constants["gram_lower"]
-        report.constants["normalized_upper"] = constants["gram_upper"]
-        report.constants["normalized_identity_residual"] = constants["identity_residual"]
-        return self.normalized_report.passed
+        bounds, residual, passed = self.normalized_facts
+        report.constants["normalized_lower"] = bounds.lower
+        report.constants["normalized_upper"] = bounds.upper
+        report.constants["normalized_identity_residual"] = residual
+        return passed
 
     def resolution_report(self, pointwise: VerificationReport):
         """verify_perturbed_resolution's (report, normalized family), given the pointwise report."""
@@ -871,8 +907,7 @@ class _SharedPieces:
         report = self._report(
             "perturbed_resolution", {"bound_slack": tol, "identity_residual": tol}
         )
-        c_const = self.base_report.constants["gram_lower"]
-        d_const = self.base_report.constants["gram_upper"]
+        c_const, d_const = self.base_bounds.lower, self.base_bounds.upper
         report.add_hypothesis(
             "pointwise_closeness",
             pointwise.passed,
@@ -930,7 +965,7 @@ class _SharedPieces:
             "auxiliary constant K in the Bessel hypothesis is ignored; the base "
             "Gram upper bound D is used directly"
         )
-        d_const = self.base_report.constants["gram_upper"]
+        d_const = self.base_bounds.upper
         gram_s = resolution.resolution_bounds(composed_with)
         report.add_hypothesis(
             "bessel_dominated",
@@ -939,7 +974,7 @@ class _SharedPieces:
             detail=f"bessel={gram_s.upper:.6e}",
         )
 
-        e_const = self.base_report.constants["sup_norm"]
+        e_const = base.sup_norm()
         probes = hilbert.basis_and_probes(base.ambient_dim, CLOSENESS_PROBES)
         margins, note = _closeness(
             *_composite_stacks(base, composed_with.operators), params, probes, tol

@@ -11,7 +11,7 @@ A family {T_i} with weights and masses resolves the identity when
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,23 +49,12 @@ class OperatorFamily:
     points: tuple = ()
 
     def __post_init__(self):
-        if len(self.operators) == 0:
-            raise ValueError("a family needs at least one operator")
-        try:
-            ops = np.array(self.operators)
-        except ValueError:
-            raise DimensionMismatchError("operators have different shapes") from None
-        if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
-            raise DimensionMismatchError(
-                f"operators must be square matrices of one size, got stacked shape {ops.shape}"
-            )
-        ops = require_finite(ops.astype(np.result_type(float, ops.dtype), copy=False), "operators")
+        ops = _checked_operators(self.operators)
         w, m, pts = hilbert.atom_arrays(
             self.weights, self.masses, self.points, len(ops), "operators"
         )
         if not isinstance(self.sum_mode, SumMode):
             raise ValueError(f"sum_mode must be a SumMode, got {self.sum_mode!r}")
-        ops.flags.writeable = False
         object.__setattr__(self, "operators", ops)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "masses", m)
@@ -89,7 +78,10 @@ class OperatorFamily:
         return self.gram_coefficients()
 
     def identity_sum_matrix(self) -> np.ndarray:
-        return np.tensordot(self.sum_coefficients(), self.operators, axes=1)
+        """sum_i c_i T_i: np.tensordot's product over the atoms, without its wrapper."""
+        ops = self.operators
+        total = np.dot(self.sum_coefficients()[None], ops.reshape(len(ops), -1))
+        return total.reshape(ops.shape[1:])
 
     def operator_norms(self) -> np.ndarray:
         return hilbert.operator_norms(self.operators)
@@ -108,6 +100,42 @@ class OperatorFamily:
         other = object.__new__(OperatorFamily)
         vars(other).update({k: v for k, v in vars(self).items() if k in keep}, sum_mode=mode)
         return other
+
+    def with_operators(self, operators) -> "OperatorFamily":
+        """A family of ``operators`` with this one's weights, masses, points and mode.
+
+        Only the new operators are checked, as the constructor checks them;
+        the read-only per-atom arrays are shared, and no kept piece is.
+        """
+        ops = _checked_operators(operators)
+        if len(ops) != self.natoms:
+            raise AtomMismatchError(
+                f"{len(ops)} operators vs weights {self.weights.shape} "
+                f"and masses {self.masses.shape}"
+            )
+        other = object.__new__(OperatorFamily)
+        vars(other).update(
+            operators=ops, weights=self.weights, masses=self.masses,
+            sum_mode=self.sum_mode, points=self.points,
+        )
+        return other
+
+
+def _checked_operators(operators) -> np.ndarray:
+    """``operators`` as one read-only (natoms, d, d) float or complex array, checked finite."""
+    if len(operators) == 0:
+        raise ValueError("a family needs at least one operator")
+    try:
+        ops = np.array(operators)
+    except ValueError:
+        raise DimensionMismatchError("operators have different shapes") from None
+    if ops.ndim != 3 or ops.shape[1] != ops.shape[2]:
+        raise DimensionMismatchError(
+            f"operators must be square matrices of one size, got stacked shape {ops.shape}"
+        )
+    ops = require_finite(ops.astype(np.result_type(float, ops.dtype), copy=False), "operators")
+    ops.flags.writeable = False
+    return ops
 
 
 @hilbert.per_family
@@ -217,7 +245,7 @@ def normalize_to_identity(family: OperatorFamily) -> OperatorFamily:
     Raises numpy.linalg.LinAlgError when the sum is singular.
     """
     inv = np.linalg.inv(family.identity_sum_matrix())
-    return replace(family, operators=family.operators @ inv)
+    return family.with_operators(family.operators @ inv)
 
 
 def from_orthonormal_basis(dim: int = 4) -> OperatorFamily:

@@ -135,8 +135,7 @@ def verify_induced_fusion_frame(family: OperatorFamily, tol: float = 1e-9):
     bounds = fusion.frame_bounds(induced)
 
     # deviation between each operator and the projector onto its range
-    deviation = induced.projectors()
-    deviation -= family.operators
+    deviation = induced.projectors() - family.operators
     dev = hilbert.stacked_gram(deviation, family.gram_coefficients())
     r_const = max(float(hilbert.self_adjoint_spectrum(dev)[-1]), 0.0)
     d_const = rbounds.upper

@@ -193,6 +193,14 @@ def test_verify_computes_each_derived_operator_once(tmp_path, capsys, callers):
     assert identity_sums == {"identity_sum_residual": 2}
 
 
+def test_verify_builds_the_induced_projectors_once(capsys, callers):
+    # the induced-frame check and the sandwich check read the same stack
+    padded = callers(fusion, "_padded")
+    assert run(["verify", "--scenario", "basis_resolution"]) == cli.EXIT_OK
+    assert capsys.readouterr().out.count("PASS") == 8
+    assert padded["_projector_stack"] == 1
+
+
 def test_reconstruct_tight_family(capsys):
     assert run([
         "reconstruct", "--scenario", "mercedes", "--vector", "[0.5, -1.5]",
@@ -308,6 +316,14 @@ def test_gen_random_fusion_too_few_atoms_to_span_is_a_parse_failure(capsys, monk
         "gen", "--scenario", "random_fusion", "--dim", "2", "--atoms", "1",
     ]) == cli.EXIT_PARSE
     assert "1 atoms of rank at most 1 cannot span dimension 2" in capsys.readouterr().err
+
+
+def test_gen_random_fusion_redraws_where_the_first_draw_is_no_frame(tmp_path):
+    # the seed's first spanning draw has lower bound 1.4e-9 < 1e-9 max(B, 1)
+    path = tmp_path / "f.json"
+    args = ["--scenario", "random_fusion", "--dim", "2", "--atoms", "2", "--seed", "1775758594"]
+    assert run(["gen", *args, "--out", str(path)]) == cli.EXIT_OK
+    assert run(["verify", str(path)]) == cli.EXIT_OK
 
 
 def test_reconstruct_deficient_family_fails(tmp_path, capsys):
@@ -536,13 +552,17 @@ def test_perturb_runs_each_shared_piece_once(tmp_path, monkeypatch, capsys, call
     count(perturbation, "check_perturbation")
     count(resolution, "verify_resolution")
     grams = callers(hilbert, "stacked_gram")
+    residuals = callers(hilbert, "operator_norm")
     run(["perturb", str(path)])
     assert "composite_perturbation: PASS" in capsys.readouterr().out
-    assert calls == {"_worst_subset": 1, "check_perturbation": 1, "verify_resolution": 2}
-    # verify_resolution runs on the base and the normalized family; each of
-    # those assembles its Gram operator, and the perturbed family's, read by
-    # its bounds and the composite probes, makes the third
+    # no resolution report is built for the base or the normalized family:
+    # the checks read their Gram bounds and identity residuals directly
+    assert calls == {"_worst_subset": 1, "check_perturbation": 1}
+    # one Gram operator each for the base, the normalized family and the
+    # perturbed family (read by its bounds and the composite probes), and one
+    # identity residual each for the base and the normalized family
     assert grams == {"resolution_gram": 3}
+    assert residuals == {"identity_sum_residual": 2}
 
 
 def test_perturb_failing_scenario_gives_exit_one(tmp_path, capsys):

@@ -257,3 +257,21 @@ class TestNonFiniteInput:
             WeightedSubspaceFamily(
                 subspaces=(sub, sub), weights=np.ones(2), masses=np.array([np.nan, 1.0])
             )
+
+
+def test_basis_is_c_ordered_whatever_the_atoms_layout():
+    # the same atoms in C order, in Fortran order and as transposed views
+    fam = instances.random_fusion_family(5, 10, 4)
+    atoms = [sub.basis for sub in fam.subspaces]
+    for layout in (np.ascontiguousarray, np.asfortranarray, lambda b: np.ascontiguousarray(b.T).T):
+        again = WeightedSubspaceFamily([layout(b) for b in atoms], fam.weights, fam.masses)
+        assert again.basis.flags.c_contiguous
+        assert np.array_equal(again.basis, fam.basis)
+        assert fusion.frame_bounds(again) == fusion.frame_bounds(fam)
+
+
+def test_projectors_are_built_once_and_read_only():
+    fam = instances.random_fusion_family(4, 6, 0)
+    p = fam.projectors()
+    assert fam.projectors() is p and not p.flags.writeable
+    assert np.array_equal(p, np.stack([sub.projector() for sub in fam.subspaces]))

@@ -291,3 +291,23 @@ def test_memoized_operators_are_kept_and_read_only(memoized, build):
     other = build()
     assert memoized(other) is not kept
     assert np.array_equal(memoized(other), kept)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_stacked_gram_is_tensordots_product(complex_):
+    # the same np.dot on the operands np.tensordot builds, bit for bit
+    rng = np.random.default_rng(8)
+    for n, k, d in ((1, 1, 1), (2, 3, 2), (6, 4, 4), (40, 8, 8), (12, 3, 7)):
+        stack = rng.standard_normal((n, k, d))
+        if complex_:
+            stack = stack + 1j * rng.standard_normal((n, k, d))
+        coef = rng.uniform(0.5, 2.0, n)
+        scaled = stack * coef[:, None, None]
+        want = hilbert.hermitian_part(np.tensordot(scaled.conj(), stack, axes=([0, 1], [0, 1])))
+        assert hilbert.stacked_gram(stack, coef).tobytes() == want.tobytes()
+        # a non-contiguous stack takes the same copies as in np.tensordot
+        view = stack.transpose(0, 2, 1)
+        want = hilbert.hermitian_part(
+            np.tensordot((view * coef[:, None, None]).conj(), view, axes=([0, 1], [0, 1]))
+        )
+        assert hilbert.stacked_gram(view, coef).tobytes() == want.tobytes()

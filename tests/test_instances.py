@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from framelab import fusion, hilbert, instances, perturbation, resolution
+from framelab import fusion, hilbert, instances, perturbation, resolution, theorems
 from framelab.fusion import WeightedSubspaceFamily
 from framelab.resolution import OperatorFamily
 
@@ -163,6 +163,51 @@ def test_ranked_builders_reject_sizes_that_cannot_span(build, dim, atoms):
         build(dim, atoms, 0)
 
 
+@pytest.mark.parametrize("dim, atoms, seed, first_lower", [
+    (5, 3, 1896969790, 1.81e-10),
+    (8, 4, 1340283993, 1.44e-10),
+    (2, 2, 1775758594, 1.41e-9),
+])
+def test_random_fusion_family_redraws_a_nearly_dependent_draw(
+    monkeypatch, dim, atoms, seed, first_lower
+):
+    # the first draw's ranks span, yet its lower bound is below 1e-9 max(B, 1):
+    # the next draw of the same stream is a frame
+    drawn = []
+    frame_bounds = fusion.frame_bounds
+
+    def kept(fam):
+        drawn.append(frame_bounds(fam))
+        return drawn[-1]
+
+    monkeypatch.setattr(fusion, "frame_bounds", kept)
+    fam = instances.random_fusion_family(dim, atoms, seed)
+    monkeypatch.undo()
+    assert len(drawn) == 2
+    assert drawn[0].lower == pytest.approx(first_lower, rel=0.01)
+    assert drawn[1] == fusion.frame_bounds(fam) and drawn[1].is_positive()
+    assert fusion.verify_characterization(fam).passed
+    for f in np.random.default_rng(0).standard_normal((5, dim)):
+        assert fusion.reconstruct(fam, f).residual <= 1e-14
+
+
+@pytest.mark.parametrize("dim, atoms, seed", [
+    # at noise 0.3 the weighted sum has sigma_min = 4.7e-8 sigma_max; six
+    # halvings clear 1e-6 (a one-draw build kept the first sum, and its
+    # identity residual was 1.4e-9 > 1e-9)
+    (6, 2, 1064457986),
+    # the first ranks' projectors sum to sigma_min = 3.8e-10 sigma_max at
+    # any noise; all 40 halvings fail and the next draw of ranks is taken
+    # (a one-draw build raised: Gram bounds 0.15 and 4.0e8)
+    (6, 3, 856018080),
+])
+def test_induced_frame_instance_redraws_a_nearly_singular_sum(dim, atoms, seed):
+    fam = instances.induced_frame_instance(dim, atoms, seed)
+    assert max(resolution.identity_sum_residual(fam)) <= 1e-10
+    report, _ = theorems.verify_induced_fusion_frame(fam)
+    assert report.passed
+
+
 def test_block_builders_take_a_single_atom():
     # the exact and scaled variants draw no ranks: one block is the whole space
     fam = instances.induced_frame_instance(3, 1, 0, exact=True)
@@ -186,7 +231,7 @@ def _no_frame(family):
      lambda: instances.vector_frame_instance(4, 6, 7)),
 ], ids=["random_fusion", "induced_frame", "composite", "vector_frame"])
 def test_a_failed_draw_raises_naming_the_seed(monkeypatch, owner, name, stand_in, build):
-    # the seed-7 draw passes; then the quantity its one check reads is made to fail
+    # the seed-7 draw passes; then the quantity its check reads fails on every draw
     build()
     monkeypatch.setattr(owner, name, stand_in)
     with pytest.raises(ValueError, match="^seed 7 draws "):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framelab import cli, instances, resolution, serialize
+from framelab import cli, fusion, instances, resolution, serialize
 from framelab.fusion import WeightedSubspaceFamily
 from framelab.hilbert import Subspace
 from framelab.resolution import OperatorFamily, SumMode
@@ -45,6 +45,19 @@ def test_fusion_family_round_trip_is_byte_identical():
         text = serialize.dumps_fusion_family(fam)
         again = serialize.dumps_fusion_family(serialize.loads_fusion_family(text))
         assert again == text
+
+
+def test_fusion_round_trip_keeps_the_frame_bounds_bits():
+    # the loader's atoms are transposed views; the family's basis is C-ordered
+    # all the same, so its frame operator rounds as the built family's does
+    for dim in range(2, 9):
+        for atoms in range(2, 14):
+            for seed in range(5):
+                fam = instances.random_fusion_family(dim, atoms, seed)
+                back = serialize.loads_instance(serialize.dumps_instance(fam))
+                assert back.basis.flags.c_contiguous
+                assert np.array_equal(back.basis, fam.basis)
+                assert fusion.frame_bounds(back) == fusion.frame_bounds(fam), (dim, atoms, seed)
 
 
 def test_resolution_round_trip_is_byte_identical():

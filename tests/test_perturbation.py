@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from framelab import instances, perturbation, resolution, serialize
+from framelab.hilbert import adjoint
 from framelab.perturbation import PerturbationParams, predicted_interval
 from framelab.resolution import OperatorFamily, SumMode
 
@@ -355,3 +356,102 @@ def test_tol_reaches_the_base_resolution_sub_checks():
     # the subset check has judged the same residual by tol all along
     report, _ = perturbation.verify_perturbed_sum(off, perturbed, lam, 1e-6)
     assert report.hypotheses[0].name == "base_identity_sum" and report.hypotheses[0].passed
+
+
+def _full_certified_excess(x, y, z, params, tol):
+    """_certified_excess with every SVD taken and every Loewner term formed, as the oracle."""
+    d = x.shape[-1]
+    lambda1, lambda2, phi = params.lambda1, params.lambda2, np.asarray(params.phi)
+    sv = np.linalg.svd(np.concatenate([x, y, z]), compute_uv=False).reshape(3, len(x), -1)
+    u = 8.0 * d * d * np.finfo(float).eps
+    a, b = sv[0, :, 0], lambda1 * sv[1, :, 0] + lambda2 * sv[2, :, 0] + phi
+    certificate = sv[0, :, 0] - lambda1 * sv[1, :, -1] - lambda2 * sv[2, :, -1] - phi
+    excess = certificate + u * (a + b)
+    tier = np.where(excess <= tol, 0, 2)
+    excess[tier > 0] = np.inf
+    k = a * a + b * b
+    o = np.flatnonzero((tier > 0) & (k < np.finfo(float).max / 8.0))
+    if len(o):
+        xo, yo, zo = x[o], y[o], z[o]
+        low_y, low_z = lambda1 * sv[1, o, -1], lambda2 * sv[2, o, -1]
+        r = low_y + low_z + phi[o]
+        c = r * r - low_y * low_y - low_z * low_z
+        m = lambda1 * lambda1 * (adjoint(yo) @ yo) + lambda2 * lambda2 * (adjoint(zo) @ zo)
+        m -= adjoint(xo) @ xo
+        m += c[:, None, None] * np.eye(d)
+        s = np.maximum(8.0 * u * k[o] - np.linalg.eigvalsh(m)[:, 0], 0.0)
+        r = np.maximum(r - u * b[o], 0.0)
+        excess[o] = np.divide(s, r + np.sqrt(r * r + s), out=np.zeros_like(s), where=s != 0.0)
+        tier[o] = np.where(excess[o] <= tol, 1, 2)
+    return certificate, excess, tier
+
+
+def _closeness_stacks(rng, n, d, complex_):
+    def draw(*shape):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if complex_ else a
+
+    y, z = draw(n, d, d), draw(n, d, d)
+    # rank-deficient and zero atoms give zero singular values and zero Gram entries
+    y[0, :, 0] = 0.0
+    z[1] = -0.0
+    y[2] = 0.0
+    return y - z + 0.05 * draw(n, d, d), y, z
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+@pytest.mark.parametrize("lambdas", [
+    (0.0, 0.0), (0.3, 0.0), (0.0, 0.4), (0.3, 0.4), (-0.0, 0.2), (0.25, -0.0), (-0.0, -0.0),
+])
+def test_closeness_skips_the_stacks_of_zero_lambdas_bit_for_bit(complex_, lambdas):
+    # the SVD and the Loewner terms of a stack whose lambda is 0 are left
+    # out; the certificate, the bounds and the tiers keep every bit, signed
+    # zeros and all, against the full computation
+    rng = np.random.default_rng(5)
+    for d in (1, 2, 3, 5):
+        x, y, z = _closeness_stacks(rng, 7, d, complex_)
+        for phi in ((0.0,) * 7, (-0.0,) * 7, tuple(rng.uniform(0.0, 0.6, 7)), (0.0, 1e-300) * 3 + (5.0,)):
+            params = PerturbationParams(*lambdas, phi)
+            got = perturbation._certified_excess(x, y, z, params, 1e-9)
+            want = _full_certified_excess(x, y, z, params, 1e-9)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_closeness_takes_no_svd_of_a_zero_lambda_stack(monkeypatch):
+    base, perturbed, params, _ = instances.perturbed_resolution_instance(4, 6, 0, "additive")
+    assert params.lambda1 == params.lambda2 == 0.0
+    shapes = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    perturbation.check_perturbation(base, perturbed, params)
+    assert shapes == [(6, 4, 4)]  # X alone
+
+
+def test_resolution_facts_are_verify_resolutions():
+    # what the shared pieces read in place of a verify_resolution report
+    base = instances.random_resolution_family(4, 6, 0)
+    broken = base.with_operators(2.0 * base.operators)
+    singular = base.with_operators(np.concatenate([base.operators[:1], 0.0 * base.operators[1:]]))
+    for fam in (base, broken, singular, base.with_sum_mode(SumMode.WEIGHTED)):
+        for tol in (1e-9, 10.0):
+            report = resolution.verify_resolution(fam, identity_tol=tol)
+            bounds, residual, passed = perturbation._resolution_facts(fam, tol)
+            assert (bounds.lower, bounds.upper) == (
+                report.constants["gram_lower"], report.constants["gram_upper"]
+            )
+            assert residual == report.constants["identity_residual"]
+            assert passed == report.passed
+
+
+def test_all_subset_masks_are_kept_read_only():
+    first = perturbation.all_subset_masks(5)
+    assert perturbation.all_subset_masks(5) is first
+    assert not first.flags.writeable
+    assert first.shape == (31, 5) and first.dtype == bool
+    # counting order with atom 0 on the top bit
+    assert first[0].tolist() == [False] * 4 + [True] and first[-1].all()

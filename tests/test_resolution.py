@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from framelab import instances, resolution
-from framelab.errors import DimensionMismatchError
+from framelab.errors import AtomMismatchError, DimensionMismatchError
 from framelab.resolution import OperatorFamily, SumMode
 
 
@@ -46,6 +48,56 @@ class TestOperatorFamily:
         assert resolution.identity_sum_residual(fam) == raw_residual
         with pytest.raises(ValueError, match="sum_mode must be a SumMode"):
             fam.with_sum_mode("weighted")
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_with_operators_equals_a_rebuilt_family(self, complex_):
+        fam = _raw(1)
+        gram = resolution.resolution_gram(fam)
+        rng = np.random.default_rng(0)
+        ops = fam.operators + 0.1 * rng.standard_normal(fam.operators.shape)
+        if complex_:
+            ops = ops + 0.1j * rng.standard_normal(fam.operators.shape)
+        # a transposed view, so the stored copy's layout is the constructor's too
+        ops = ops.transpose(0, 2, 1)
+        for mode in SumMode:
+            src = fam.with_sum_mode(mode)
+            got = src.with_operators(ops)
+            want = dataclasses.replace(src, operators=ops)
+            assert got.operators.tobytes() == want.operators.tobytes()
+            assert got.operators.dtype == want.operators.dtype
+            assert got.operators.strides == want.operators.strides
+            assert not got.operators.flags.writeable
+            assert not np.shares_memory(got.operators, ops)
+            # the read-only per-atom data is shared, no kept piece is
+            assert got.weights is fam.weights and got.masses is fam.masses
+            assert (got.points, got.sum_mode) == (fam.points, mode)
+            assert resolution.resolution_gram(got) is not gram
+            assert np.array_equal(resolution.resolution_gram(got), resolution.resolution_gram(want))
+
+    def test_with_operators_checks_the_new_operators(self):
+        fam = _raw(1)
+        ops = np.array(fam.operators)
+        ops[2, 1, 0] = np.inf
+        with pytest.raises(ValueError, match=r"operators entry \(2, 1, 0\) is not finite"):
+            fam.with_operators(ops)
+        with pytest.raises(AtomMismatchError, match="5 operators vs weights"):
+            fam.with_operators(fam.operators[:5])
+        with pytest.raises(DimensionMismatchError, match="square matrices"):
+            fam.with_operators(fam.operators[:, :2])
+        with pytest.raises(ValueError, match="at least one operator"):
+            fam.with_operators(())
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_identity_sum_matrix_is_tensordots_product(self, complex_):
+        rng = np.random.default_rng(3)
+        for n, d in ((1, 1), (3, 2), (6, 4), (40, 8)):
+            ops = rng.standard_normal((n, d, d))
+            if complex_:
+                ops = ops + 1j * rng.standard_normal((n, d, d))
+            raw = OperatorFamily(ops, rng.uniform(0.5, 2.0, n), rng.uniform(0.5, 2.0, n))
+            for fam in (raw, raw.with_sum_mode(SumMode.WEIGHTED)):
+                want = np.tensordot(fam.sum_coefficients(), fam.operators, axes=1)
+                assert fam.identity_sum_matrix().tobytes() == want.tobytes()
 
     def test_family_owns_its_weights_and_masses(self):
         ops = resolution.from_orthonormal_basis(2).operators
