@@ -251,6 +251,18 @@ def _resolution_checks(family, tol: float):
     )
 
 
+def _print_items(items, out) -> int:
+    """Print the items, a report as its summary line; write the reports to ``out``; exit 0 or 1."""
+    from . import serialize
+
+    reports = [item for item in items if not isinstance(item, str)]
+    for item in items:
+        print(item if isinstance(item, str) else item.summary_line())
+    if out:
+        _emit(serialize.dumps_reports(reports), out)
+    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+
+
 def cmd_verify(args) -> int:
     from . import fusion, serialize
 
@@ -278,12 +290,7 @@ def cmd_verify(args) -> int:
             items.extend(_projector_checks(obj, tol))
         else:
             items.extend(_resolution_checks(obj, tol))
-    reports = [item for item in items if not isinstance(item, str)]
-    for item in items:
-        print(item if isinstance(item, str) else item.summary_line())
-    if args.out:
-        _emit(serialize.dumps_reports(reports), args.out)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+    return _print_items(items, args.out)
 
 
 def cmd_perturb(args) -> int:
@@ -310,22 +317,14 @@ def cmd_perturb(args) -> int:
     params = perturbation.PerturbationParams(scenario["lambda1"], scenario["lambda2"], phi)
     lam = scenario["lam"]
 
-    *reports, composite = perturbation.perturbation_reports(base, perturbed, params, lam, tol)
-    for report in reports:
-        print(report.summary_line())
-    if composite is not None:
-        reports.append(composite)
-        print(composite.summary_line())
-    else:
-        constants = reports[-1].constants
-        print(
+    *items, composite = perturbation.perturbation_reports(base, perturbed, params, lam, tol)
+    if composite is None:
+        constants = items[-1].constants
+        composite = (
             "composite_perturbation: SKIP (composing family exceeds the base upper bound:"
             f" {constants['perturbed_upper']:.6g} > {constants['gram_upper']:.6g})"
         )
-
-    if args.out:
-        _emit(serialize.dumps_reports(reports), args.out)
-    return EXIT_OK if all(r.passed for r in reports) else EXIT_CHECK_FAILED
+    return _print_items([*items, composite], args.out)
 
 
 def sweep_discretization(

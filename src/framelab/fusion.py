@@ -28,8 +28,8 @@ from .hilbert import Subspace, adjoint, as_vector, hermitian_part, require_finit
 from .reports import VerificationReport
 
 
-# Atoms whose bases are checked together: bounds the batched U_i* U_i work
-# to _CHECK_CHUNK zero-padded bases at a time.
+# Atoms of sequence input whose bases are checked together: bounds the
+# batched U_i* U_i work to _CHECK_CHUNK zero-padded bases at a time.
 _CHECK_CHUNK = 64
 
 
@@ -73,22 +73,25 @@ def _padded(basis: np.ndarray, column_atom: np.ndarray, natoms: int) -> np.ndarr
 def _check_bases(basis: np.ndarray, column_atom: np.ndarray, ranks: np.ndarray, stack):
     """Every atom's basis is finite with orthonormal columns, checked over the stack.
 
-    Works on chunk-sized padded stacks, so the check adds little to the
-    constructor's peak memory. An (n, d, r) ``stack`` of equal-rank atoms is
-    its own padded form and is checked in slices; ``None`` for other input.
+    An (n, d, r) ``stack`` of equal-rank atoms is its own padded form, and
+    its Gram, (n, r, r) with r <= d wherever the columns can be orthonormal,
+    is no larger: it is checked in one call. Other input (``stack`` None) is
+    checked on chunk-sized padded stacks, so the check adds little to the
+    constructor's peak memory.
     """
     finite = np.isfinite(basis)
     if not finite.all():
         atom = int(column_atom[np.flatnonzero(~finite.all(axis=0))[0]])
         require_finite(basis[:, column_atom == atom], f"atom {atom} basis")
+    step = ranks.size if stack is not None else _CHECK_CHUNK
     ends = np.cumsum(ranks)
-    for lo in range(0, ranks.size, _CHECK_CHUNK):
-        hi = min(lo + _CHECK_CHUNK, ranks.size)
+    for lo in range(0, ranks.size, step):
+        hi = min(lo + step, ranks.size)
         if stack is None:
             cols = slice(ends[lo] - ranks[lo], ends[hi - 1])
             chunk = _padded(basis[:, cols], column_atom[cols] - lo, hi - lo)
         else:
-            chunk = stack[lo:hi]
+            chunk = stack
         defects = hilbert.orthonormality_defects(chunk, ranks[lo:hi])
         bad = np.flatnonzero(defects > hilbert.ORTHONORMAL_TOL)
         if bad.size:

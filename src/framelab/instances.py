@@ -345,7 +345,9 @@ def sandwich_instance(
     scaled_orthogonal=True the operators are scaled block projectors whose
     weight-mass products all sit below one, the regime where the linear
     upper bound in the largest operator norm fails. Otherwise ranks are
-    drawn as in ``random_fusion_family``, with the same ValueError.
+    drawn as in ``random_fusion_family``, with the same ValueError; a draw
+    whose weighted sum has lambda_min <= 1e-6 lambda_max is drawn again, and
+    ValueError names the seed if no draw clears that.
 
     Returns (subspace_family, operator_family).
     """
@@ -365,6 +367,7 @@ def sandwich_instance(
         )
     weights = rng.uniform(0.5, 2.0, atoms)
     masses = rng.uniform(0.5, 2.0, atoms)
+    found = "no spanning ranks"
     for ranks in _spanning_ranks(rng, dim, atoms):
         bases = [_random_basis(rng, dim, int(r)) for r in ranks]
         g = _unit_norm(hermitian_part(rng.standard_normal((atoms, dim, dim))))
@@ -373,6 +376,7 @@ def sandwich_instance(
         total = sum((weights * weights * masses)[:, None, None] * cores)
         evals, evecs = np.linalg.eigh(hermitian_part(total))
         if evals[0] <= 1e-6 * evals[-1]:
+            found = f"weighted sum eigenvalues {evals[0]:.3e}, {evals[-1]:.3e}"
             continue
         inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
         ops = inv_sqrt @ cores @ inv_sqrt
@@ -385,7 +389,7 @@ def sandwich_instance(
             operators=ops, weights=weights, masses=masses,
             sum_mode=SumMode.WEIGHTED,
         )
-    raise RuntimeError(f"no positive weighted sum found for seed {seed}")
+    raise ValueError(f"seed {seed} draws {found}")
 
 
 def projection_identity_instance(
@@ -478,7 +482,8 @@ def _exact_subset_lam(base_ops, deviations) -> float:
     so only subsets whose Frobenius norm reaches the largest lower bound
     (and the maximum so far) need the exact 2-norm. The value is therefore
     the one an SVD of every subset gives, bit for bit. A chunk whose
-    inverse fails is decided by SVDs alone.
+    batched inverse fails meets a zero pivot, so one of its A_I is singular
+    to working precision and the value is inf.
     """
     from .perturbation import all_subset_masks, subset_sums
 
@@ -492,18 +497,16 @@ def _exact_subset_lam(base_ops, deviations) -> float:
     for _, (a, dev) in subset_sums(all_subset_masks(n), base_ops, deviations):
         try:
             inv = np.linalg.inv(a)
-            unsure = ~(
-                1.0 / np.linalg.norm(inv, axis=(1, 2))
-                > 2e-10 * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
-            )
         except np.linalg.LinAlgError:
-            inv, unsure = None, np.ones(len(a), dtype=bool)
+            return float("inf")
+        unsure = ~(
+            1.0 / np.linalg.norm(inv, axis=(1, 2))
+            > 2e-10 * np.maximum(np.linalg.norm(a, axis=(1, 2)), 1.0)
+        )
         if unsure.any():
             svals = np.linalg.svd(a[unsure], compute_uv=False)
             if np.any(svals[:, -1] <= 1e-10 * np.maximum(svals[:, 0], 1.0)):
                 return float("inf")
-        if inv is None:
-            inv = np.linalg.inv(a)
         prod = dev @ inv
         columns = np.einsum("ijk,ijk->ik", prod.conj(), prod).real
         floor = max(worst, float(np.sqrt(columns.max())) * (1.0 - rel))
@@ -524,7 +527,9 @@ def perturbed_resolution_instance(
     exactly, so the scan runs once per instance); "left" composes with
     id + eps G so the relative constant eps covers the deviation; "uniform"
     rescales the whole family by 1 - eps (every inequality tight);
-    "degenerate" returns the base itself with zero parameters.
+    "degenerate" returns the base itself with zero parameters. ValueError
+    names the seed where 60 halvings leave the "additive" constant at 0.9 or
+    more (it is inf where a subset sum is singular).
 
     Returns (base, perturbed, params, lam).
     """
@@ -561,7 +566,7 @@ def perturbed_resolution_instance(
 
     # the noise is linear in the budget and halving is exact, so the scan at
     # a halved budget is exactly half the last one: scan once, then halve
-    lam_exact = _exact_subset_lam(base.operators, -noise_at(budget))
+    first = lam_exact = _exact_subset_lam(base.operators, -noise_at(budget))
     for _ in range(60):
         if lam_exact < 0.9:
             noise = noise_at(budget)
@@ -571,7 +576,7 @@ def perturbed_resolution_instance(
             return base, perturbed, PerturbationParams(0.0, 0.0, phi), lam
         budget *= 0.5
         lam_exact *= 0.5
-    raise RuntimeError(f"no subset-stable perturbation found for seed {seed}")
+    raise ValueError(f"seed {seed} draws subset constant {first:.3e}")
 
 
 def composite_instance(

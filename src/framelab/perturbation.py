@@ -246,8 +246,8 @@ def _certified_excess(x, y, z, params: PerturbationParams, tol: float):
     Every term of M_i is at most K_i = a_i^2 + b_i^2 in 2-norm; the
     rounding of its products and of c_i, and eigvalsh's backward error,
     stay below 8 u K_i, and s_i = max(0, 8 u K_i - computed
-    lambda_min(M_i)). M_i is formed only where K_i < max float / 8, so it
-    is finite; a NaN bound proves nothing.
+    lambda_min(M_i)). M_i is formed only where K_i < max float / 8, and
+    used only where it is finite; a NaN bound proves nothing.
     """
     d = x.shape[-1]
     lambda1, lambda2, phi = params.lambda1, params.lambda2, np.asarray(params.phi)
@@ -261,10 +261,15 @@ def _certified_excess(x, y, z, params: PerturbationParams, tol: float):
     k = a * a + b * b
     o = np.flatnonzero((tier > 0) & (k < np.finfo(float).max / 8.0))
     if len(o):
+        xo, yo, zo = x[o], y[o], z[o]
+        m = lambda1 * lambda1 * (adjoint(yo) @ yo) + lambda2 * lambda2 * (adjoint(zo) @ zo)
+        m = m - adjoint(xo) @ xo
+        # K_i does not bound a term whose lambda is 0 or tiny: its Gram may overflow
+        finite = np.isfinite(m).all(axis=(1, 2))
+        o, m = o[finite], m[finite]
         low_y, low_z = lambda1 * sv[1, o, -1], lambda2 * sv[2, o, -1]
         r = low_y + low_z + phi[o]
         c = r * r - low_y * low_y - low_z * low_z
-        m = _loewner_gram(x[o], y[o], z[o], lambda1, lambda2)
         m += c[:, None, None] * np.eye(d)
         s = np.maximum(8.0 * u * k[o] - np.linalg.eigvalsh(m)[:, 0], 0.0)
         r = np.maximum(r - u * b[o], 0.0)
@@ -288,21 +293,6 @@ def _stack_singulars(x, y, z, lambda1: float, lambda2: float) -> np.ndarray:
     sv = np.zeros((3, len(x), found.shape[-1]))
     sv[keep] = found.reshape(len(keep), len(x), -1)
     return sv
-
-
-def _loewner_gram(x, y, z, lambda1: float, lambda2: float) -> np.ndarray:
-    """lambda1^2 Y_i^* Y_i + lambda2^2 Z_i^* Z_i - X_i^* X_i, without the terms whose lambda is 0.
-
-    ``x`` has the dtype common to the three stacks, as in both closeness
-    checks. A term left out is a stack of signed zeros where its Gram is
-    finite, so leaving it out can change only the sign of a zero entry; with
-    a lambda 0, _certified_excess's shift c_i is at least +0, and adding
-    c_i I turns every zero entry into +0, so M_i keeps its bits. With both
-    lambdas nonzero the sum is formed in the full one's order.
-    """
-    terms = [lam * lam * (adjoint(s) @ s) for s, lam in ((y, lambda1), (z, lambda2)) if lam != 0.0]
-    xx = adjoint(x) @ x
-    return sum(terms[1:], terms[0]) - xx if terms else -xx
 
 
 def _certificate_defects(sv: np.ndarray, lambda1: float, lambda2: float) -> np.ndarray:
@@ -846,24 +836,13 @@ def verify_composite_perturbation(
     return _SharedPieces(base, composed_with, params, lam, tol).composite_report()
 
 
-def _resolution_facts(family: OperatorFamily, tol: float):
-    """(Gram bounds, identity residual, passed) as verify_resolution(family, tol) reports them.
-
-    The residual is the largest on a basis vector, the report's
-    identity_residual. Read from the per-family memos, with no report built
-    and no operator norm taken.
-    """
-    bounds = resolution.resolution_bounds(family)
-    basis_residual, operator_residual = resolution.identity_sum_residual(family)
-    return bounds, basis_residual, bounds.is_positive() and operator_residual <= tol
-
-
 class _SharedPieces:
     """The pieces the resolution and composite checks share, each computed once.
 
     Of the base and of the family normalized by its sum, the checks read
-    only _resolution_facts. The normalized family and its facts are None
-    when the sum is singular, sigma_min <= SINGULAR_CUT max(1, sigma_max).
+    only resolution.resolution_facts. The normalized family and its facts
+    are None when the sum is singular, sigma_min <= SINGULAR_CUT max(1,
+    sigma_max).
     """
 
     def __init__(self, base, perturbed, params, lam, tol):
@@ -873,12 +852,13 @@ class _SharedPieces:
         self.params = params
         self.lam = lam
         self.tol = tol
-        self.base_bounds, self.base_residual, self.base_passed = _resolution_facts(base, tol)
+        facts = resolution.resolution_facts(base, tol)
+        self.base_bounds, self.base_residual, self.base_passed = facts
         self.subset_report, _, self.singulars = _perturbed_sum(base, perturbed, lam, tol)
         self.normalized = self.normalized_facts = None
         if float(self.singulars[-1]) > SINGULAR_CUT * max(float(self.singulars[0]), 1.0):
             self.normalized = resolution.normalize_to_identity(perturbed)
-            self.normalized_facts = _resolution_facts(self.normalized, tol)
+            self.normalized_facts = resolution.resolution_facts(self.normalized, tol)
 
     def bessel_dominated(self) -> bool:
         """The perturbed Gram upper bound is at most the base one, to ``tol``."""

@@ -179,6 +179,18 @@ def identity_sum_residual(family: OperatorFamily):
     return basis_residual, hilbert.operator_norm(dev)
 
 
+def resolution_facts(family: OperatorFamily, tol: float):
+    """(Gram bounds, identity residual, passed) as verify_resolution(family, tol) reports them.
+
+    The residual is the largest on a basis vector, the report's
+    identity_residual. Read from the per-family memos, with no report built
+    and no operator norm taken.
+    """
+    bounds = resolution_bounds(family)
+    basis_residual, operator_residual = identity_sum_residual(family)
+    return bounds, basis_residual, bounds.is_positive() and operator_residual <= tol
+
+
 def add_identity_sum_hypothesis(report, name: str, family, tol: float, detail: str = ""):
     """Add hypothesis ``name``: ||I - sum_i c_i T_i|| <= ``tol`` in operator norm.
 

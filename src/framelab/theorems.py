@@ -331,18 +331,13 @@ def verify_induced_vector_frame(
     if not vectors:
         raise ValueError("frame_seq must be nonempty")
 
-    res_report = resolution.verify_resolution(family, identity_tol=tol)
-    report.add_hypothesis(
-        "base_resolution",
-        res_report.passed,
-        residual=res_report.constants["identity_residual"],
-    )
+    gram_bounds, residual, passed = resolution.resolution_facts(family, tol)
+    report.add_hypothesis("base_resolution", passed, residual=residual)
     seq = np.stack(vectors, axis=1)
     span = hilbert.column_space(seq)
     report.add_hypothesis("span_nontrivial", span.rank >= 1, residual=float(span.rank))
 
-    c_const = res_report.constants["gram_lower"]
-    d_const = res_report.constants["gram_upper"]
+    c_const, d_const = gram_bounds.lower, gram_bounds.upper
 
     q = span.basis
     # sum_i omega_i^2 mu_i T_i* (F F*) T_i with F the sequence as columns

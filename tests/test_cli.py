@@ -201,6 +201,21 @@ def test_verify_builds_the_induced_projectors_once(capsys, callers):
     assert padded["_projector_stack"] == 1
 
 
+def test_verify_takes_one_operator_norm_stack(tmp_path, capsys, callers):
+    # the vector-frame check reads the resolution facts, so only the
+    # resolution report's sup_norm takes the operators' SVD stack (through
+    # OperatorFamily.operator_norms); the identity residuals of the raw and
+    # the weighted sum take one norm each
+    raw = tmp_path / "raw.json"
+    raw.write_text(serialize.dumps_instance(instances.random_resolution_family(4, 6, 0)))
+    norms = callers(hilbert, "operator_norms")
+    reports = callers(resolution, "verify_resolution")
+    assert run(["verify", str(raw)]) == cli.EXIT_OK
+    assert "induced_vector_frame: PASS" in capsys.readouterr().out
+    assert norms == {"operator_norms": 1, "identity_sum_residual": 2}
+    assert reports["verify_induced_vector_frame"] == 0
+
+
 def test_reconstruct_tight_family(capsys):
     assert run([
         "reconstruct", "--scenario", "mercedes", "--vector", "[0.5, -1.5]",

@@ -236,3 +236,20 @@ def test_a_failed_draw_raises_naming_the_seed(monkeypatch, owner, name, stand_in
     monkeypatch.setattr(owner, name, stand_in)
     with pytest.raises(ValueError, match="^seed 7 draws "):
         build()
+
+
+@pytest.mark.parametrize("name, stand_in, build", [
+    # no rank draw spans
+    ("_spanning_ranks", lambda rng, dim, atoms: iter(()),
+     lambda: instances.sandwich_instance(4, 5, 7)),
+    # a singular subset sum, so no halving of the budget helps
+    ("_exact_subset_lam", lambda base_ops, deviations: float("inf"),
+     lambda: instances.perturbed_resolution_instance(4, 6, 7, "additive")),
+], ids=["sandwich", "perturbed_resolution"])
+def test_builders_that_draw_again_raise_naming_the_seed(monkeypatch, name, stand_in, build):
+    # the seed-7 draw passes; then every draw fails, with the ValueError of
+    # the other builders
+    build()
+    monkeypatch.setattr(instances, name, stand_in)
+    with pytest.raises(ValueError, match="^seed 7 draws "):
+        build()

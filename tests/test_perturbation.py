@@ -112,6 +112,23 @@ def test_closeness_of_overflowing_operators_fails_without_raising():
     assert report.notes == ["closeness of 4 atoms decided by the probes on 4"]
 
 
+@pytest.mark.parametrize("lambda1", [0.0, 1e-150])
+def test_closeness_sends_atoms_whose_loewner_terms_overflow_to_the_probes(lambda1):
+    # Y_i = w T_i near 1e160 has a Gram that overflows, which K_i does not
+    # bound when lambda1 is 0 or tiny: M_i is not finite, and eigvalsh
+    # would raise on it, so those atoms go to the probes
+    base = instances.random_resolution_family(3, 4, 0)
+    big = base.with_operators(1e160 * base.operators)
+    shift = 1e146 * np.random.default_rng(1).standard_normal((4, 3, 3))
+    perturbed = big.with_operators(big.operators + shift)
+    x = base.weights[:, None, None] * (big.operators - perturbed.operators)
+    params = PerturbationParams(lambda1, 0.0, tuple(0.999 * np.linalg.norm(x, 2, axis=(1, 2))))
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = perturbation.check_perturbation(big, perturbed, params)
+    assert not report.passed
+    assert report.notes == ["closeness of 4 atoms decided by the probes on 4"]
+
+
 def test_check_perturbation_detects_violation():
     base = instances.random_resolution_family(3, 4, 1)
     far = OperatorFamily(
@@ -440,7 +457,7 @@ def test_resolution_facts_are_verify_resolutions():
     for fam in (base, broken, singular, base.with_sum_mode(SumMode.WEIGHTED)):
         for tol in (1e-9, 10.0):
             report = resolution.verify_resolution(fam, identity_tol=tol)
-            bounds, residual, passed = perturbation._resolution_facts(fam, tol)
+            bounds, residual, passed = resolution.resolution_facts(fam, tol)
             assert (bounds.lower, bounds.upper) == (
                 report.constants["gram_lower"], report.constants["gram_upper"]
             )
